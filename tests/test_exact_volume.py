@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -163,3 +164,59 @@ def test_mesh_document_round_trips_through_json():
     again = json.loads(json.dumps(doc))
     assert again == doc
     assert len(doc["pieces"][0]["vertices"]) == 6
+
+
+# Exact volume and sha256 of the sorted-key mesh JSON for every bounded
+# non-empty conjunction of the polytopal tags, and the error message for
+# every unbounded one.  Taken from the Fraction engine before the integer
+# rewrite; any change to vertices, their order, facets or volumes shows here.
+PINNED = {
+    "PT": (F(1, 1), "2f1aea0bcc5cf2c2148e3234b0177786de881ae59fb883e1751ddf0db5502779"),
+    "CPT": (F(1, 3), "672c09e7125973b383d8079033c8a2315a2adc9747f5d47e2968628657204a23"),
+    "EBC": (F(1, 6), "a324dcf2ace03e760869f26c06cc2ab202fa6fad1deab6c093a99d4dfe38d9e7"),
+    "TLG": "recession direction (0, 0, 1); the system is unbounded",
+    "PDIV": "recession direction (0, 0, 1); the system is unbounded",
+    "PT,CPT": (F(1, 3), "5be9eb88a9d7533fb5c8da1d276a801e7e8f5f0efd260931a163126d0eb8fbc5"),
+    "PT,EBC": (F(1, 6), "b8505eff4d31e4d1075237e79772d84e9f6aee3c5e7683917683f48bc4c20567"),
+    "PT,TLG": (F(1, 8), "1ac9de004db7fa412c8d4a35f18ce751ffa2d4e8cfc79c11398396a0f6d3f9a4"),
+    "PT,PDIV": (F(1, 2), "11f5bb1a589e4e7317323dcd912c9041794689875dab6c7b59ad235022e002ee"),
+    "CPT,EBC": (F(1, 6), "a07f44b16c14bea6992af979643aae0d1945e5f9cebe635c7845d506b039ad36"),
+    "CPT,TLG": (F(1, 16), "5a9fa771b6faceb3ddc52785ef1718a303cdb8481b76035192134088f0ee63af"),
+    "CPT,PDIV": (F(1, 4), "89601214beae1283741fac49c57ac0fe116aef201efa778a3b62844b28125682"),
+    "EBC,TLG": (F(1, 48), "bf64ffb88291e9b08479294c03198d978beca1eb59a825cd0f49928c52fe5c82"),
+    "EBC,PDIV": (F(1, 12), "e8e6906b16a86de016a313dee90484678a4cf069c653b04ffb1e3dee8780d8cb"),
+    "TLG,PDIV": "recession direction (0, 0, 1); the system is unbounded",
+    "PT,CPT,EBC": (F(1, 6), "4d9f753274a9ad8b04410b433c1f4a734cd863a5883376dcb17fd5912a15009d"),
+    "PT,CPT,TLG": (F(1, 16), "02d811ee97171212cc645534422746d022824879c7c6cfd4a9816503d12de071"),
+    "PT,CPT,PDIV": (F(1, 4), "9ff0f7ee75f0da5fdae358befa322751720cb722379ab6bf782312289de5d985"),
+    "PT,EBC,TLG": (F(1, 48), "20f4e43694098a524dbc12156161686cc03ae9c9eae7ee8e67865584cc04b32a"),
+    "PT,EBC,PDIV": (F(1, 12), "50c5aa548598e509da2b0365e0987d637973ef8876bdc59cd9199edabf402d72"),
+    "PT,TLG,PDIV": (F(1, 8), "e286d7d48b3243f2a9179fecc273ef787d24c98ac9d5d89039ca4e3df2823965"),
+    "CPT,EBC,TLG": (F(1, 48), "9859605f3c4102d9db5b7d9759c35d2871e97b63f1834d350d198db8ccee72cd"),
+    "CPT,EBC,PDIV": (F(1, 12), "f73ddb690e5c46d7c512f180be8a66bf3a0722da3fe51a25df81667c65f73423"),
+    "CPT,TLG,PDIV": (F(1, 16), "3b6bac35dfba5ce54de9d8b2ad28ead3c671dc0435791e44804106a5f1e989f3"),
+    "EBC,TLG,PDIV": (F(1, 48), "ecea7d46ccba1b2599745589c897965a70147a7df83698a0b42ba0bb59111631"),
+    "PT,CPT,EBC,TLG": (F(1, 48), "440f56c3312eb0c4bd240cf24aea6bd8a7e166e0482bc949f7b4b3b15462d8e7"),
+    "PT,CPT,EBC,PDIV": (F(1, 12), "9e797c4657575a2c0b9309d19c7e8a75b561ce93b2c8bf4f38f1372ade616b9b"),
+    "PT,CPT,TLG,PDIV": (F(1, 16), "402b89f95b20dc37ec31b8f2b06fe944a75f9a1626ee79d31cb7f4ccac9e117b"),
+    "PT,EBC,TLG,PDIV": (F(1, 48), "5d67de3e962b140c88e059ed5e9a11ea3826e19fcfc803523f9d2a0276b2d848"),
+    "CPT,EBC,TLG,PDIV": (F(1, 48), "6e46708a18d9a46e0c9f930356ffeb49cf74fbe7182565ee74da917464c5f5a8"),
+    "PT,CPT,EBC,TLG,PDIV": (F(1, 48), "e2d3c4bac64264bd0828d2f4a0307c17a37de5aa6bb3c63d9aca2b0a7c8a0ccc"),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED))
+def test_all_conjunctions_pinned(name):
+    expr = RegionExpr.parse(name)
+    want = PINNED[name]
+    if isinstance(want, str):
+        with pytest.raises(UnboundedPolytopeError) as info:
+            region_volume(expr)
+        assert str(info.value) == want
+        with pytest.raises(UnboundedPolytopeError):
+            mesh_document(expr)
+        return
+    volume, digest = want
+    assert region_volume(expr) == volume
+    text = json.dumps(mesh_document(expr), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
