@@ -1,10 +1,14 @@
 """Exact polytope volumes for the polytopal regions.
 
-Vertex enumeration is brute force over all triples of boundary planes
-with every coordinate a :class:`fractions.Fraction`, so vertices,
-facets, and volumes carry no rounding at all.  The systems involved
-are tiny (at most a couple dozen half-spaces), which keeps the cubic
-enumeration instant and removes any need for pivoting machinery.
+Vertex enumeration is brute force over all triples of boundary planes.
+Inside the engine every quantity is an exact Python integer: each
+half-space is its primitive integer row ``(a1, a2, a3, b)`` and each
+vertex a homogeneous integer row ``(x, y, z, d)``, so vertices, facets,
+and volumes carry no rounding at all.  :class:`fractions.Fraction`
+appears only where values leave the engine: the vertices of a
+:class:`Polytope`, its volumes, and the mesh document.  The systems
+involved are tiny (at most a couple dozen half-spaces), which keeps the
+cubic enumeration instant and removes any need for pivoting machinery.
 
 Volumes are reported in the Hilbert-Schmidt normalization, which gives
 the positivity cube max_a |lambda_a| <= 1 unit volume: one eighth of
@@ -15,10 +19,11 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .regions import HalfSpace, RegionExpr, halfspace_description
+from .regions import RegionExpr, _dedupe, halfspace_description
 
 __all__ = [
     "UnboundedPolytopeError",
@@ -42,6 +47,10 @@ class UnboundedPolytopeError(ValueError):
     """
 
 
+# The vector helpers read the first three entries only, so they take
+# half-space rows (a1, a2, a3, b) as their normals.
+
+
 def _sub(u, v):
     return (u[0] - v[0], u[1] - v[1], u[2] - v[2])
 
@@ -58,12 +67,12 @@ def _cross(u, v):
     )
 
 
-def _det3(r0, r1, r2) -> Fraction:
+def _det3(r0, r1, r2):
     return _dot(r0, _cross(r1, r2))
 
 
 def _rank(rows) -> int:
-    """Rank of a list of rational 3-vectors by Gaussian elimination."""
+    """Rank of a list of integer 3-vectors by fraction-free elimination."""
     work = [list(r) for r in rows]
     rank = 0
     for col in range(3):
@@ -71,73 +80,100 @@ def _rank(rows) -> int:
         if pivot is None:
             continue
         work[rank], work[pivot] = work[pivot], work[rank]
+        p = work[rank]
         for i in range(rank + 1, len(work)):
-            if work[i][col] != 0:
-                f = work[i][col] / work[rank][col]
-                for c in range(col, 3):
-                    work[i][c] -= f * work[rank][c]
+            f = work[i][col]
+            if f != 0:
+                work[i] = [p[col] * x - f * y for x, y in zip(work[i], p)]
         rank += 1
     return rank
 
 
-def _dedupe(halfspaces) -> list:
-    seen = set()
-    out = []
-    for hs in halfspaces:
-        key = hs.canonical()
-        if key not in seen:
-            seen.add(key)
-            out.append(hs)
-    return out
-
-
-def _check_bounded(halfspaces) -> None:
-    normals = [hs.normal for hs in halfspaces]
-    if _rank(normals) < 3:
+def _check_bounded(halfspaces, rows) -> None:
+    if _rank([r[:3] for r in rows]) < 3:
         raise UnboundedPolytopeError(
             "normals span fewer than three dimensions; the system is unbounded"
         )
     # With full-rank normals the recession cone is pointed, so it is
     # nonzero exactly when it has an extreme ray, and every extreme ray
     # lies on two of the cone's boundary planes: d ~ +-(a_i x a_j).
-    for ai, aj in itertools.combinations(normals, 2):
-        d = _cross(ai, aj)
+    for (i, ri), (j, rj) in itertools.combinations(enumerate(rows), 2):
+        d = _cross(ri, rj)
         if d == (0, 0, 0):
             continue
-        for cand in (d, tuple(-x for x in d)):
-            if all(_dot(a, cand) <= 0 for a in normals):
+        for sign in (1, -1):
+            if all(sign * _dot(r, d) <= 0 for r in rows):
+                # Report the ray in the caller's own coefficients; each row
+                # is a positive multiple of its half-space, so it is the
+                # same ray.
+                cand = _cross(halfspaces[i].normal, halfspaces[j].normal)
+                cand = tuple(sign * x for x in cand)
                 raise UnboundedPolytopeError(
                     f"recession direction ({cand[0]}, {cand[1]}, {cand[2]});"
                     " the system is unbounded"
                 )
 
 
-def _solve_triple(h0: HalfSpace, h1: HalfSpace, h2: HalfSpace):
-    det = _det3(h0.normal, h1.normal, h2.normal)
-    if det == 0:
+def _solve_triple(r0, r1, r2):
+    """Meeting point of three boundary planes by integer Cramer, or None.
+
+    A vertex is a homogeneous integer row ``(x, y, z, d)`` standing for
+    the point ``(x/d, y/d, z/d)``, with ``d > 0`` and the row divided by
+    its gcd, so that each point has exactly one row.
+    """
+    d = _det3(r0, r1, r2)
+    if d == 0:
         return None
-    b = (h0.b, h1.b, h2.b)
-    cols = list(zip(h0.normal, h1.normal, h2.normal))
-    x = _det3(b, cols[1], cols[2]) / det
-    y = _det3(cols[0], b, cols[2]) / det
-    z = _det3(cols[0], cols[1], b) / det
-    return (x, y, z)
+    b = (r0[3], r1[3], r2[3])
+    c0, c1, c2 = (r0[0], r1[0], r2[0]), (r0[1], r1[1], r2[1]), (r0[2], r1[2], r2[2])
+    x, y, z = _det3(b, c1, c2), _det3(c0, b, c2), _det3(c0, c1, b)
+    if d < 0:
+        x, y, z, d = -x, -y, -z, -d
+    g = math.gcd(x, y, z, d)
+    return (x // g, y // g, z // g, d // g)
 
 
 def enumerate_vertices(halfspaces) -> list:
     """All vertices of a bounded half-space system, exactly.
 
-    Raises :class:`UnboundedPolytopeError` when the system admits a
-    recession direction.  An empty list means the system is infeasible.
+    Returns sorted triples of :class:`fractions.Fraction`.  Raises
+    :class:`UnboundedPolytopeError` when the system admits a recession
+    direction.  An empty list means the system is infeasible.
     """
     halfspaces = _dedupe(halfspaces)
-    _check_bounded(halfspaces)
-    vertices = set()
-    for h0, h1, h2 in itertools.combinations(halfspaces, 3):
-        v = _solve_triple(h0, h1, h2)
-        if v is not None and all(hs.contains(v) for hs in halfspaces):
-            vertices.add(v)
+    rows = [hs.canonical() for hs in halfspaces]
+    _check_bounded(halfspaces, rows)
+    tried = set()
+    vertices = []
+    for r0, r1, r2 in itertools.combinations(rows, 3):
+        v = _solve_triple(r0, r1, r2)
+        if v is None or v in tried:
+            continue
+        tried.add(v)
+        x, y, z, d = v
+        if all(a1 * x + a2 * y + a3 * z <= b * d for a1, a2, a3, b in rows):
+            vertices.append((Fraction(x, d), Fraction(y, d), Fraction(z, d)))
     return sorted(vertices)
+
+
+def _integer_points(vertices):
+    """Rational points as integer points over one common denominator.
+
+    Returns ``(points, L)`` with ``points[i] == L * vertices[i]``; a
+    positive scale keeps every sign and tightness test.
+    """
+    scale = math.lcm(*(c.denominator for v in vertices for c in v))
+    points = [tuple(c.numerator * (scale // c.denominator) for c in v) for v in vertices]
+    return points, scale
+
+
+def _centred(points, indices):
+    """``k * (p - centroid)`` for the k points named, still integers."""
+    k = len(indices)
+    sx = sum(points[i][0] for i in indices)
+    sy = sum(points[i][1] for i in indices)
+    sz = sum(points[i][2] for i in indices)
+    return {i: (k * points[i][0] - sx, k * points[i][1] - sy, k * points[i][2] - sz) for i in indices}
 
 
 def _collinear(points) -> bool:
@@ -148,13 +184,9 @@ def _collinear(points) -> bool:
     return all(_cross(u, _sub(p, base)) == (0, 0, 0) for p in points[1:])
 
 
-def _cycle_order(indices, vertices, normal) -> tuple:
+def _cycle_order(indices, points, normal) -> tuple:
     """Sort facet vertices counterclockwise around the outward normal."""
-    k = len(indices)
-    cx = sum(vertices[i][0] for i in indices) / k
-    cy = sum(vertices[i][1] for i in indices) / k
-    cz = sum(vertices[i][2] for i in indices) / k
-    dirs = {i: _sub(vertices[i], (cx, cy, cz)) for i in indices}
+    dirs = _centred(points, indices)
     ref = dirs[indices[0]]
 
     def half(u) -> int:
@@ -190,24 +222,19 @@ class Polytope:
     def euclidean_volume(self) -> Fraction:
         if len(self.vertices) < 4:
             return Fraction(0)
-        if _rank([_sub(v, self.vertices[0]) for v in self.vertices[1:]]) < 3:
+        points, scale = _integer_points(self.vertices)
+        if _rank([_sub(p, points[0]) for p in points[1:]]) < 3:
             return Fraction(0)
-        k = len(self.vertices)
-        o = (
-            sum(v[0] for v in self.vertices) / k,
-            sum(v[1] for v in self.vertices) / k,
-            sum(v[2] for v in self.vertices) / k,
-        )
-        total = Fraction(0)
+        # Points scaled by k * L about the centroid: every determinant
+        # grows by (k * L)**3, which the final division takes back.
+        k = len(points)
+        centred = _centred(points, range(k))
+        total = 0
         for _hs_index, cycle in self.facets:
-            anchor = _sub(self.vertices[cycle[0]], o)
+            anchor = centred[cycle[0]]
             for i in range(1, len(cycle) - 1):
-                total += _det3(
-                    anchor,
-                    _sub(self.vertices[cycle[i]], o),
-                    _sub(self.vertices[cycle[i + 1]], o),
-                )
-        return abs(total) / 6
+                total += _det3(anchor, centred[cycle[i]], centred[cycle[i + 1]])
+        return Fraction(abs(total), 6 * (k * scale) ** 3)
 
     def hs_volume(self) -> Fraction:
         return self.euclidean_volume() * HS_SCALE
@@ -217,12 +244,15 @@ def build_polytope(halfspaces) -> Polytope:
     """Enumerate vertices and assemble facets for a bounded system."""
     halfspaces = _dedupe(halfspaces)
     vertices = enumerate_vertices(halfspaces)
+    points, scale = _integer_points(vertices)
     facets = []
     for hs_index, hs in enumerate(halfspaces):
-        tight = [i for i, v in enumerate(vertices) if hs.is_tight(v)]
-        if len(tight) < 3 or _collinear([vertices[i] for i in tight]):
+        row = hs.canonical()
+        bound = row[3] * scale
+        tight = [i for i, p in enumerate(points) if _dot(row, p) == bound]
+        if len(tight) < 3 or _collinear([points[i] for i in tight]):
             continue
-        facets.append((hs_index, _cycle_order(tight, vertices, hs.normal)))
+        facets.append((hs_index, _cycle_order(tight, points, row)))
     return Polytope(tuple(halfspaces), tuple(vertices), tuple(facets))
 
 

@@ -19,6 +19,7 @@ Every region except ``CPDIV`` is a finite union of convex polytopes;
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -224,7 +225,11 @@ def region_mask(expr: RegionExpr, lam: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HalfSpace:
-    """Rational constraint a1*l1 + a2*l2 + a3*l3 <= b."""
+    """Rational constraint a1*l1 + a2*l2 + a3*l3 <= b.
+
+    The primitive integer row of the constraint is computed once, at
+    construction; :meth:`canonical` returns it.
+    """
 
     a1: Fraction
     a2: Fraction
@@ -239,6 +244,11 @@ class HalfSpace:
         object.__setattr__(self, "a2", a2)
         object.__setattr__(self, "a3", a3)
         object.__setattr__(self, "b", b)
+        coeffs = (a1, a2, a3, b)
+        scale = math.lcm(*(x.denominator for x in coeffs))
+        ints = [x.numerator * (scale // x.denominator) for x in coeffs]
+        g = math.gcd(*ints)
+        object.__setattr__(self, "_row", tuple(i // g for i in ints))
 
     @property
     def normal(self) -> tuple:
@@ -252,16 +262,20 @@ class HalfSpace:
         return self.a1 * v[0] + self.a2 * v[1] + self.a3 * v[2] == self.b
 
     def canonical(self) -> tuple:
-        """Primitive integer form (a1, a2, a3, b), unique per half-space."""
-        import math as _math
+        """Primitive integer form (a1, a2, a3, b), unique per half-space.
 
-        denoms = [self.a1.denominator, self.a2.denominator, self.a3.denominator, self.b.denominator]
-        scale = _math.lcm(*denoms)
-        ints = [int(x * scale) for x in (self.a1, self.a2, self.a3, self.b)]
-        g = _math.gcd(*(abs(i) for i in ints))
-        if g > 1:
-            ints = [i // g for i in ints]
-        return tuple(ints)
+        It is a positive multiple of the rational coefficients, so it keeps
+        the direction of the inequality and every sign test on the normal.
+        """
+        return self._row
+
+
+def _dedupe(halfspaces) -> list:
+    """First occurrence of each half-space, compared by primitive row."""
+    first = {}
+    for hs in halfspaces:
+        first.setdefault(hs.canonical(), hs)
+    return list(first.values())
 
 
 def _pt_system() -> list:
@@ -336,14 +350,4 @@ def halfspace_description(expr: RegionExpr) -> list:
         if tag not in expr.conjuncts:
             continue
         pieces = [old + new for old in pieces for new in _SYSTEMS[tag]()]
-    out = []
-    for system in pieces:
-        seen = set()
-        deduped = []
-        for hs in system:
-            key = hs.canonical()
-            if key not in seen:
-                seen.add(key)
-                deduped.append(hs)
-        out.append(deduped)
-    return out
+    return [_dedupe(system) for system in pieces]

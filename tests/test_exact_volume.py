@@ -1,9 +1,12 @@
 import hashlib
+import itertools
 import json
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paulivol import (
     HalfSpace,
@@ -220,3 +223,63 @@ def test_all_conjunctions_pinned(name):
     assert region_volume(expr) == volume
     text = json.dumps(mesh_document(expr), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _det(m):
+    (a, b, c), (d, e, f), (g, h, i) = m
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+def _reference_vertices(system):
+    """Brute force in Fraction: solve every plane triple, keep members."""
+    found = set()
+    for triple in itertools.combinations(system, 3):
+        m = [hs.normal for hs in triple]
+        det = _det(m)
+        if det == 0:
+            continue
+        rhs = [hs.b for hs in triple]
+        point = tuple(
+            _det([row[:k] + (b,) + row[k + 1:] for row, b in zip(m, rhs)]) / det
+            for k in range(3)
+        )
+        if all(hs.contains(point) for hs in system):
+            found.add(point)
+    return sorted(found)
+
+
+_coeff = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+_extra = st.tuples(_coeff, _coeff, _coeff, _coeff).filter(lambda t: any(t[:3]))
+
+
+@st.composite
+def _bounded_systems(draw):
+    """The PT cube plus up to five half-spaces with small rational coefficients."""
+    cube = halfspace_description(RegionExpr.parse("PT"))[0]
+    return cube + [HalfSpace(*t) for t in draw(st.lists(_extra, max_size=5))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(system=_bounded_systems(), data=st.data())
+def test_integer_engine_matches_fraction_reference(system, data):
+    vertices = enumerate_vertices(system)
+    assert vertices == _reference_vertices(system)
+
+    poly = build_polytope(system)
+    volume = poly.euclidean_volume()
+    assert 0 <= volume <= 8
+    for hs_index, cycle in poly.facets:
+        hs = poly.halfspaces[hs_index]
+        assert all(hs.is_tight(poly.vertices[i]) for i in cycle)
+    if volume > 0:
+        # a solid's facets close up: every vertex is on at least three
+        for i in range(len(poly.vertices)):
+            assert sum(i in cycle for _h, cycle in poly.facets) >= 3
+
+    shuffled = data.draw(st.permutations(system))
+    i = data.draw(st.integers(0, len(system) - 1))
+    factor = data.draw(st.fractions(min_value=F(1, 5), max_value=5))
+    hs = shuffled[i]
+    shuffled[i] = HalfSpace(*(factor * c for c in (hs.a1, hs.a2, hs.a3, hs.b)))
+    assert enumerate_vertices(shuffled) == vertices
+    assert build_polytope(shuffled).euclidean_volume() == volume
