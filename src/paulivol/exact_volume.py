@@ -47,8 +47,8 @@ class UnboundedPolytopeError(ValueError):
     """
 
 
-# The vector helpers read the first three entries only, so they take
-# half-space rows (a1, a2, a3, b) as their normals.
+# _dot, _cross and _det3 read only the first three entries, so a
+# half-space row (a1, a2, a3, b) serves as its own normal.
 
 
 def _sub(u, v):
@@ -173,7 +173,10 @@ def _centred(points, indices):
     sx = sum(points[i][0] for i in indices)
     sy = sum(points[i][1] for i in indices)
     sz = sum(points[i][2] for i in indices)
-    return {i: (k * points[i][0] - sx, k * points[i][1] - sy, k * points[i][2] - sz) for i in indices}
+    return {
+        i: (k * points[i][0] - sx, k * points[i][1] - sy, k * points[i][2] - sz)
+        for i in indices
+    }
 
 
 def _collinear(points) -> bool:
