@@ -17,6 +17,7 @@ import csv
 import io
 import json
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -37,10 +38,12 @@ from .mc_volume import (
     FisherRaoDomainError,
     SamplerConfig,
     VolumeEstimate,
+    _hit_counts,
+    _hs_estimate,
+    _ratio_estimate,
+    _sample_array,
     fr_volume_mc,
     hs_volume_mc,
-    ratio_mc,
-    sample_region,
 )
 from .regions import (
     NonPolytopalRegionError,
@@ -221,47 +224,30 @@ def build_table(cfg: SamplerConfig) -> list:
     Each row is a dict with keys quantity, reference, exact (None where
     only Monte Carlo applies), mc, and mc_stderr.  The memory-kernel-only
     row is the complement 1 - V(CPT,TLG)/V(CPT): eigenvalue triples that
-    are channels yet not reachable by any time-local generator.
+    are channels yet not reachable by any time-local generator.  Every
+    Monte Carlo column comes from one pass over the seeded cube stream.
     """
+    volumes = [RegionExpr.parse(region) for _q, _r, region in _VOLUME_ROWS]
+    ratios = [
+        (RegionExpr.parse(f"{num},{den}"), RegionExpr.parse(den))
+        for _q, _r, num, den in _RATIO_ROWS
+    ]
+    exprs = list(dict.fromkeys(volumes + [expr for pair in ratios for expr in pair]))
+    hits = dict(zip(exprs, _hit_counts(exprs, cfg)))
     rows = []
-    for quantity, reference, region in _VOLUME_ROWS:
-        expr = RegionExpr.parse(region)
-        est = hs_volume_mc(expr, cfg)
-        rows.append({
-            "quantity": quantity,
-            "reference": reference,
-            "exact": region_volume(expr),
-            "mc": est.value,
-            "mc_stderr": est.std_error,
-        })
-    ratio_rows = {}
-    for quantity, reference, num, den in _RATIO_ROWS:
-        num_expr = RegionExpr.parse(num)
-        den_expr = RegionExpr.parse(den)
-        est = ratio_mc(num_expr, den_expr, cfg)
-        if "CPDIV" in num:
-            exact = None
-        else:
-            joint = RegionExpr(num_expr.conjuncts | den_expr.conjuncts)
-            exact = region_volume(joint) / region_volume(den_expr)
-        ratio_rows[quantity] = {
-            "quantity": quantity,
-            "reference": reference,
-            "exact": exact,
-            "mc": est.value,
-            "mc_stderr": est.std_error,
-        }
-    tlg_row = ratio_rows["V(CPT,TLG)/V(CPT)"]
-    rows.append(tlg_row)
-    rows.append({
-        "quantity": "memory-kernel-only",
-        "reference": Fraction(13, 16),
-        "exact": 1 - tlg_row["exact"],
-        "mc": 1.0 - tlg_row["mc"],
-        "mc_stderr": tlg_row["mc_stderr"],
-    })
-    for quantity, _reference, _num, _den in _RATIO_ROWS[1:]:
-        rows.append(ratio_rows[quantity])
+    for (quantity, reference, _region), expr in zip(_VOLUME_ROWS, volumes):
+        est = _hs_estimate(hits[expr], cfg)
+        rows.append(dict(quantity=quantity, reference=reference, exact=region_volume(expr),
+                         mc=est.value, mc_stderr=est.std_error))
+    for (quantity, reference, num, _den), (joint, den) in zip(_RATIO_ROWS, ratios):
+        est = _ratio_estimate(hits[joint], hits[den], den, cfg)
+        exact = None if "CPDIV" in num else region_volume(joint) / region_volume(den)
+        rows.append(dict(quantity=quantity, reference=reference, exact=exact,
+                         mc=est.value, mc_stderr=est.std_error))
+    tlg = rows[len(_VOLUME_ROWS)]
+    rows.insert(len(_VOLUME_ROWS) + 1, dict(
+        quantity="memory-kernel-only", reference=Fraction(13, 16), exact=1 - tlg["exact"],
+        mc=1.0 - tlg["mc"], mc_stderr=tlg["mc_stderr"]))
     return rows
 
 
@@ -269,21 +255,12 @@ def cmd_table(args) -> str:
     cfg = _sampler_config(args)
     rows = build_table(cfg)
     if args.format == "json":
-        payload = []
-        for row in rows:
-            payload.append({
-                "quantity": row["quantity"],
-                "reference": _rat(row["reference"]),
-                "exact": None if row["exact"] is None else _rat(row["exact"]),
-                "mc": row["mc"],
-                "mc_stderr": row["mc_stderr"],
-            })
-        doc = _document(
-            "table",
-            {"samples": args.samples, "seed": args.seed, "chunk_size": args.chunk_size},
-            {"rows": payload, "mc_method": "mc-hs"},
-        )
-        return _json_text(doc)
+        payload = [
+            {**row, "reference": _rat(row["reference"]),
+             "exact": None if row["exact"] is None else _rat(row["exact"])}
+            for row in rows
+        ]
+        return _json_text(_document("table", asdict(cfg), {"rows": payload, "mc_method": "mc-hs"}))
     if args.format == "csv":
         out = []
         for row in rows:
@@ -324,20 +301,11 @@ def cmd_mesh(args) -> str:
 def cmd_sample(args) -> str:
     expr = RegionExpr.parse(args.region)
     cfg = _sampler_config(args)
-    triples = list(sample_region(expr, cfg))
+    rows = _sample_array(expr, cfg).tolist()
     if args.format == "json":
-        doc = _document(
-            "sample",
-            {
-                "region": str(expr),
-                "samples": args.samples,
-                "seed": args.seed,
-                "chunk_size": args.chunk_size,
-            },
-            {"rows": [[t.l1, t.l2, t.l3] for t in triples], "method": "mc-hs"},
-        )
-        return _json_text(doc)
-    rows = [[repr(t.l1), repr(t.l2), repr(t.l3)] for t in triples]
+        inputs = {"region": str(expr), **asdict(cfg)}
+        return _json_text(_document("sample", inputs, {"rows": rows, "method": "mc-hs"}))
+    # csv writes floats with repr, as the other CSV outputs spell them out
     return _csv_text(["l1", "l2", "l3"], rows)
 
 

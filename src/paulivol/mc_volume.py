@@ -13,7 +13,10 @@ chunks would be scheduled.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,7 +25,7 @@ from typing import Iterator
 import numpy as np
 
 from .channel import EigenvalueTriple
-from .regions import RegionExpr, RegionId, region_mask
+from .regions import _MASKS, RegionExpr, RegionId, region_mask
 
 __all__ = [
     "SamplerConfig",
@@ -96,27 +99,75 @@ class VolumeEstimate:
             raise ValueError("std_error must be >= 0")
 
 
-def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
-    return np.random.default_rng([seed, chunk_index])
+def _lambda_columns(p: np.ndarray) -> np.ndarray:
+    l1 = p[:, 0] + p[:, 1] - p[:, 2] - p[:, 3]
+    l2 = p[:, 0] - p[:, 1] + p[:, 2] - p[:, 3]
+    l3 = p[:, 0] - p[:, 1] - p[:, 2] + p[:, 3]
+    return np.stack([l1, l2, l3], axis=1)
+
+
+def _stream(cfg: SamplerConfig, proposal: str, endless: bool = False) -> Iterator[tuple]:
+    """Yield ``(c, lam)``: chunk ``c`` of (n, 3) triples, drawn seeded ``[seed, c]``.
+
+    Proposals: ``cube``, uniform over the positivity cube (the HS
+    reference measure); ``fisher-rao``, Dirichlet(1/2) weights from
+    squared normals; ``tetrahedron``, Dirichlet(1) weights, uniform over
+    the channels.  Chunk sizes follow ``cfg.chunks()``; an endless stream
+    (rejection sampling) draws full chunks until its reader stops.  This
+    is the one place a chunk generator is seeded.
+    """
+    chunks = ((c, cfg.chunk_size) for c in itertools.count()) if endless else cfg.chunks()
+    for c, n in chunks:
+        rng = np.random.default_rng([cfg.seed, c])
+        if proposal == "cube":
+            yield c, rng.uniform(-1.0, 1.0, size=(n, 3))
+        elif proposal == "fisher-rao":
+            z = rng.standard_normal(size=(n, 4))
+            g = 0.5 * z * z
+            yield c, _lambda_columns(g / g.sum(axis=1, keepdims=True))
+        else:
+            yield c, _lambda_columns(rng.dirichlet(np.ones(4), size=n))
+
+
+def _hit_counts(exprs, cfg: SamplerConfig, proposal: str = "cube") -> list:
+    """Hits of every expression on one pass over the seeded stream.
+
+    Per chunk each base mask a conjunct needs is evaluated once, and every
+    expression is counted as the AND of those cached masks.
+    """
+    hits = [0] * len(exprs)
+    for _c, lam in _stream(cfg, proposal):
+        masks = {}
+        for i, expr in enumerate(exprs):
+            for tag in expr.conjuncts - masks.keys():
+                masks[tag] = _MASKS[tag](lam)
+            hits[i] += int(np.count_nonzero(functools.reduce(
+                operator.and_, (masks[tag] for tag in expr.conjuncts))))
+    return hits
 
 
 def _binomial_error(f: float, n: int, scale: float = 1.0) -> float:
     return scale * math.sqrt(f * (1.0 - f) / n)
 
 
-def region_hit_count(expr: RegionExpr, cfg: SamplerConfig) -> tuple[int, int]:
-    """Count cube samples landing in the region.
+def _hs_estimate(hits: int, cfg: SamplerConfig) -> VolumeEstimate:
+    f = hits / cfg.samples
+    return VolumeEstimate(f, _binomial_error(f, cfg.samples), cfg.samples, "mc-hs", cfg.seed)
 
-    Returns ``(hits, samples)`` from uniform draws over the positivity
-    cube; both Monte Carlo HS estimators reduce to this count, and
-    exposing it lets callers form complement or joint estimates from
-    one stream.
-    """
-    hits = 0
-    for c, n in cfg.chunks():
-        lam = _chunk_rng(cfg.seed, c).uniform(-1.0, 1.0, size=(n, 3))
-        hits += int(region_mask(expr, lam).sum())
-    return hits, cfg.samples
+
+def _ratio_estimate(joint_hits: int, den_hits: int, den: RegionExpr,
+                    cfg: SamplerConfig) -> VolumeEstimate:
+    if den_hits == 0:
+        warnings.warn(f"no sample hit the denominator region {den}; ratio undefined",
+                      stacklevel=3)
+        return VolumeEstimate(math.nan, math.nan, cfg.samples, "mc-hs", cfg.seed)
+    r = joint_hits / den_hits
+    return VolumeEstimate(r, _binomial_error(r, den_hits), cfg.samples, "mc-hs", cfg.seed)
+
+
+def region_hit_count(expr: RegionExpr, cfg: SamplerConfig) -> tuple[int, int]:
+    """Count cube samples landing in the region: ``(hits, samples)``."""
+    return _hit_counts([expr], cfg)[0], cfg.samples
 
 
 def hs_volume_mc(expr: RegionExpr, cfg: SamplerConfig) -> VolumeEstimate:
@@ -125,9 +176,7 @@ def hs_volume_mc(expr: RegionExpr, cfg: SamplerConfig) -> VolumeEstimate:
     The reference measure (uniform on the cube, total HS measure 1)
     makes the hit fraction itself the unbiased volume estimate.
     """
-    hits, n = region_hit_count(expr, cfg)
-    f = hits / n
-    return VolumeEstimate(f, _binomial_error(f, n), n, "mc-hs", cfg.seed)
+    return _hs_estimate(_hit_counts([expr], cfg)[0], cfg)
 
 
 def ratio_mc(num: RegionExpr, den: RegionExpr, cfg: SamplerConfig) -> VolumeEstimate:
@@ -138,29 +187,8 @@ def ratio_mc(num: RegionExpr, den: RegionExpr, cfg: SamplerConfig) -> VolumeEsti
     the number of denominator hits as the sample size.  When nothing
     hits the denominator the result is NaN with a warning.
     """
-    joint = RegionExpr(num.conjuncts | den.conjuncts)
-    den_hits = 0
-    num_hits = 0
-    for c, n in cfg.chunks():
-        lam = _chunk_rng(cfg.seed, c).uniform(-1.0, 1.0, size=(n, 3))
-        den_mask = region_mask(den, lam)
-        den_hits += int(den_mask.sum())
-        num_hits += int((region_mask(joint, lam) & den_mask).sum())
-    if den_hits == 0:
-        warnings.warn(
-            f"no sample hit the denominator region {den}; ratio undefined",
-            stacklevel=2,
-        )
-        return VolumeEstimate(math.nan, math.nan, cfg.samples, "mc-hs", cfg.seed)
-    r = num_hits / den_hits
-    return VolumeEstimate(r, _binomial_error(r, den_hits), cfg.samples, "mc-hs", cfg.seed)
-
-
-def _lambda_columns(p: np.ndarray) -> np.ndarray:
-    l1 = p[:, 0] + p[:, 1] - p[:, 2] - p[:, 3]
-    l2 = p[:, 0] - p[:, 1] + p[:, 2] - p[:, 3]
-    l3 = p[:, 0] - p[:, 1] - p[:, 2] + p[:, 3]
-    return np.stack([l1, l2, l3], axis=1)
+    joint_hits, den_hits = _hit_counts([RegionExpr(num.conjuncts | den.conjuncts), den], cfg)
+    return _ratio_estimate(joint_hits, den_hits, den, cfg)
 
 
 def fr_volume_mc(expr: RegionExpr, cfg: SamplerConfig) -> VolumeEstimate:
@@ -186,20 +214,37 @@ def fr_volume_mc(expr: RegionExpr, cfg: SamplerConfig) -> VolumeEstimate:
         raise FisherRaoDomainError(
             f"Fisher-Rao volume needs a CPT-conjoined region, got {expr}"
         )
-    hits = 0
-    for c, n in cfg.chunks():
-        z = _chunk_rng(cfg.seed, c).standard_normal(size=(n, 4))
-        g = 0.5 * z * z
-        p = g / g.sum(axis=1, keepdims=True)
-        hits += int(region_mask(expr, _lambda_columns(p)).sum())
-    f = hits / cfg.samples
-    return VolumeEstimate(
-        FR_TOTAL * f,
-        _binomial_error(f, cfg.samples, FR_TOTAL),
-        cfg.samples,
-        "mc-fr",
-        cfg.seed,
-    )
+    f = _hit_counts([expr], cfg, "fisher-rao")[0] / cfg.samples
+    err = _binomial_error(f, cfg.samples, FR_TOTAL)
+    return VolumeEstimate(FR_TOTAL * f, err, cfg.samples, "mc-fr", cfg.seed)
+
+
+def _accepted_chunks(expr: RegionExpr, cfg: SamplerConfig) -> Iterator[np.ndarray]:
+    """Accepted proposals as (k, 3) arrays, chunk by chunk, cfg.samples rows in all."""
+    proposal = "tetrahedron" if RegionId.CPT in expr.conjuncts else "cube"
+    missing = cfg.samples
+    proposed = accepted = 0
+    warned = False
+    for _c, lam in _stream(cfg, proposal, endless=True):
+        rows = lam[region_mask(expr, lam)]
+        proposed += len(lam)
+        accepted += len(rows)
+        if not warned and accepted < _ACCEPTANCE_FLOOR * proposed:
+            warnings.warn(
+                f"acceptance rate {accepted}/{proposed} below {_ACCEPTANCE_FLOOR}"
+                f" while sampling {expr}",
+                stacklevel=3,
+            )
+            warned = True
+        yield rows[:missing]
+        missing -= len(rows)
+        if missing <= 0:
+            return
+
+
+def _sample_array(expr: RegionExpr, cfg: SamplerConfig) -> np.ndarray:
+    """The rows ``sample_region`` yields, as one (cfg.samples, 3) array."""
+    return np.concatenate(list(_accepted_chunks(expr, cfg)))
 
 
 def sample_region(expr: RegionExpr, cfg: SamplerConfig) -> Iterator[EigenvalueTriple]:
@@ -211,31 +256,6 @@ def sample_region(expr: RegionExpr, cfg: SamplerConfig) -> Iterator[EigenvalueTr
     rejection against the full expression keeps the output uniform.
     Warns once if the observed acceptance rate drops below 1e-4.
     """
-    simplex = RegionId.CPT in expr.conjuncts
-    produced = 0
-    proposed = 0
-    accepted = 0
-    warned = False
-    c = 0
-    while produced < cfg.samples:
-        rng = _chunk_rng(cfg.seed, c)
-        c += 1
-        if simplex:
-            lam = _lambda_columns(rng.dirichlet(np.ones(4), size=cfg.chunk_size))
-        else:
-            lam = rng.uniform(-1.0, 1.0, size=(cfg.chunk_size, 3))
-        mask = region_mask(expr, lam)
-        proposed += cfg.chunk_size
-        accepted += int(mask.sum())
-        if not warned and accepted < _ACCEPTANCE_FLOOR * proposed:
-            warnings.warn(
-                f"acceptance rate {accepted}/{proposed} below {_ACCEPTANCE_FLOOR}"
-                f" while sampling {expr}",
-                stacklevel=2,
-            )
-            warned = True
-        for row in lam[mask]:
-            yield EigenvalueTriple(row[0], row[1], row[2])
-            produced += 1
-            if produced == cfg.samples:
-                break
+    for rows in _accepted_chunks(expr, cfg):
+        for l1, l2, l3 in zip(*rows.T.tolist()):
+            yield EigenvalueTriple(l1, l2, l3)

@@ -1,12 +1,16 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paulivol import (
     FR_TOTAL,
     FisherRaoDomainError,
     RegionExpr,
+    RegionId,
     SamplerConfig,
     VolumeEstimate,
     contains,
@@ -14,8 +18,10 @@ from paulivol import (
     hs_volume_mc,
     ratio_mc,
     region_hit_count,
+    region_mask,
     sample_region,
 )
+from paulivol.mc_volume import _hit_counts
 
 
 def _cfg(samples, seed=0, **kw):
@@ -164,3 +170,54 @@ def test_sample_region_is_unbiased_on_symmetric_region():
     arr = np.array([tuple(l) for l in sample_region(RegionExpr.parse("CPT"), cfg)])
     stderr = arr[:, 0].std() / math.sqrt(len(arr))
     assert abs(arr[:, 0].mean()) < 3 * stderr
+
+
+# --- the shared stream against a per-expression reference -------------------
+
+_exprs = st.lists(
+    st.sets(st.sampled_from(list(RegionId)), min_size=1).map(RegionExpr),
+    min_size=1,
+    max_size=5,
+)
+_budgets = dict(
+    samples=st.integers(1, 5000),
+    chunk_size=st.integers(1, 2000),
+    seed=st.integers(0, 2**64 - 1),
+)
+
+
+def _reference_hits(exprs, samples, chunk_size, seed):
+    """Regenerate every chunk and count each expression on its own."""
+    hits = [0] * len(exprs)
+    full, rem = divmod(samples, chunk_size)
+    for c, n in enumerate([chunk_size] * full + ([rem] if rem else [])):
+        lam = np.random.default_rng([seed, c]).uniform(-1.0, 1.0, size=(n, 3))
+        for i, expr in enumerate(exprs):
+            hits[i] += int(region_mask(expr, lam).sum())
+    return hits
+
+
+@settings(max_examples=40, deadline=None)
+@given(exprs=_exprs, **_budgets)
+def test_hit_counts_match_per_expression_reference(exprs, samples, chunk_size, seed):
+    cfg = SamplerConfig(samples, seed, chunk_size)
+    assert _hit_counts(exprs, cfg) == _reference_hits(exprs, samples, chunk_size, seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(num=_exprs.map(lambda e: e[0]), den=_exprs.map(lambda e: e[0]), **_budgets)
+def test_ratio_mc_matches_reference_and_flags_empty_denominator(
+    num, den, samples, chunk_size, seed
+):
+    joint = RegionExpr(num.conjuncts | den.conjuncts)
+    joint_hits, den_hits = _reference_hits([joint, den], samples, chunk_size, seed)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        est = ratio_mc(num, den, SamplerConfig(samples, seed, chunk_size))
+    assert est.samples == samples
+    if den_hits == 0:
+        assert [w.category for w in caught] == [UserWarning]
+        assert math.isnan(est.value) and math.isnan(est.std_error)
+    else:
+        assert caught == []
+        assert est.value == joint_hits / den_hits
