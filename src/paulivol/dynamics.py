@@ -90,6 +90,16 @@ class RateSchedule:
         return math.fsum(d for d, _r in self.segments)
 
 
+def _json_number(value, what: str) -> float:
+    """A JSON number as a float; booleans, strings and ints beyond float range are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{what} is out of float range") from None
+
+
 def schedule_from_json(obj) -> RateSchedule:
     """Build a schedule from parsed JSON: a list of segment objects.
 
@@ -106,7 +116,10 @@ def schedule_from_json(obj) -> RateSchedule:
         rates = seg["rates"]
         if not isinstance(rates, list) or len(rates) != 3:
             raise ValueError(f"segment {i} rates must be a list of three numbers")
-        segments.append((seg["duration"], RateTriple(*rates)))
+        segments.append((
+            _json_number(seg["duration"], f"segment {i} duration"),
+            RateTriple(*(_json_number(g, f"segment {i} rate") for g in rates)),
+        ))
     return RateSchedule(segments)
 
 
@@ -151,11 +164,16 @@ def evolve(schedule: RateSchedule, t: float) -> EigenvalueTriple:
     always strictly positive, and lambda(0) = (1, 1, 1).
     """
     G = integrate_rates(schedule, t)
-    return EigenvalueTriple(
-        math.exp(-(G.G2 + G.G3)),
-        math.exp(-(G.G1 + G.G3)),
-        math.exp(-(G.G1 + G.G2)),
-    )
+    try:
+        return EigenvalueTriple(
+            math.exp(-(G.G2 + G.G3)),
+            math.exp(-(G.G1 + G.G3)),
+            math.exp(-(G.G1 + G.G2)),
+        )
+    except OverflowError:
+        raise ValueError(
+            f"eigenvalues overflow at time {t!r}: the rate integrals are too negative"
+        ) from None
 
 
 def _mu(l: EigenvalueTriple) -> tuple:

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -8,8 +9,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paulivol import FR_TOTAL, RegionExpr, contains, EigenvalueTriple
+from paulivol.cli import main
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -297,3 +301,98 @@ def test_table_text_aligned():
     assert len(lines) == 12
     assert lines[0].startswith("quantity")
     assert "13/16" in proc.stdout
+
+
+# --- schedule documents at the input boundary, in process --------------------
+
+
+def _main(argv):
+    """Run cli.main in process; return (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the argv itself
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "segment, message",
+    [
+        ({"duration": 1, "rates": ["1", 0, 0]}, "rate must be a number"),
+        ({"duration": True, "rates": [1, 0, 0]}, "duration must be a number"),
+        ({"duration": 1, "rates": [-1000, -1000, -1000]}, "eigenvalues overflow"),
+    ],
+)
+@pytest.mark.parametrize("when", [("--t", "1.0"), ("--steps", "11")])
+def test_evolve_rejects_bad_schedule_with_exit_2(tmp_path, segment, message, when):
+    path = _write_schedule(tmp_path, [segment])
+    code, out, err = _main(["evolve", "--schedule", path, *when])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
+_json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(10**400), 10**400)
+    | st.floats()
+    | st.text(max_size=3)
+)
+_json = st.recursive(
+    _json_scalars,
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=3), children, max_size=3),
+    max_leaves=8,
+)
+_segment = st.fixed_dictionaries({
+    "duration": st.floats(0.01, 10.0) | st.integers(1, 10),
+    "rates": st.lists(st.floats(-50.0, 50.0) | st.integers(-2000, 2000), min_size=3, max_size=3),
+})
+
+
+@st.composite
+def _schedule(draw):
+    """A well-formed schedule (its rates can drive exp out of float range),
+    left as it is or with one number, one segment or the whole document
+    replaced by arbitrary JSON."""
+    doc = draw(st.lists(_segment, min_size=1, max_size=3))
+    seg = doc[draw(st.integers(0, len(doc) - 1))]
+    damage = draw(st.sampled_from(["none", "duration", "rate", "rates", "segment", "document"]))
+    if damage == "duration":
+        seg["duration"] = draw(_json_scalars)
+    elif damage == "rate":
+        seg["rates"][draw(st.integers(0, 2))] = draw(_json_scalars)
+    elif damage == "rates":
+        seg["rates"] = draw(_json)
+    elif damage == "segment":
+        doc[0] = draw(_json)
+    elif damage == "document":
+        doc = draw(_json)
+    return doc
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    doc=_schedule(),
+    when=st.one_of(
+        (st.floats(0.0, 20.0) | st.floats()).map(lambda t: (f"--t={t!r}",)),
+        st.integers(-1, 30).map(lambda n: ("--steps", str(n))),
+    ),
+    fmt=st.sampled_from(["json", "csv", "text"]),
+)
+def test_evolve_fuzzed_schedules_exit_0_or_2(tmp_path_factory, doc, when, fmt):
+    path = tmp_path_factory.getbasetemp() / "fuzzed-schedule.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _main(["evolve", "--schedule", str(path), *when, "--format", fmt])
+    assert code in (0, 2), err
+    assert "Traceback" not in err
+    if code == 0:
+        assert err == "" and out
+        if fmt == "json":
+            jsonschema.validate(json.loads(out), _schema("output.schema.json"))
+    else:
+        assert out == "" and err

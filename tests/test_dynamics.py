@@ -224,6 +224,38 @@ def test_schedule_from_json_malformed():
         schedule_from_json([{"duration": 1.0, "rates": [1, 1, 1], "extra": 0}])
 
 
+@pytest.mark.parametrize(
+    "segment, message",
+    [
+        ({"duration": 1, "rates": ["1", 0, 0]}, "segment 0 rate must be a number"),
+        ({"duration": True, "rates": [1, 0, 0]}, "segment 0 duration must be a number"),
+        ({"duration": 1, "rates": [0, False, 0]}, "segment 0 rate must be a number"),
+        ({"duration": None, "rates": [1, 0, 0]}, "segment 0 duration must be a number"),
+        ({"duration": 1, "rates": [[1], 0, 0]}, "segment 0 rate must be a number"),
+        ({"duration": 10**400, "rates": [1, 0, 0]}, "segment 0 duration is out of float range"),
+        ({"duration": 1, "rates": [0, 0, -10**400]}, "segment 0 rate is out of float range"),
+    ],
+)
+def test_schedule_from_json_rejects_non_numbers(segment, message):
+    with pytest.raises(ValueError, match=message):
+        schedule_from_json([segment])
+
+
+def test_schedule_from_json_keeps_int_numbers():
+    schedule = schedule_from_json([{"duration": 2, "rates": [1, 0, 3]}])
+    assert schedule.segments == ((2.0, RateTriple(1.0, 0.0, 3.0)),)
+    assert all(type(x) is float for x in schedule.segments[0][1])
+
+
+def test_evolve_overflow_is_a_value_error():
+    schedule = schedule_from_json([{"duration": 1, "rates": [-1000, -1000, -1000]}])
+    with pytest.raises(ValueError, match="overflow at time 1.0"):
+        evolve(schedule, 1.0)
+    # the trajectory starts inside the float range and fails where it leaves it
+    with pytest.raises(ValueError, match="overflow"):
+        classify_trajectory(schedule, 11)
+
+
 def test_rate_schedule_validation():
     with pytest.raises(ValueError):
         RateSchedule([])
