@@ -9,6 +9,12 @@ Determinism: samples are drawn in chunks and chunk c uses the
 generator seeded with (seed, c), so a fixed (seed, samples,
 chunk_size) triple reproduces the estimate bit for bit no matter how
 chunks would be scheduled.
+
+One stream: ``_stream`` is the only place a chunk is drawn, and every
+estimator and the rejection sampler read it.  Counting evaluates each
+base region mask once per chunk and counts every expression as an AND
+of those cached masks, so any number of conjunctions (all the rows of
+the reference table, say) cost one pass over the stream.
 """
 
 from __future__ import annotations
