@@ -128,9 +128,12 @@ def _stream(cfg: SamplerConfig, proposal: str, endless: bool = False) -> Iterato
         if proposal == "cube":
             yield c, rng.uniform(-1.0, 1.0, size=(n, 3))
         elif proposal == "fisher-rao":
-            z = rng.standard_normal(size=(n, 4))
-            g = 0.5 * z * z
-            yield c, _lambda_columns(g / g.sum(axis=1, keepdims=True))
+            # Gamma(1/2) = Z^2 / 2, in place; halving after squaring is exact
+            g = rng.standard_normal(size=(n, 4))
+            g *= g
+            g *= 0.5
+            g /= g.sum(axis=1, keepdims=True)
+            yield c, _lambda_columns(g)
         else:
             yield c, _lambda_columns(rng.dirichlet(np.ones(4), size=n))
 

@@ -21,7 +21,7 @@ from paulivol import (
     region_mask,
     sample_region,
 )
-from paulivol.mc_volume import _hit_counts
+from paulivol.mc_volume import _hit_counts, _lambda_columns, _stream
 
 
 def _cfg(samples, seed=0, **kw):
@@ -202,6 +202,18 @@ def _reference_hits(exprs, samples, chunk_size, seed):
 def test_hit_counts_match_per_expression_reference(exprs, samples, chunk_size, seed):
     cfg = SamplerConfig(samples, seed, chunk_size)
     assert _hit_counts(exprs, cfg) == _reference_hits(exprs, samples, chunk_size, seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**_budgets)
+def test_fisher_rao_stream_matches_reference(samples, chunk_size, seed):
+    # the stream squares and halves in place; the reference halves first
+    cfg = SamplerConfig(samples, seed, chunk_size)
+    for (c, lam), (c_ref, n) in zip(_stream(cfg, "fisher-rao"), cfg.chunks(), strict=True):
+        z = np.random.default_rng([seed, c_ref]).standard_normal(size=(n, 4))
+        g = 0.5 * z * z
+        assert c == c_ref
+        assert np.array_equal(lam, _lambda_columns(g / g.sum(axis=1, keepdims=True)))
 
 
 @settings(max_examples=40, deadline=None)
