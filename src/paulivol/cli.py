@@ -244,7 +244,7 @@ def build_table(cfg: SamplerConfig) -> list:
         exact = None if "CPDIV" in num else region_volume(joint) / region_volume(den)
         rows.append(dict(quantity=quantity, reference=reference, exact=exact,
                          mc=est.value, mc_stderr=est.std_error))
-    tlg = rows[len(_VOLUME_ROWS)]
+    tlg = rows[len(_VOLUME_ROWS)]  # V(CPT,TLG)/V(CPT); its complement follows it
     rows.insert(len(_VOLUME_ROWS) + 1, dict(
         quantity="memory-kernel-only", reference=Fraction(13, 16), exact=1 - tlg["exact"],
         mc=1.0 - tlg["mc"], mc_stderr=tlg["mc_stderr"]))
@@ -261,18 +261,10 @@ def cmd_table(args) -> str:
             for row in rows
         ]
         return _json_text(_document("table", asdict(cfg), {"rows": payload, "mc_method": "mc-hs"}))
-    if args.format == "csv":
-        out = []
-        for row in rows:
-            out.append([
-                row["quantity"],
-                str(row["reference"]),
-                "" if row["exact"] is None else str(row["exact"]),
-                repr(row["mc"]),
-                repr(row["mc_stderr"]),
-            ])
-        return _csv_text(["quantity", "reference", "exact", "mc", "mc_stderr"], out)
     header = ("quantity", "reference", "exact", "mc", "mc_stderr")
+    if args.format == "csv":
+        # csv writes None as an empty field, floats with repr and fractions with str
+        return _csv_text(header, [row.values() for row in rows])
     cells = [header]
     for row in rows:
         cells.append((
@@ -305,8 +297,7 @@ def cmd_sample(args) -> str:
     if args.format == "json":
         inputs = {"region": str(expr), **asdict(cfg)}
         return _json_text(_document("sample", inputs, {"rows": rows, "method": "mc-hs"}))
-    # csv writes floats with repr, as the other CSV outputs spell them out
-    return _csv_text(["l1", "l2", "l3"], rows)
+    return _csv_text(["l1", "l2", "l3"], rows)  # csv writes floats with repr
 
 
 # --- evolve ------------------------------------------------------------------
@@ -325,7 +316,11 @@ def cmd_evolve(args) -> str:
         text = Path(args.schedule).read_text()
     except OSError as exc:
         raise ValueError(f"cannot read schedule file: {exc}") from None
-    schedule = schedule_from_json(json.loads(text))
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise ValueError("schedule JSON is nested too deeply") from None
+    schedule = schedule_from_json(doc)
     if args.t is not None:
         lam = evolve(schedule, args.t)
         points = [(args.t, lam, _classify_record(lam))]

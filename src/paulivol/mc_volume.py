@@ -134,7 +134,7 @@ def _stream(cfg: SamplerConfig, proposal: str, endless: bool = False) -> Iterato
             g *= 0.5
             g /= g.sum(axis=1, keepdims=True)
             yield c, _lambda_columns(g)
-        else:
+        else:  # "tetrahedron"
             yield c, _lambda_columns(rng.dirichlet(np.ones(4), size=n))
 
 

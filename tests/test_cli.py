@@ -335,6 +335,14 @@ def test_evolve_rejects_bad_schedule_with_exit_2(tmp_path, segment, message, whe
     assert "Traceback" not in err
 
 
+def test_evolve_rejects_deeply_nested_schedule_with_exit_2(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = _main(["evolve", "--schedule", str(path), "--t", "1.0"])
+    assert (code, out) == (2, "")
+    assert err == "error: schedule JSON is nested too deeply\n"
+
+
 _json_scalars = (
     st.none()
     | st.booleans()
