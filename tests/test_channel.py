@@ -1,5 +1,11 @@
+import dataclasses
+import math
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from paulivol import (
     ChoiMatrix,
@@ -112,6 +118,126 @@ def test_choi_matrix_validation():
     bad[0, 1] = 0.1  # breaks Hermiticity and the zero pattern
     with pytest.raises(ValueError):
         ChoiMatrix(bad)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: EigenvalueTriple(math.inf, math.nan, 0.0), "eigenvalue l1 must be finite, got inf"),
+        (lambda: EigenvalueTriple(0.5, math.nan, -math.inf), "eigenvalue l2 must be finite, got nan"),
+        (lambda: EigenvalueTriple(0.5, 0.5, -math.inf), "eigenvalue l3 must be finite, got -inf"),
+        (lambda: EigenvalueTriple(math.nan, "x", 0.0), "eigenvalue l1 must be finite, got nan"),
+        (lambda: ProbabilityVector(math.nan, 1.0, 0.0, 0.0), "weight p0 must be finite, got nan"),
+        (lambda: ProbabilityVector(2.0, 0.0, math.inf, math.nan), "weight p2 must be finite, got inf"),
+        (lambda: ProbabilityVector(0.0, 0.0, 0.0, -math.inf), "weight p3 must be finite, got -inf"),
+        (lambda: ProbabilityVector(0.5, 0.5, 0.5, 0.5), "weights must sum to 1 within 1e-12, got sum 2.0"),
+    ],
+)
+def test_value_object_messages_name_the_first_bad_field(make, message):
+    with pytest.raises(ValueError) as info:
+        make()
+    assert str(info.value) == message
+
+
+def test_value_objects_reject_non_numbers_with_type_error():
+    with pytest.raises(TypeError):
+        EigenvalueTriple(0.0, "x", math.nan)
+    with pytest.raises(TypeError):
+        ProbabilityVector(1.0, None, 0.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "cls, args, text",
+    [
+        (EigenvalueTriple, (1, np.float64(0.5), -0), "EigenvalueTriple(l1=1.0, l2=0.5, l3=0.0)"),
+        (ProbabilityVector, (np.float64(0.5), 0.25, 0, 0.25),
+         "ProbabilityVector(p0=0.5, p1=0.25, p2=0.0, p3=0.25)"),
+    ],
+)
+def test_value_objects_are_frozen_dataclasses_of_floats(cls, args, text):
+    value = cls(*args)
+    names = [f.name for f in dataclasses.fields(cls)]
+    assert all(type(x) is float for x in value)
+    assert repr(value) == text
+    twin = cls(**{name: float(x) for name, x in zip(names, args)})
+    assert value == twin and hash(value) == hash(twin)
+    assert value != tuple(value)
+    assert dataclasses.astuple(value) == tuple(float(x) for x in args)
+    assert pickle.loads(pickle.dumps(value)) == value
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(value, names[0], 0.0)
+    fields = tuple(value)
+    swapped = dataclasses.replace(value, **{names[1]: fields[2], names[2]: fields[1]})
+    assert tuple(swapped) == (fields[0], fields[2], fields[1], *fields[3:])
+
+
+def _formula_entries(l1, l2, l3):
+    dp = 0.25 * (1.0 + l3)
+    dm = 0.25 * (1.0 - l3)
+    op = 0.25 * (l1 + l2)
+    om = 0.25 * (l1 - l2)
+    return np.array(
+        [[dp, 0.0, 0.0, op], [0.0, dm, om, 0.0], [0.0, om, dm, 0.0], [op, 0.0, 0.0, dp]],
+        dtype=complex,
+    )
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args), None
+    except ValueError as exc:
+        return None, str(exc)
+
+
+_magnitude = st.floats(-1.5, 1.5) | st.floats(-1e17, 1e17) | st.floats(-1e308, 1e308)
+
+
+@settings(max_examples=500, deadline=None)
+@given(l1=_magnitude, l2=_magnitude, l3=_magnitude)
+@example(l1=1.7e308, l2=1.7e308, l3=0.5)  # l1 + l2 overflows
+@example(l1=1.7e308, l2=-1.7e308, l3=-0.5)  # l1 - l2 overflows
+def test_choi_matrix_raises_exactly_when_the_validating_constructor_does(l1, l2, l3):
+    with np.errstate(over="ignore", invalid="ignore"):
+        want, want_error = _outcome(ChoiMatrix, _formula_entries(l1, l2, l3))
+        got, got_error = _outcome(choi_matrix, EigenvalueTriple(l1, l2, l3))
+        assert got_error == want_error
+        if want is None:
+            return
+        assert got.entries.dtype == complex and not got.entries.flags.writeable
+        assert got.entries.tobytes() == want.entries.tobytes()
+        assert got.eigenvalues().tobytes() == want.eigenvalues().tobytes()
+
+
+def _block_spectrum(m):
+    """The Choi spectrum read entry by entry from the numpy array."""
+    out = []
+    for i, j in ((0, 3), (1, 2)):
+        a = m[i, i].real
+        d = m[j, j].real
+        c = m[i, j]
+        half_sum = 0.5 * (a + d)
+        radius = math.hypot(0.5 * (a - d), abs(c))
+        out.extend([half_sum + radius, half_sum - radius])
+    return np.array(out)
+
+
+_diagonal = st.floats(-10.0, 10.0) | st.floats(-1e6, 1e6)
+_off = st.complex_numbers(max_magnitude=1e300, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_diagonal, b=_diagonal, c=_diagonal, z1=_off, z2=_off)
+def test_choi_eigenvalues_match_the_block_formula_on_complex_entries(a, b, c, z1, z2):
+    d = 1.0 - (a + b + c)
+    entries = np.array(
+        [[a, 0, 0, z1], [0, b, z2, 0], [0, z2.conjugate(), c, 0], [z1.conjugate(), 0, 0, d]],
+        dtype=complex,
+    )
+    choi, error = _outcome(ChoiMatrix, entries)
+    if error is not None:
+        assert error == "Choi matrix must have unit trace"
+        return
+    assert choi.eigenvalues().tobytes() == _block_spectrum(choi.entries).tobytes()
 
 
 def test_apply_map_examples():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from paulivol import (
     EigenvalueTriple,
@@ -11,6 +13,10 @@ from paulivol import (
     evolve,
     integrate_rates,
     is_cp,
+    is_cp_divisible,
+    is_ebc,
+    is_p_divisible,
+    is_positive,
     is_semigroup_reachable,
     is_tlg,
     rates_for_target,
@@ -191,6 +197,60 @@ def test_classify_trajectory_depolarizing():
     # 3 * exp(-2t) <= 1 first holds at t = 0.6 on this grid
     ebc = [p.regions["EBC"] for p in points]
     assert ebc == [False] * 6 + [True] * 5
+
+
+def _reference_trajectory(schedule, steps):
+    """classify_trajectory one step at a time: evolve and the six scalar predicates."""
+    total = schedule.total_duration
+    points = []
+    for i in range(steps):
+        t = min(total * i / (steps - 1), total)
+        lam = evolve(schedule, t)
+        regions = {
+            "PT": is_positive(lam),
+            "CPT": is_cp(lam),
+            "EBC": is_ebc(lam),
+            "TLG": is_tlg(lam),
+            "PDIV": is_p_divisible(lam),
+            "CPDIV": is_cp_divisible(lam),
+        }
+        points.append((t, lam, regions))
+    return points
+
+
+_rate = st.floats(-3.0, 3.0) | st.floats(-1000.0, 1000.0) | st.floats(-1e308, 1e308)
+_segments = st.lists(
+    st.tuples(st.floats(1e-3, 10.0), st.tuples(_rate, _rate, _rate)), min_size=1, max_size=6
+)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args), None
+    except ValueError as exc:
+        return None, str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(segments=_segments, steps=st.integers(2, 60))
+@example(segments=[(2.0, (-1e308, -1e308, -1e308))], steps=3)  # exp(inf): "got inf"
+@example(segments=[(4.0, (0.0, 1e308, -1e308))], steps=3)  # inf - inf: "got nan"
+def test_classify_trajectory_matches_scalar_reference(segments, steps):
+    schedule = RateSchedule(segments)
+    total = schedule.total_duration
+    assume(total * (steps - 1) / (steps - 1) <= total)
+    got, got_error = _outcome(classify_trajectory, schedule, steps)
+    want, want_error = _outcome(_reference_trajectory, schedule, steps)
+    assert got_error == want_error
+    if want is None:
+        return
+    assert len(got) == len(want)
+    for point, (t, lam, regions) in zip(got, want):
+        assert type(point.t) is float and point.t.hex() == t.hex()
+        assert type(point.eigenvalues) is EigenvalueTriple
+        assert [x.hex() for x in point.eigenvalues] == [x.hex() for x in lam]
+        assert list(point.regions.items()) == list(regions.items())
+        assert all(type(key) is str and type(flag) is bool for key, flag in point.regions.items())
 
 
 def test_classify_trajectory_step_validation():
