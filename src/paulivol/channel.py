@@ -29,6 +29,9 @@ __all__ = [
 # Trace preservation / hermiticity checks share one tolerance.
 _ATOL = 1e-12
 
+# Entries of a 4x4 Choi matrix off both the diagonal and the anti-diagonal.
+_OFF_BLOCKS = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])
+
 
 @dataclass(frozen=True)
 class EigenvalueTriple:
@@ -43,12 +46,15 @@ class EigenvalueTriple:
     l2: float
     l3: float
 
-    def __post_init__(self):
-        for name in ("l1", "l2", "l3"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ValueError(f"eigenvalue {name} must be finite, got {v!r}")
-            object.__setattr__(self, name, float(v))
+    def __init__(self, l1, l2, l3):
+        if not (math.isfinite(l1) and math.isfinite(l2) and math.isfinite(l3)):
+            for name, v in (("l1", l1), ("l2", l2), ("l3", l3)):
+                if not math.isfinite(v):
+                    raise ValueError(f"eigenvalue {name} must be finite, got {v!r}")
+        fields = self.__dict__  # frozen: bypass __setattr__, as dataclasses do
+        fields["l1"] = float(l1)
+        fields["l2"] = float(l2)
+        fields["l3"] = float(l3)
 
     def __iter__(self):
         yield self.l1
@@ -73,15 +79,18 @@ class ProbabilityVector:
     p2: float
     p3: float
 
-    def __post_init__(self):
-        vals = []
-        for name in ("p0", "p1", "p2", "p3"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ValueError(f"weight {name} must be finite, got {v!r}")
-            object.__setattr__(self, name, float(v))
-            vals.append(float(v))
-        total = vals[0] + vals[1] + vals[2] + vals[3]
+    def __init__(self, p0, p1, p2, p3):
+        if not (math.isfinite(p0) and math.isfinite(p1) and math.isfinite(p2) and math.isfinite(p3)):
+            for name, v in (("p0", p0), ("p1", p1), ("p2", p2), ("p3", p3)):
+                if not math.isfinite(v):
+                    raise ValueError(f"weight {name} must be finite, got {v!r}")
+        p0, p1, p2, p3 = float(p0), float(p1), float(p2), float(p3)
+        fields = self.__dict__  # frozen: bypass __setattr__, as dataclasses do
+        fields["p0"] = p0
+        fields["p1"] = p1
+        fields["p2"] = p2
+        fields["p3"] = p3
+        total = p0 + p1 + p2 + p3
         if abs(total - 1.0) > _ATOL:
             raise ValueError(f"weights must sum to 1 within {_ATOL}, got sum {total!r}")
 
@@ -117,11 +126,7 @@ class ChoiMatrix:
             raise ValueError("Choi matrix must be Hermitian")
         if abs(m.trace() - 1.0) > _ATOL:
             raise ValueError("Choi matrix must have unit trace")
-        mask = np.zeros((4, 4), dtype=bool)
-        for i in range(4):
-            mask[i, i] = True
-            mask[i, 3 - i] = True
-        if np.abs(m[~mask]).max() > _ATOL:
+        if np.abs(m[_OFF_BLOCKS]).max() > _ATOL:
             raise ValueError("entries off the diagonal and anti-diagonal must vanish")
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
@@ -132,11 +137,12 @@ class ChoiMatrix:
         Each Hermitian block [[a, c], [conj(c), d]] contributes
         (a + d)/2 +- sqrt(((a - d)/2)^2 + |c|^2).
         """
+        m = self.entries.tolist()
         out = []
         for i, j in ((0, 3), (1, 2)):
-            a = self.entries[i, i].real
-            d = self.entries[j, j].real
-            c = self.entries[i, j]
+            a = m[i][i].real
+            d = m[j][j].real
+            c = m[i][j]
             half_sum = 0.5 * (a + d)
             radius = math.hypot(0.5 * (a - d), abs(c))
             out.extend([half_sum + radius, half_sum - radius])
@@ -220,12 +226,18 @@ def choi_matrix(l: EigenvalueTriple) -> ChoiMatrix:
     """Choi-Jamiolkowski state (1/4) sum_ij |i><j| (x) Lambda[|i><j|].
 
     Diagonal entries are (1 +- l3)/4, anti-diagonal entries
-    (l1 +- l2)/4; everything else vanishes.
+    (l1 +- l2)/4; everything else vanishes.  The entries are real and
+    symmetric with the zero pattern by construction, so of the checks in
+    :class:`ChoiMatrix` only the trace can fail: through rounding, once
+    |l3| is near 1e16.  It is made here on the sum ``m.trace()`` takes
+    (numpy adds the four complex diagonal entries pairwise).
     """
     dp = 0.25 * (1.0 + l.l3)
     dm = 0.25 * (1.0 - l.l3)
     op = 0.25 * (l.l1 + l.l2)
     om = 0.25 * (l.l1 - l.l2)
+    if abs((dp + dm) + (dm + dp) - 1.0) > _ATOL:
+        raise ValueError("Choi matrix must have unit trace")
     entries = np.array(
         [
             [dp, 0.0, 0.0, op],
@@ -235,7 +247,10 @@ def choi_matrix(l: EigenvalueTriple) -> ChoiMatrix:
         ],
         dtype=complex,
     )
-    return ChoiMatrix(entries)
+    entries.setflags(write=False)
+    choi = object.__new__(ChoiMatrix)
+    object.__setattr__(choi, "entries", entries)
+    return choi
 
 
 def apply_map(l: EigenvalueTriple, s: QubitState) -> QubitState:
