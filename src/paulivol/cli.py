@@ -45,20 +45,10 @@ from .mc_volume import (
     fr_volume_mc,
     hs_volume_mc,
 )
-from .regions import (
-    NonPolytopalRegionError,
-    RegionExpr,
-    is_cp,
-    is_cp_divisible,
-    is_ebc,
-    is_p_divisible,
-    is_positive,
-    is_tlg,
-)
+from .regions import _LABELS as _REGION_LABELS
+from .regions import NonPolytopalRegionError, RegionExpr, _region_records
 
 __all__ = ["main", "build_parser"]
-
-_REGION_LABELS = ("PT", "CPT", "EBC", "TLG", "PDIV", "CPDIV")
 
 
 def _document(command: str, inputs: dict, results: dict) -> dict:
@@ -95,14 +85,7 @@ def _csv_text(header: list, rows: list) -> str:
 
 
 def _classify_record(lam: EigenvalueTriple) -> dict:
-    return {
-        "PT": is_positive(lam),
-        "CPT": is_cp(lam),
-        "EBC": is_ebc(lam),
-        "TLG": is_tlg(lam),
-        "PDIV": is_p_divisible(lam),
-        "CPDIV": is_cp_divisible(lam),
-    }
+    return _region_records([(lam.l1, lam.l2, lam.l3)])[0]
 
 
 # --- classify ----------------------------------------------------------------

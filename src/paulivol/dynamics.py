@@ -21,15 +21,10 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
+import numpy as np
+
 from .channel import EigenvalueTriple
-from .regions import (
-    is_cp,
-    is_cp_divisible,
-    is_ebc,
-    is_p_divisible,
-    is_positive,
-    is_tlg,
-)
+from .regions import _region_records
 
 __all__ = [
     "RateTriple",
@@ -164,12 +159,13 @@ def evolve(schedule: RateSchedule, t: float) -> EigenvalueTriple:
     always strictly positive, and lambda(0) = (1, 1, 1).
     """
     G = integrate_rates(schedule, t)
+    return _eigenvalues(t, -(G.G2 + G.G3), -(G.G1 + G.G3), -(G.G1 + G.G2))
+
+
+def _eigenvalues(t: float, x1: float, x2: float, x3: float) -> EigenvalueTriple:
+    """The triple (exp(x1), exp(x2), exp(x3)) at time t; overflow is a ValueError."""
     try:
-        return EigenvalueTriple(
-            math.exp(-(G.G2 + G.G3)),
-            math.exp(-(G.G1 + G.G3)),
-            math.exp(-(G.G1 + G.G2)),
-        )
+        return EigenvalueTriple(math.exp(x1), math.exp(x2), math.exp(x3))
     except OverflowError:
         raise ValueError(
             f"eigenvalues overflow at time {t!r}: the rate integrals are too negative"
@@ -230,22 +226,28 @@ def classify_trajectory(schedule: RateSchedule, steps: int) -> list:
     """Classify the trajectory at equally spaced times over the schedule.
 
     Evaluates all six region predicates at ``steps`` times from 0 to
-    the schedule's total duration inclusive.
+    the schedule's total duration inclusive; the last time is clamped to
+    that duration, which rounding could otherwise overshoot by one ulp.
+    All steps are integrated at once, as arrays: each element takes
+    exactly the float operations :func:`integrate_rates` and :func:`evolve`
+    apply to its time, so every point equals ``evolve`` at that time.
     """
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
     total = schedule.total_duration
-    points = []
-    for i in range(steps):
-        t = total * i / (steps - 1)
-        lam = evolve(schedule, t)
-        regions = {
-            "PT": is_positive(lam),
-            "CPT": is_cp(lam),
-            "EBC": is_ebc(lam),
-            "TLG": is_tlg(lam),
-            "PDIV": is_p_divisible(lam),
-            "CPDIV": is_cp_divisible(lam),
-        }
-        points.append(TrajectoryPoint(t, lam, regions))
-    return points
+    times = np.minimum(np.arange(steps) * total / (steps - 1), total)
+    remaining = times.copy()
+    G = np.zeros((steps, 3))
+    # Python floats overflow to inf and nan without a warning; so do these.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for duration, rates in schedule.segments:
+            # min(remaining, duration) while time remains; 0 adds nothing once it is spent
+            dt = np.clip(remaining, 0.0, duration)
+            G += dt[:, None] * (rates.g1, rates.g2, rates.g3)
+            remaining -= duration
+        # exponents -(G2 + G3), -(G1 + G3), -(G1 + G2); math.exp, as evolve takes them
+        exponents = -(G[:, [1, 0, 0]] + G[:, [2, 2, 1]])
+    ts = times.tolist()
+    lams = [_eigenvalues(t, *x) for t, x in zip(ts, exponents.tolist())]
+    records = _region_records([(lam.l1, lam.l2, lam.l3) for lam in lams])
+    return [TrajectoryPoint(t, lam, r) for t, lam, r in zip(ts, lams, records)]

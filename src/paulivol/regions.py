@@ -63,6 +63,7 @@ class RegionId(str, enum.Enum):
 
 # Canonical display order for conjunctions.
 _TAG_ORDER = [RegionId.PT, RegionId.CPT, RegionId.EBC, RegionId.TLG, RegionId.PDIV, RegionId.CPDIV]
+_LABELS = tuple(tag.value for tag in _TAG_ORDER)
 
 
 @dataclass(frozen=True)
@@ -206,6 +207,20 @@ _MASKS = {
     RegionId.PDIV: _mask_p_divisible,
     RegionId.CPDIV: _mask_cp_divisible,
 }
+
+
+def _region_records(lam) -> list:
+    """Six-region membership of each (l1, l2, l3) row, one dict per row.
+
+    The keys are the tag names in display order and the values Python
+    bools, equal to the scalar predicates on the row.  Products that
+    overflow to inf, or to nan through inf * 0, compare as they do in
+    Python floats, without a warning.
+    """
+    lam = np.asarray(lam, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        columns = [_MASKS[tag](lam).tolist() for tag in _TAG_ORDER]
+    return [dict(zip(_LABELS, flags)) for flags in zip(*columns)]
 
 
 def region_mask(expr: RegionExpr, lam: np.ndarray) -> np.ndarray:

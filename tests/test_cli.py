@@ -335,6 +335,14 @@ def test_evolve_rejects_bad_schedule_with_exit_2(tmp_path, segment, message, whe
     assert "Traceback" not in err
 
 
+def test_evolve_last_step_ends_on_the_schedule(tmp_path):
+    path = _write_schedule(tmp_path, [{"duration": 0.1, "rates": [1, 1, 1]}])
+    code, out, err = _main(["evolve", "--schedule", path, "--steps", "4", "--format", "csv"])
+    assert (code, err) == (0, "")
+    rows = list(csv.reader(io.StringIO(out)))
+    assert [row[0] for row in rows[1:]] == ["0.0", "0.03333333333333333", "0.06666666666666667", "0.1"]
+
+
 def test_evolve_rejects_deeply_nested_schedule_with_exit_2(tmp_path):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100_000 + "]" * 100_000)

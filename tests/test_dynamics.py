@@ -1,8 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from paulivol import (
@@ -235,11 +236,12 @@ def _outcome(fn, *args):
 @given(segments=_segments, steps=st.integers(2, 60))
 @example(segments=[(2.0, (-1e308, -1e308, -1e308))], steps=3)  # exp(inf): "got inf"
 @example(segments=[(4.0, (0.0, 1e308, -1e308))], steps=3)  # inf - inf: "got nan"
+@example(segments=[(1.0, (400.0, 400.0, -1000.0))], steps=2)  # l1 * l2 * l3 = inf * 0
 def test_classify_trajectory_matches_scalar_reference(segments, steps):
     schedule = RateSchedule(segments)
-    total = schedule.total_duration
-    assume(total * (steps - 1) / (steps - 1) <= total)
-    got, got_error = _outcome(classify_trajectory, schedule, steps)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # inf and nan arise as silently as in Python floats
+        got, got_error = _outcome(classify_trajectory, schedule, steps)
     want, want_error = _outcome(_reference_trajectory, schedule, steps)
     assert got_error == want_error
     if want is None:
@@ -251,6 +253,25 @@ def test_classify_trajectory_matches_scalar_reference(segments, steps):
         assert [x.hex() for x in point.eigenvalues] == [x.hex() for x in lam]
         assert list(point.regions.items()) == list(regions.items())
         assert all(type(key) is str and type(flag) is bool for key, flag in point.regions.items())
+
+
+def test_trajectory_last_time_is_clamped_to_the_schedule_end():
+    schedule = RateSchedule([(0.1, (1.0, 1.0, 1.0))])
+    assert 0.1 * 3 / 3 > 0.1  # the unclamped last time overshoots by one ulp
+    points = classify_trajectory(schedule, 4)
+    assert [p.t for p in points][-1] == 0.1
+    assert points[-1].eigenvalues == evolve(schedule, 0.1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(durations=st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=8), steps=st.integers(2, 500))
+def test_trajectory_times_stay_within_the_schedule(durations, steps):
+    schedule = RateSchedule([(d, (0.5, -0.25, 1.0)) for d in durations])
+    total = schedule.total_duration
+    times = [p.t for p in classify_trajectory(schedule, steps)]
+    assert len(times) == steps
+    assert times[0] == 0.0 and times[-1] <= total
+    assert all(a <= b for a, b in zip(times, times[1:]))
 
 
 def test_classify_trajectory_step_validation():
