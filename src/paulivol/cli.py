@@ -470,7 +470,11 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.out is not None:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            print(f"error: cannot write output file: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0

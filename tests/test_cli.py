@@ -125,6 +125,14 @@ def test_out_flag_writes_file(tmp_path):
     assert doc["results"]["value"] == [1, 1]
 
 
+def test_out_into_a_missing_directory_exits_2(tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = _main(["classify", "0.1", "0.1", "0.1", "--out", str(target)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write output file: ") and err.count("\n") == 1
+    assert not target.exists()
+
+
 def test_mesh_document():
     proc = run_cli("mesh", "--region", "CPT,EBC", "--format", "json")
     assert proc.returncode == 0
