@@ -51,10 +51,9 @@ class EigenvalueTriple:
             for name, v in (("l1", l1), ("l2", l2), ("l3", l3)):
                 if not math.isfinite(v):
                     raise ValueError(f"eigenvalue {name} must be finite, got {v!r}")
-        fields = self.__dict__  # frozen: bypass __setattr__, as dataclasses do
-        fields["l1"] = float(l1)
-        fields["l2"] = float(l2)
-        fields["l3"] = float(l3)
+        object.__setattr__(self, "l1", float(l1))
+        object.__setattr__(self, "l2", float(l2))
+        object.__setattr__(self, "l3", float(l3))
 
     def __iter__(self):
         yield self.l1
@@ -85,11 +84,10 @@ class ProbabilityVector:
                 if not math.isfinite(v):
                     raise ValueError(f"weight {name} must be finite, got {v!r}")
         p0, p1, p2, p3 = float(p0), float(p1), float(p2), float(p3)
-        fields = self.__dict__  # frozen: bypass __setattr__, as dataclasses do
-        fields["p0"] = p0
-        fields["p1"] = p1
-        fields["p2"] = p2
-        fields["p3"] = p3
+        object.__setattr__(self, "p0", p0)
+        object.__setattr__(self, "p1", p1)
+        object.__setattr__(self, "p2", p2)
+        object.__setattr__(self, "p3", p3)
         total = p0 + p1 + p2 + p3
         if abs(total - 1.0) > _ATOL:
             raise ValueError(f"weights must sum to 1 within {_ATOL}, got sum {total!r}")
