@@ -29,9 +29,6 @@ __all__ = [
 # Trace preservation / hermiticity checks share one tolerance.
 _ATOL = 1e-12
 
-# Entries of a 4x4 Choi matrix off both the diagonal and the anti-diagonal.
-_OFF_BLOCKS = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])
-
 
 @dataclass(frozen=True)
 class EigenvalueTriple:
@@ -124,7 +121,11 @@ class ChoiMatrix:
             raise ValueError("Choi matrix must be Hermitian")
         if abs(m.trace() - 1.0) > _ATOL:
             raise ValueError("Choi matrix must have unit trace")
-        if np.abs(m[_OFF_BLOCKS]).max() > _ATOL:
+        mask = np.zeros((4, 4), dtype=bool)
+        for i in range(4):
+            mask[i, i] = True
+            mask[i, 3 - i] = True
+        if np.abs(m[~mask]).max() > _ATOL:
             raise ValueError("entries off the diagonal and anti-diagonal must vanish")
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
