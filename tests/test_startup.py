@@ -1,0 +1,96 @@
+"""Start-up cost: importing paulivol and the exact commands load no numpy.
+
+numpy is imported inside the functions that build or read an array, so
+``import paulivol``, ``import paulivol.cli`` and every command that only
+does exact arithmetic start without it.  pytest's own process already has
+numpy loaded, so the check runs in a fresh interpreter.
+"""
+
+import ast
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+
+# Each step runs in the same fresh interpreter, in order; after each one
+# the script records its exit code and whether numpy has been imported.
+_SCRIPT = r"""
+import contextlib, io, json, sys
+
+report = []
+
+def step(name, fn):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = fn()
+        except SystemExit as exc:
+            code = exc.code
+    report.append({"step": name, "exit": code, "numpy": "numpy" in sys.modules,
+                   "stdout": out.getvalue()})
+
+step("import paulivol", lambda: __import__("paulivol") and 0)
+step("import paulivol.cli", lambda: __import__("paulivol.cli") and 0)
+from paulivol.cli import main
+for argv in (
+    ["--version"],
+    ["volume", "--region", "PT,CPT,EBC,TLG,PDIV", "--format", "json"],
+    ["mesh", "--region", "PT,CPT,EBC,PDIV"],
+    ["volume", "--region", "TLG"],
+    ["volume", "--region", "CPDIV"],
+    ["classify", "0.5", "0.5", "0.5"],
+):
+    step(" ".join(argv), lambda: main(argv))
+print(json.dumps(report))
+"""
+
+_CLASSIFY_TEXT = """\
+lambda = (0.5, 0.5, 0.5)
+p = (0.625, 0.125, 0.125, 0.125)
+choi spectrum = (0.625, 0.125, 0.125, 0.125)
+PT: true
+CPT: true
+EBC: false
+TLG: true
+PDIV: true
+CPDIV: true
+"""
+
+
+def test_exact_commands_start_without_numpy():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _SCRIPT], capture_output=True,
+                          text=True, env=env, check=True)
+    report = {r["step"]: r for r in json.loads(proc.stdout)}
+    expected = {
+        "import paulivol": 0,
+        "import paulivol.cli": 0,
+        "--version": 0,
+        "volume --region PT,CPT,EBC,TLG,PDIV --format json": 0,
+        "mesh --region PT,CPT,EBC,PDIV": 0,
+        "volume --region TLG": 1,
+        "volume --region CPDIV": 1,
+    }
+    for name, code in expected.items():
+        assert (report[name]["exit"], report[name]["numpy"]) == (code, False), name
+    # a command that classifies builds an array, and imports numpy to do it
+    classify = report["classify 0.5 0.5 0.5"]
+    assert (classify["exit"], classify["numpy"]) == (0, True)
+    assert classify["stdout"] == _CLASSIFY_TEXT
+
+
+def test_no_module_imports_numpy_at_module_level():
+    for path in sorted((SRC / "paulivol").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(n.split(".")[0] == "numpy" for n in names), path.name
