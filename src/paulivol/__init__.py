@@ -7,6 +7,10 @@ exact rational Hilbert-Schmidt volumes of the polytopal regions,
 estimates Hilbert-Schmidt and Fisher-Rao volumes by seeded Monte
 Carlo, and evolves eigenvalues under piecewise-constant generator
 rates.  The command-line front end lives in :mod:`paulivol.cli`.
+
+numpy is imported inside the functions that build or read an array, so
+importing the package, and the exact volume and mesh commands, do not
+load it.
 """
 
 from .channel import (

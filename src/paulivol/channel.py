@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = [
     "EigenvalueTriple",
     "ProbabilityVector",
@@ -58,6 +56,8 @@ class EigenvalueTriple:
         yield self.l3
 
     def as_array(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([self.l1, self.l2, self.l3])
 
 
@@ -96,6 +96,8 @@ class ProbabilityVector:
         yield self.p3
 
     def as_array(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([self.p0, self.p1, self.p2, self.p3])
 
     def min(self) -> float:
@@ -114,9 +116,13 @@ class ChoiMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
+
         m = np.array(self.entries, dtype=complex)
         if m.shape != (4, 4):
             raise ValueError(f"Choi matrix must be 4x4, got shape {m.shape}")
+        if not np.isfinite(m).all():
+            raise ValueError("Choi matrix entries must be finite")
         if np.abs(m - m.conj().T).max() > _ATOL:
             raise ValueError("Choi matrix must be Hermitian")
         if abs(m.trace() - 1.0) > _ATOL:
@@ -136,6 +142,8 @@ class ChoiMatrix:
         Each Hermitian block [[a, c], [conj(c), d]] contributes
         (a + d)/2 +- sqrt(((a - d)/2)^2 + |c|^2).
         """
+        import numpy as np
+
         m = self.entries.tolist()
         out = []
         for i, j in ((0, 3), (1, 2)):
@@ -169,6 +177,8 @@ class QubitState:
 
     @classmethod
     def from_density_matrix(cls, rho: np.ndarray) -> "QubitState":
+        import numpy as np
+
         rho = np.asarray(rho, dtype=complex)
         if rho.shape != (2, 2):
             raise ValueError(f"density matrix must be 2x2, got shape {rho.shape}")
@@ -184,6 +194,8 @@ class QubitState:
         return cls(r1, r2, r3)
 
     def to_density_matrix(self) -> np.ndarray:
+        import numpy as np
+
         return 0.5 * np.array(
             [
                 [1.0 + self.r3, self.r1 - 1j * self.r2],
@@ -192,6 +204,8 @@ class QubitState:
         )
 
     def bloch(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([self.r1, self.r2, self.r3])
 
 
@@ -227,16 +241,21 @@ def choi_matrix(l: EigenvalueTriple) -> ChoiMatrix:
     Diagonal entries are (1 +- l3)/4, anti-diagonal entries
     (l1 +- l2)/4; everything else vanishes.  The entries are real and
     symmetric with the zero pattern by construction, so of the checks in
-    :class:`ChoiMatrix` only the trace can fail: through rounding, once
-    |l3| is near 1e16.  It is made here on the sum ``m.trace()`` takes
-    (numpy adds the four complex diagonal entries pairwise).
+    :class:`ChoiMatrix` only two can fail: finiteness, once l1 +- l2
+    overflows, and the trace, through rounding once |l3| is near 1e16.
+    The trace is checked on the sum ``m.trace()`` takes (numpy adds the
+    four complex diagonal entries pairwise).
     """
     dp = 0.25 * (1.0 + l.l3)
     dm = 0.25 * (1.0 - l.l3)
     op = 0.25 * (l.l1 + l.l2)
     om = 0.25 * (l.l1 - l.l2)
+    if not (math.isfinite(op) and math.isfinite(om)):
+        raise ValueError("Choi matrix entries must be finite")
     if abs((dp + dm) + (dm + dp) - 1.0) > _ATOL:
         raise ValueError("Choi matrix must have unit trace")
+    import numpy as np
+
     entries = np.array(
         [
             [dp, 0.0, 0.0, op],

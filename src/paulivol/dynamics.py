@@ -21,8 +21,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-import numpy as np
-
 from .channel import EigenvalueTriple
 from .regions import _region_records
 
@@ -226,16 +224,20 @@ def classify_trajectory(schedule: RateSchedule, steps: int) -> list:
     """Classify the trajectory at equally spaced times over the schedule.
 
     Evaluates all six region predicates at ``steps`` times from 0 to
-    the schedule's total duration inclusive; the last time is clamped to
-    that duration, which rounding could otherwise overshoot by one ulp.
+    the schedule's total duration inclusive; the last time is that
+    duration exactly, which ``total * i / (steps - 1)`` can miss by one
+    ulp either way.
     All steps are integrated at once, as arrays: each element takes
     exactly the float operations :func:`integrate_rates` and :func:`evolve`
     apply to its time, so every point equals ``evolve`` at that time.
     """
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
+    import numpy as np
+
     total = schedule.total_duration
-    times = np.minimum(np.arange(steps) * total / (steps - 1), total)
+    times = np.arange(steps) * total / (steps - 1)
+    times[-1] = total
     remaining = times.copy()
     G = np.zeros((steps, 3))
     # Python floats overflow to inf and nan without a warning; so do these.

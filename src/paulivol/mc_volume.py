@@ -28,8 +28,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-import numpy as np
-
 from .channel import EigenvalueTriple
 from .regions import _MASKS, RegionExpr, RegionId, region_mask
 
@@ -45,6 +43,9 @@ __all__ = [
 ]
 
 DEFAULT_CHUNK_SIZE = 2**16
+# Largest chunk a config accepts: an (n, 4) float64 chunk is about 0.13 GB
+# at this size, and it is rejected before anything is allocated.
+MAX_CHUNK_SIZE = 2**22
 
 # Total Fisher-Rao volume of the channel tetrahedron; see fr_volume_mc.
 FR_TOTAL = 2.0 * math.pi * math.pi
@@ -69,6 +70,8 @@ class SamplerConfig:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
         if self.chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {self.chunk_size}")
+        if self.chunk_size > MAX_CHUNK_SIZE:
+            raise ValueError(f"chunk_size must be <= {MAX_CHUNK_SIZE}, got {self.chunk_size}")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
 
@@ -106,6 +109,8 @@ class VolumeEstimate:
 
 
 def _lambda_columns(p: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     l1 = p[:, 0] + p[:, 1] - p[:, 2] - p[:, 3]
     l2 = p[:, 0] - p[:, 1] + p[:, 2] - p[:, 3]
     l3 = p[:, 0] - p[:, 1] - p[:, 2] + p[:, 3]
@@ -122,6 +127,8 @@ def _stream(cfg: SamplerConfig, proposal: str, endless: bool = False) -> Iterato
     (rejection sampling) draws full chunks until its reader stops.  This
     is the one place a chunk generator is seeded.
     """
+    import numpy as np
+
     chunks = ((c, cfg.chunk_size) for c in itertools.count()) if endless else cfg.chunks()
     for c, n in chunks:
         rng = np.random.default_rng([cfg.seed, c])
@@ -144,6 +151,8 @@ def _hit_counts(exprs, cfg: SamplerConfig, proposal: str = "cube") -> list:
     Per chunk each base mask a conjunct needs is evaluated once, and every
     expression is counted as the AND of those cached masks.
     """
+    import numpy as np
+
     hits = [0] * len(exprs)
     for _c, lam in _stream(cfg, proposal):
         masks = {}
@@ -253,6 +262,8 @@ def _accepted_chunks(expr: RegionExpr, cfg: SamplerConfig) -> Iterator[np.ndarra
 
 def _sample_array(expr: RegionExpr, cfg: SamplerConfig) -> np.ndarray:
     """The rows ``sample_region`` yields, as one (cfg.samples, 3) array."""
+    import numpy as np
+
     return np.concatenate(list(_accepted_chunks(expr, cfg)))
 
 

@@ -208,6 +208,34 @@ def test_choi_matrix_raises_exactly_when_the_validating_constructor_does(l1, l2,
         assert got.eigenvalues().tobytes() == want.eigenvalues().tobytes()
 
 
+def _with_entry(i, j, value):
+    m = _formula_entries(0.5, 0.5, 0.5)
+    m[i, j] = value
+    return m
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        np.full((4, 4), np.nan),
+        _with_entry(0, 0, np.nan),
+        _with_entry(1, 2, complex(0.0, np.nan)),
+        _with_entry(0, 3, np.inf),
+        _with_entry(2, 2, -np.inf),
+        _with_entry(1, 0, complex(0.0, -np.inf)),
+        np.where(np.eye(4, dtype=bool), np.inf, 0.0),
+    ],
+)
+def test_choi_matrix_rejects_non_finite_entries(entries):
+    with pytest.raises(ValueError, match="^Choi matrix entries must be finite$"):
+        ChoiMatrix(entries)
+
+
+def test_choi_matrix_of_an_overflowing_triple_is_rejected():
+    with pytest.raises(ValueError, match="^Choi matrix entries must be finite$"):
+        choi_matrix(EigenvalueTriple(1e308, 1e308, 0.0))
+
+
 def _block_spectrum(m):
     """The Choi spectrum read entry by entry from the numpy array."""
     out = []

@@ -351,6 +351,20 @@ def test_evolve_last_step_ends_on_the_schedule(tmp_path):
     assert [row[0] for row in rows[1:]] == ["0.0", "0.03333333333333333", "0.06666666666666667", "0.1"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--region", "CPT", "-n", "5", "--chunk-size", "10000000000000"],
+        ["volume", "--region", "CPT", "--method", "mc",
+         "--samples", "10000000000000", "--chunk-size", "10000000000000"],
+    ],
+)
+def test_chunk_size_above_the_cap_exits_2_before_drawing(argv):
+    code, out, err = _main(argv)
+    assert (code, out) == (2, "")
+    assert err == "error: chunk_size must be <= 4194304, got 10000000000000\n"
+
+
 def test_evolve_rejects_deeply_nested_schedule_with_exit_2(tmp_path):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100_000 + "]" * 100_000)

@@ -205,7 +205,7 @@ def _reference_trajectory(schedule, steps):
     total = schedule.total_duration
     points = []
     for i in range(steps):
-        t = min(total * i / (steps - 1), total)
+        t = total * i / (steps - 1) if i < steps - 1 else total
         lam = evolve(schedule, t)
         regions = {
             "PT": is_positive(lam),
@@ -263,6 +263,17 @@ def test_trajectory_last_time_is_clamped_to_the_schedule_end():
     assert points[-1].eigenvalues == evolve(schedule, 0.1)
 
 
+def test_trajectory_last_time_is_the_schedule_end_where_rounding_falls_short():
+    durations = [1.0, 1.6641615052162093, 5.212210048177529, 9.66416150521621]
+    schedule = RateSchedule([(d, (0.5, -0.25, 1.0)) for d in durations])
+    total = schedule.total_duration
+    assert total == 17.54053305860995
+    assert total * 121 / 121 < total  # the computed last time falls one ulp short
+    points = classify_trajectory(schedule, 122)
+    assert points[-1].t == total
+    assert points[-1].eigenvalues == evolve(schedule, total)
+
+
 @settings(max_examples=200, deadline=None)
 @given(durations=st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=8), steps=st.integers(2, 500))
 def test_trajectory_times_stay_within_the_schedule(durations, steps):
@@ -270,7 +281,7 @@ def test_trajectory_times_stay_within_the_schedule(durations, steps):
     total = schedule.total_duration
     times = [p.t for p in classify_trajectory(schedule, steps)]
     assert len(times) == steps
-    assert times[0] == 0.0 and times[-1] <= total
+    assert times[0] == 0.0 and times[-1] == total
     assert all(a <= b for a, b in zip(times, times[1:]))
 
 

@@ -21,7 +21,7 @@ from paulivol import (
     region_mask,
     sample_region,
 )
-from paulivol.mc_volume import _hit_counts, _lambda_columns, _stream
+from paulivol.mc_volume import MAX_CHUNK_SIZE, _hit_counts, _lambda_columns, _stream
 
 
 def _cfg(samples, seed=0, **kw):
@@ -39,6 +39,16 @@ def test_sampler_config_validation():
         SamplerConfig(samples=10, seed=0, chunk_size=0)
     cfg = SamplerConfig(samples=10**5, seed=3, chunk_size=30000)
     assert list(cfg.chunks()) == [(0, 30000), (1, 30000), (2, 30000), (3, 10000)]
+    assert SamplerConfig(samples=10, seed=0, chunk_size=MAX_CHUNK_SIZE).chunk_size == 2**22
+
+
+# The constructor raises before any draw, so no chunk is ever allocated here.
+@settings(max_examples=200, deadline=None)
+@given(chunk_size=st.integers(MAX_CHUNK_SIZE + 1, 10**30), samples=st.integers(1, 10**30))
+def test_sampler_config_rejects_chunks_above_the_cap(chunk_size, samples):
+    with pytest.raises(ValueError) as info:
+        SamplerConfig(samples=samples, seed=0, chunk_size=chunk_size)
+    assert str(info.value) == f"chunk_size must be <= 4194304, got {chunk_size}"
 
 
 def test_volume_estimate_validation():
