@@ -57,7 +57,6 @@ class EigenvalueTriple:
 
     def as_array(self) -> np.ndarray:
         import numpy as np
-
         return np.array([self.l1, self.l2, self.l3])
 
 
@@ -97,7 +96,6 @@ class ProbabilityVector:
 
     def as_array(self) -> np.ndarray:
         import numpy as np
-
         return np.array([self.p0, self.p1, self.p2, self.p3])
 
     def min(self) -> float:
@@ -117,7 +115,6 @@ class ChoiMatrix:
 
     def __post_init__(self):
         import numpy as np
-
         m = np.array(self.entries, dtype=complex)
         if m.shape != (4, 4):
             raise ValueError(f"Choi matrix must be 4x4, got shape {m.shape}")
@@ -143,7 +140,6 @@ class ChoiMatrix:
         (a + d)/2 +- sqrt(((a - d)/2)^2 + |c|^2).
         """
         import numpy as np
-
         m = self.entries.tolist()
         out = []
         for i, j in ((0, 3), (1, 2)):
@@ -178,7 +174,6 @@ class QubitState:
     @classmethod
     def from_density_matrix(cls, rho: np.ndarray) -> "QubitState":
         import numpy as np
-
         rho = np.asarray(rho, dtype=complex)
         if rho.shape != (2, 2):
             raise ValueError(f"density matrix must be 2x2, got shape {rho.shape}")
@@ -195,7 +190,6 @@ class QubitState:
 
     def to_density_matrix(self) -> np.ndarray:
         import numpy as np
-
         return 0.5 * np.array(
             [
                 [1.0 + self.r3, self.r1 - 1j * self.r2],
@@ -205,7 +199,6 @@ class QubitState:
 
     def bloch(self) -> np.ndarray:
         import numpy as np
-
         return np.array([self.r1, self.r2, self.r3])
 
 
@@ -255,7 +248,6 @@ def choi_matrix(l: EigenvalueTriple) -> ChoiMatrix:
     if abs((dp + dm) + (dm + dp) - 1.0) > _ATOL:
         raise ValueError("Choi matrix must have unit trace")
     import numpy as np
-
     entries = np.array(
         [
             [dp, 0.0, 0.0, op],

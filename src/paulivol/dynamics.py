@@ -234,7 +234,6 @@ def classify_trajectory(schedule: RateSchedule, steps: int) -> list:
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
     import numpy as np
-
     total = schedule.total_duration
     times = np.arange(steps) * total / (steps - 1)
     times[-1] = total

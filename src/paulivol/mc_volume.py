@@ -110,7 +110,6 @@ class VolumeEstimate:
 
 def _lambda_columns(p: np.ndarray) -> np.ndarray:
     import numpy as np
-
     l1 = p[:, 0] + p[:, 1] - p[:, 2] - p[:, 3]
     l2 = p[:, 0] - p[:, 1] + p[:, 2] - p[:, 3]
     l3 = p[:, 0] - p[:, 1] - p[:, 2] + p[:, 3]
@@ -128,7 +127,6 @@ def _stream(cfg: SamplerConfig, proposal: str, endless: bool = False) -> Iterato
     is the one place a chunk generator is seeded.
     """
     import numpy as np
-
     chunks = ((c, cfg.chunk_size) for c in itertools.count()) if endless else cfg.chunks()
     for c, n in chunks:
         rng = np.random.default_rng([cfg.seed, c])
@@ -152,7 +150,6 @@ def _hit_counts(exprs, cfg: SamplerConfig, proposal: str = "cube") -> list:
     expression is counted as the AND of those cached masks.
     """
     import numpy as np
-
     hits = [0] * len(exprs)
     for _c, lam in _stream(cfg, proposal):
         masks = {}
@@ -263,7 +260,6 @@ def _accepted_chunks(expr: RegionExpr, cfg: SamplerConfig) -> Iterator[np.ndarra
 def _sample_array(expr: RegionExpr, cfg: SamplerConfig) -> np.ndarray:
     """The rows ``sample_region`` yields, as one (cfg.samples, 3) array."""
     import numpy as np
-
     return np.concatenate(list(_accepted_chunks(expr, cfg)))
 
 

@@ -165,7 +165,6 @@ def contains(expr: RegionExpr, l: EigenvalueTriple) -> bool:
 
 def _mask_positive(lam: np.ndarray) -> np.ndarray:
     import numpy as np
-
     return (
         (np.abs(lam[:, 0]) <= 1.0)
         & (np.abs(lam[:, 1]) <= 1.0)
@@ -175,14 +174,12 @@ def _mask_positive(lam: np.ndarray) -> np.ndarray:
 
 def _mask_cp(lam: np.ndarray) -> np.ndarray:
     import numpy as np
-
     l1, l2, l3 = lam[:, 0], lam[:, 1], lam[:, 2]
     return (1.0 + l3 >= np.abs(l1 + l2)) & (1.0 - l3 >= np.abs(l1 - l2))
 
 
 def _mask_ebc(lam: np.ndarray) -> np.ndarray:
     import numpy as np
-
     return np.abs(lam[:, 0]) + np.abs(lam[:, 1]) + np.abs(lam[:, 2]) <= 1.0
 
 
@@ -196,7 +193,6 @@ def _mask_p_divisible(lam: np.ndarray) -> np.ndarray:
 
 def _mask_cp_divisible(lam: np.ndarray) -> np.ndarray:
     import numpy as np
-
     prod = lam[:, 0] * lam[:, 1] * lam[:, 2]
     low = np.minimum(
         np.minimum(lam[:, 0] * lam[:, 0], lam[:, 1] * lam[:, 1]),
@@ -224,7 +220,6 @@ def _region_records(lam) -> list:
     Python floats, without a warning.
     """
     import numpy as np
-
     lam = np.asarray(lam, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         columns = [_MASKS[tag](lam).tolist() for tag in _TAG_ORDER]
@@ -234,7 +229,6 @@ def _region_records(lam) -> list:
 def region_mask(expr: RegionExpr, lam: np.ndarray) -> np.ndarray:
     """Vectorized membership for an (n, 3) array of eigenvalue triples."""
     import numpy as np
-
     lam = np.asarray(lam, dtype=float)
     if lam.ndim != 2 or lam.shape[1] != 3:
         raise ValueError(f"expected an (n, 3) array, got shape {lam.shape}")
