@@ -120,6 +120,16 @@ def test_choi_matrix_validation():
         ChoiMatrix(bad)
 
 
+_CHOI_FINITE = "Choi matrix entries must be finite"
+
+
+def _with_entry(i, j, value):
+    """The Choi matrix of (0.5, 0.5, 0.5) with one entry replaced."""
+    m = _formula_entries(0.5, 0.5, 0.5)
+    m[i, j] = value
+    return m
+
+
 @pytest.mark.parametrize(
     "make, message",
     [
@@ -131,6 +141,14 @@ def test_choi_matrix_validation():
         (lambda: ProbabilityVector(2.0, 0.0, math.inf, math.nan), "weight p2 must be finite, got inf"),
         (lambda: ProbabilityVector(0.0, 0.0, 0.0, -math.inf), "weight p3 must be finite, got -inf"),
         (lambda: ProbabilityVector(0.5, 0.5, 0.5, 0.5), "weights must sum to 1 within 1e-12, got sum 2.0"),
+        (lambda: ChoiMatrix(np.full((4, 4), np.nan)), _CHOI_FINITE),
+        (lambda: ChoiMatrix(_with_entry(0, 0, np.nan)), _CHOI_FINITE),
+        (lambda: ChoiMatrix(_with_entry(1, 2, complex(0.0, np.nan))), _CHOI_FINITE),
+        (lambda: ChoiMatrix(_with_entry(0, 3, np.inf)), _CHOI_FINITE),
+        (lambda: ChoiMatrix(_with_entry(2, 2, -np.inf)), _CHOI_FINITE),
+        (lambda: ChoiMatrix(_with_entry(1, 0, complex(0.0, -np.inf))), _CHOI_FINITE),
+        (lambda: ChoiMatrix(np.where(np.eye(4, dtype=bool), np.inf, 0.0)), _CHOI_FINITE),
+        (lambda: choi_matrix(EigenvalueTriple(1e308, 1e308, 0.0)), _CHOI_FINITE),  # l1 + l2 overflows
     ],
 )
 def test_value_object_messages_name_the_first_bad_field(make, message):
@@ -206,34 +224,6 @@ def test_choi_matrix_raises_exactly_when_the_validating_constructor_does(l1, l2,
         assert got.entries.dtype == complex and not got.entries.flags.writeable
         assert got.entries.tobytes() == want.entries.tobytes()
         assert got.eigenvalues().tobytes() == want.eigenvalues().tobytes()
-
-
-def _with_entry(i, j, value):
-    m = _formula_entries(0.5, 0.5, 0.5)
-    m[i, j] = value
-    return m
-
-
-@pytest.mark.parametrize(
-    "entries",
-    [
-        np.full((4, 4), np.nan),
-        _with_entry(0, 0, np.nan),
-        _with_entry(1, 2, complex(0.0, np.nan)),
-        _with_entry(0, 3, np.inf),
-        _with_entry(2, 2, -np.inf),
-        _with_entry(1, 0, complex(0.0, -np.inf)),
-        np.where(np.eye(4, dtype=bool), np.inf, 0.0),
-    ],
-)
-def test_choi_matrix_rejects_non_finite_entries(entries):
-    with pytest.raises(ValueError, match="^Choi matrix entries must be finite$"):
-        ChoiMatrix(entries)
-
-
-def test_choi_matrix_of_an_overflowing_triple_is_rejected():
-    with pytest.raises(ValueError, match="^Choi matrix entries must be finite$"):
-        choi_matrix(EigenvalueTriple(1e308, 1e308, 0.0))
 
 
 def _block_spectrum(m):
