@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from paulivol import (
     EigenvalueTriple,
@@ -17,6 +19,7 @@ from paulivol import (
     lambda_to_p,
     region_mask,
 )
+from paulivol.regions import _region_records
 
 
 def _t(l1, l2, l3):
@@ -127,14 +130,73 @@ def test_containment_chains():
     assert not (cpdiv & ~pdiv).any()
 
 
-def test_scalar_and_vector_predicates_agree():
-    rng = np.random.default_rng(8)
-    lam = rng.uniform(-1.5, 1.5, size=(2000, 3))
-    for tag in RegionId:
-        expr = RegionExpr([tag])
-        mask = region_mask(expr, lam)
-        for row, hit in zip(lam, mask):
-            assert contains(expr, _t(*row)) == hit
+# Reference copies of the scalar predicates and of their column-mask twins,
+# as each region was written twice before it became one function.  CPDIV
+# keeps its min-based bound here.
+def _reference_scalar(l1, l2, l3):
+    prod = l1 * l2 * l3
+    return {
+        "PT": abs(l1) <= 1.0 and abs(l2) <= 1.0 and abs(l3) <= 1.0,
+        "CPT": (1.0 + l3 >= abs(l1 + l2)) and (1.0 - l3 >= abs(l1 - l2)),
+        "EBC": abs(l1) + abs(l2) + abs(l3) <= 1.0,
+        "TLG": l1 >= 0.0 and l2 >= 0.0 and l3 >= 0.0,
+        "PDIV": prod >= 0.0,
+        "CPDIV": prod > 0.0 and prod <= min(l1 * l1, l2 * l2, l3 * l3),
+    }
+
+
+def _reference_masks(lam):
+    l1, l2, l3 = lam[:, 0], lam[:, 1], lam[:, 2]
+    prod = l1 * l2 * l3
+    low = np.minimum(np.minimum(l1 * l1, l2 * l2), l3 * l3)
+    return {
+        "PT": (np.abs(l1) <= 1.0) & (np.abs(l2) <= 1.0) & (np.abs(l3) <= 1.0),
+        "CPT": (1.0 + l3 >= np.abs(l1 + l2)) & (1.0 - l3 >= np.abs(l1 - l2)),
+        "EBC": np.abs(l1) + np.abs(l2) + np.abs(l3) <= 1.0,
+        "TLG": (l1 >= 0.0) & (l2 >= 0.0) & (l3 >= 0.0),
+        "PDIV": prod >= 0.0,
+        "CPDIV": (prod > 0.0) & (prod <= low),
+    }
+
+
+_LABELS = ("PT", "CPT", "EBC", "TLG", "PDIV", "CPDIV")
+_PUBLIC = (is_positive, is_cp, is_ebc, is_tlg, is_p_divisible, is_cp_divisible)
+# signed zeros, units, subnormals, squares that overflow, and the float limits
+_EDGES = (0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-300,
+          1e154, -1e154, 1e308, -1e308, 1.7976931348623157e308)
+_floats = st.sampled_from(_EDGES) | st.floats(-1.5, 1.5) | st.floats(allow_nan=False, allow_infinity=False)
+_rows = st.lists(st.tuples(_floats, _floats, _floats), min_size=1, max_size=40)
+
+
+@settings(max_examples=400, deadline=None)
+@given(rows=_rows, tags=st.sets(st.sampled_from(_LABELS), min_size=1))
+@example(rows=[(-0.0, 0.0, 1.0), (1e154, 1e154, 5e-324), (1e308, 1e308, 0.0),
+               (-1e308, -1e308, 1e308), (1.0, -1.0, -1.0), (-5e-324, 5e-324, -1.0)],
+         tags={"CPDIV", "PT"})
+def test_scalar_and_vector_predicates_agree(rows, tags):
+    lam = np.array(rows)
+    expr = RegionExpr(tags)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want_masks = _reference_masks(lam)
+        records = _region_records(lam)
+        masks = {label: region_mask(RegionExpr([label]), lam) for label in _LABELS}
+        conjunction = region_mask(expr, lam)
+    for label in _LABELS:
+        assert masks[label].dtype == bool
+        assert np.array_equal(masks[label], want_masks[label]), label
+    assert np.array_equal(conjunction, np.logical_and.reduce([want_masks[t] for t in tags]))
+    for i, row in enumerate(rows):
+        l = EigenvalueTriple(*row)
+        want = _reference_scalar(*row)
+        assert want == {label: bool(want_masks[label][i]) for label in _LABELS}
+        got = {label: pred(l) for label, pred in zip(_LABELS, _PUBLIC)}
+        assert all(type(flag) is bool for flag in got.values())
+        assert got == want
+        assert {label: contains(RegionExpr([label]), l) for label in _LABELS} == want
+        assert contains(expr, l) == all(want[t] for t in tags)
+        assert list(records[i]) == list(_LABELS)
+        assert all(type(flag) is bool for flag in records[i].values())
+        assert records[i] == want
 
 
 def test_region_mask_shape_check():
