@@ -20,6 +20,7 @@ from .channel import (
     QubitState,
     apply_map,
     choi_matrix,
+    choi_spectrum,
     lambda_to_p,
     p_to_lambda,
 )
@@ -81,6 +82,7 @@ __all__ = [
     "p_to_lambda",
     "lambda_to_p",
     "choi_matrix",
+    "choi_spectrum",
     "apply_map",
     "RegionId",
     "RegionExpr",

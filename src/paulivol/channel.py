@@ -21,6 +21,7 @@ __all__ = [
     "p_to_lambda",
     "lambda_to_p",
     "choi_matrix",
+    "choi_spectrum",
     "apply_map",
 ]
 
@@ -228,16 +229,15 @@ def lambda_to_p(l: EigenvalueTriple) -> ProbabilityVector:
     )
 
 
-def choi_matrix(l: EigenvalueTriple) -> ChoiMatrix:
-    """Choi-Jamiolkowski state (1/4) sum_ij |i><j| (x) Lambda[|i><j|].
+def _choi_entries(l: EigenvalueTriple) -> tuple:
+    """Diagonal entries (1 +- l3)/4 and anti-diagonal entries (l1 +- l2)/4.
 
-    Diagonal entries are (1 +- l3)/4, anti-diagonal entries
-    (l1 +- l2)/4; everything else vanishes.  The entries are real and
-    symmetric with the zero pattern by construction, so of the checks in
-    :class:`ChoiMatrix` only two can fail: finiteness, once l1 +- l2
-    overflows, and the trace, through rounding once |l3| is near 1e16.
-    The trace is checked on the sum ``m.trace()`` takes (numpy adds the
-    four complex diagonal entries pairwise).
+    The entries are real and symmetric with the zero pattern by
+    construction, so of the checks in :class:`ChoiMatrix` only two can
+    fail: finiteness, once l1 +- l2 overflows, and the trace, through
+    rounding once |l3| is near 1e16.  The trace is checked on the sum
+    ``m.trace()`` takes (numpy adds the four complex diagonal entries
+    pairwise).
     """
     dp = 0.25 * (1.0 + l.l3)
     dm = 0.25 * (1.0 - l.l3)
@@ -247,6 +247,16 @@ def choi_matrix(l: EigenvalueTriple) -> ChoiMatrix:
         raise ValueError("Choi matrix entries must be finite")
     if abs((dp + dm) + (dm + dp) - 1.0) > _ATOL:
         raise ValueError("Choi matrix must have unit trace")
+    return dp, dm, op, om
+
+
+def choi_matrix(l: EigenvalueTriple) -> ChoiMatrix:
+    """Choi-Jamiolkowski state (1/4) sum_ij |i><j| (x) Lambda[|i><j|].
+
+    Only the diagonal and anti-diagonal are nonzero; see
+    :func:`_choi_entries` for the entries and the checks they pass.
+    """
+    dp, dm, op, om = _choi_entries(l)
     import numpy as np
     entries = np.array(
         [
@@ -261,6 +271,17 @@ def choi_matrix(l: EigenvalueTriple) -> ChoiMatrix:
     choi = object.__new__(ChoiMatrix)
     object.__setattr__(choi, "entries", entries)
     return choi
+
+
+def choi_spectrum(l: EigenvalueTriple) -> list:
+    """``choi_matrix(l).eigenvalues()`` as Python floats, without numpy.
+
+    Both blocks have equal diagonal entries, so the block formula reduces
+    exactly to dp +- |op| and dm +- |om|; the same checks raise the same
+    errors.
+    """
+    dp, dm, op, om = _choi_entries(l)
+    return [dp + abs(op), dp - abs(op), dm + abs(om), dm - abs(om)]
 
 
 def apply_map(l: EigenvalueTriple, s: QubitState) -> QubitState:

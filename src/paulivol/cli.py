@@ -22,7 +22,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .channel import EigenvalueTriple, choi_matrix, lambda_to_p
+from .channel import EigenvalueTriple, choi_spectrum, lambda_to_p
 from .dynamics import (
     RateSchedule,
     RateTriple,
@@ -46,7 +46,7 @@ from .mc_volume import (
     hs_volume_mc,
 )
 from .regions import _LABELS as _REGION_LABELS
-from .regions import NonPolytopalRegionError, RegionExpr, _region_records
+from .regions import NonPolytopalRegionError, RegionExpr, _region_record
 
 __all__ = ["main", "build_parser"]
 
@@ -84,18 +84,14 @@ def _csv_text(header: list, rows: list) -> str:
     return buf.getvalue()
 
 
-def _classify_record(lam: EigenvalueTriple) -> dict:
-    return _region_records([(lam.l1, lam.l2, lam.l3)])[0]
-
-
 # --- classify ----------------------------------------------------------------
 
 
 def cmd_classify(args) -> str:
     lam = EigenvalueTriple(args.l1, args.l2, args.l3)
     p = lambda_to_p(lam)
-    spectrum = [float(x) for x in choi_matrix(lam).eigenvalues()]
-    regions = _classify_record(lam)
+    spectrum = choi_spectrum(lam)
+    regions = _region_record(lam)
     doc = _document(
         "classify",
         {"lambda": [lam.l1, lam.l2, lam.l3]},
@@ -306,7 +302,7 @@ def cmd_evolve(args) -> str:
     schedule = schedule_from_json(doc)
     if args.t is not None:
         lam = evolve(schedule, args.t)
-        points = [(args.t, lam, _classify_record(lam))]
+        points = [(args.t, lam, _region_record(lam))]
     else:
         points = [
             (pt.t, pt.eigenvalues, pt.regions)

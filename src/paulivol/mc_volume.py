@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .channel import EigenvalueTriple
-from .regions import _MASKS, RegionExpr, RegionId, region_mask
+from .regions import _PREDICATES, RegionExpr, RegionId, _columns, region_mask
 
 __all__ = [
     "SamplerConfig",
@@ -152,10 +152,11 @@ def _hit_counts(exprs, cfg: SamplerConfig, proposal: str = "cube") -> list:
     import numpy as np
     hits = [0] * len(exprs)
     for _c, lam in _stream(cfg, proposal):
+        columns = _columns(lam)
         masks = {}
         for i, expr in enumerate(exprs):
             for tag in expr.conjuncts - masks.keys():
-                masks[tag] = _MASKS[tag](lam)
+                masks[tag] = _PREDICATES[tag](columns)
             hits[i] += int(np.count_nonzero(functools.reduce(
                 operator.and_, (masks[tag] for tag in expr.conjuncts))))
     return hits

@@ -12,6 +12,10 @@ Every region lives in eigenvalue space (lambda_1, lambda_2, lambda_3):
 All boundaries are inclusive except the strict product positivity in
 ``CPDIV``.  Comparisons are exact float comparisons, no epsilon, so the
 predicates agree bit for bit with the rational half-space descriptions.
+Each region is one predicate.  It takes an :class:`EigenvalueTriple` and
+returns a bool, or the columns of an (n, 3) array and returns a boolean
+mask; ``contains``, ``region_mask`` and the Monte Carlo engine all call it
+through one table.
 Every region except ``CPDIV`` is a finite union of convex polytopes;
 ``halfspace_description`` emits that union for the exact volume engine.
 """
@@ -22,6 +26,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Iterable
 
 from .channel import EigenvalueTriple
@@ -97,9 +102,15 @@ class RegionExpr:
         return ",".join(t.value for t in _TAG_ORDER if t in self.conjuncts)
 
 
+# Each predicate reads l.l1, l.l2 and l.l3 with abs, + - *, comparisons and
+# &, every comparison parenthesized.  On an EigenvalueTriple it returns a
+# Python bool; on the column views of an (n, 3) array (see _columns) it
+# returns a boolean array, with the same float operations row by row.
+
+
 def is_positive(l: EigenvalueTriple) -> bool:
     """Positivity of the map: every |lambda_a| <= 1."""
-    return abs(l.l1) <= 1.0 and abs(l.l2) <= 1.0 and abs(l.l3) <= 1.0
+    return (abs(l.l1) <= 1.0) & (abs(l.l2) <= 1.0) & (abs(l.l3) <= 1.0)
 
 
 def is_cp(l: EigenvalueTriple) -> bool:
@@ -108,7 +119,7 @@ def is_cp(l: EigenvalueTriple) -> bool:
     The four linear inequalities are exactly nonnegativity of the Choi
     spectrum, i.e. of the Pauli weights p_a.
     """
-    return (1.0 + l.l3 >= abs(l.l1 + l.l2)) and (1.0 - l.l3 >= abs(l.l1 - l.l2))
+    return (1.0 + l.l3 >= abs(l.l1 + l.l2)) & (1.0 - l.l3 >= abs(l.l1 - l.l2))
 
 
 def is_ebc(l: EigenvalueTriple) -> bool:
@@ -118,7 +129,7 @@ def is_ebc(l: EigenvalueTriple) -> bool:
 
 def is_tlg(l: EigenvalueTriple) -> bool:
     """Reachable by a time-local generator: all eigenvalues nonnegative."""
-    return l.l1 >= 0.0 and l.l2 >= 0.0 and l.l3 >= 0.0
+    return (l.l1 >= 0.0) & (l.l2 >= 0.0) & (l.l3 >= 0.0)
 
 
 def is_p_divisible(l: EigenvalueTriple) -> bool:
@@ -134,13 +145,16 @@ def is_cp_divisible(l: EigenvalueTriple) -> bool:
     Pauli unitary), as divisibility must be, so each even-sign orthant
     carries the same CP-divisible share; reading the bound as the
     square of the signed minimum would break the invariance on triples
-    with negative eigenvalues.
+    with negative eigenvalues.  ``prod <= min`` is written as three
+    comparisons, which is exact: a square of a finite float is never NaN.
     """
     prod = l.l1 * l.l2 * l.l3
-    low = min(l.l1 * l.l1, l.l2 * l.l2, l.l3 * l.l3)
-    return prod > 0.0 and prod <= low
+    return (prod > 0.0) & (prod <= l.l1 * l.l1) & (prod <= l.l2 * l.l2) & (prod <= l.l3 * l.l3)
 
 
+# The one table of regions, in display order.  Callers go through it, not
+# through the module-global names, so a tracer that wraps those names counts
+# only the calls made to the public functions.
 _PREDICATES = {
     RegionId.PT: is_positive,
     RegionId.CPT: is_cp,
@@ -156,59 +170,17 @@ def contains(expr: RegionExpr, l: EigenvalueTriple) -> bool:
     return all(_PREDICATES[tag](l) for tag in expr.conjuncts)
 
 
-# --- vectorized membership -------------------------------------------------
-#
-# Column-wise twins of the predicates for (n, 3) arrays of triples.  The
-# expressions mirror the scalar ones operation for operation so that both
-# agree bit for bit; the Monte Carlo engine relies on this.
+def _columns(lam: np.ndarray) -> SimpleNamespace:
+    """The columns of an (n, 3) array as ``.l1``, ``.l2``, ``.l3`` views."""
+    return SimpleNamespace(l1=lam[:, 0], l2=lam[:, 1], l3=lam[:, 2])
 
 
-def _mask_positive(lam: np.ndarray) -> np.ndarray:
-    import numpy as np
-    return (
-        (np.abs(lam[:, 0]) <= 1.0)
-        & (np.abs(lam[:, 1]) <= 1.0)
-        & (np.abs(lam[:, 2]) <= 1.0)
-    )
+def _region_record(l) -> dict:
+    """Six-region membership by tag name, in display order.
 
-
-def _mask_cp(lam: np.ndarray) -> np.ndarray:
-    import numpy as np
-    l1, l2, l3 = lam[:, 0], lam[:, 1], lam[:, 2]
-    return (1.0 + l3 >= np.abs(l1 + l2)) & (1.0 - l3 >= np.abs(l1 - l2))
-
-
-def _mask_ebc(lam: np.ndarray) -> np.ndarray:
-    import numpy as np
-    return np.abs(lam[:, 0]) + np.abs(lam[:, 1]) + np.abs(lam[:, 2]) <= 1.0
-
-
-def _mask_tlg(lam: np.ndarray) -> np.ndarray:
-    return (lam[:, 0] >= 0.0) & (lam[:, 1] >= 0.0) & (lam[:, 2] >= 0.0)
-
-
-def _mask_p_divisible(lam: np.ndarray) -> np.ndarray:
-    return lam[:, 0] * lam[:, 1] * lam[:, 2] >= 0.0
-
-
-def _mask_cp_divisible(lam: np.ndarray) -> np.ndarray:
-    import numpy as np
-    prod = lam[:, 0] * lam[:, 1] * lam[:, 2]
-    low = np.minimum(
-        np.minimum(lam[:, 0] * lam[:, 0], lam[:, 1] * lam[:, 1]),
-        lam[:, 2] * lam[:, 2],
-    )
-    return (prod > 0.0) & (prod <= low)
-
-
-_MASKS = {
-    RegionId.PT: _mask_positive,
-    RegionId.CPT: _mask_cp,
-    RegionId.EBC: _mask_ebc,
-    RegionId.TLG: _mask_tlg,
-    RegionId.PDIV: _mask_p_divisible,
-    RegionId.CPDIV: _mask_cp_divisible,
-}
+    The values are bools for a triple and boolean arrays for columns.
+    """
+    return {tag.value: predicate(l) for tag, predicate in _PREDICATES.items()}
 
 
 def _region_records(lam) -> list:
@@ -222,8 +194,8 @@ def _region_records(lam) -> list:
     import numpy as np
     lam = np.asarray(lam, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        columns = [_MASKS[tag](lam).tolist() for tag in _TAG_ORDER]
-    return [dict(zip(_LABELS, flags)) for flags in zip(*columns)]
+        record = _region_record(_columns(lam))
+    return [dict(zip(record, flags)) for flags in zip(*(m.tolist() for m in record.values()))]
 
 
 def region_mask(expr: RegionExpr, lam: np.ndarray) -> np.ndarray:
@@ -232,10 +204,10 @@ def region_mask(expr: RegionExpr, lam: np.ndarray) -> np.ndarray:
     lam = np.asarray(lam, dtype=float)
     if lam.ndim != 2 or lam.shape[1] != 3:
         raise ValueError(f"expected an (n, 3) array, got shape {lam.shape}")
+    columns = _columns(lam)
     mask = np.ones(lam.shape[0], dtype=bool)
-    for tag in _TAG_ORDER:
-        if tag in expr.conjuncts:
-            mask &= _MASKS[tag](lam)
+    for tag in expr.conjuncts:
+        mask &= _PREDICATES[tag](columns)
     return mask
 
 

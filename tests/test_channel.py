@@ -14,6 +14,7 @@ from paulivol import (
     QubitState,
     apply_map,
     choi_matrix,
+    choi_spectrum,
     lambda_to_p,
     p_to_lambda,
 )
@@ -224,6 +225,23 @@ def test_choi_matrix_raises_exactly_when_the_validating_constructor_does(l1, l2,
         assert got.entries.dtype == complex and not got.entries.flags.writeable
         assert got.entries.tobytes() == want.entries.tobytes()
         assert got.eigenvalues().tobytes() == want.eigenvalues().tobytes()
+
+
+@settings(max_examples=500, deadline=None)
+@given(l1=_magnitude, l2=_magnitude, l3=_magnitude)
+@example(l1=-0.0, l2=-0.0, l3=-0.0)
+@example(l1=-0.0, l2=0.0, l3=1.0)  # a zero weight from 1 - l3
+@example(l1=0.1, l2=0.0, l3=1e16)  # the trace check fails
+@example(l1=1.7e308, l2=1.7e308, l3=0.5)  # l1 + l2 overflows
+def test_choi_spectrum_equals_the_matrix_eigenvalues(l1, l2, l3):
+    l = EigenvalueTriple(l1, l2, l3)
+    want, want_error = _outcome(lambda l: choi_matrix(l).eigenvalues(), l)
+    got, got_error = _outcome(choi_spectrum, l)
+    assert got_error == want_error
+    if want is None:
+        return
+    assert all(type(x) is float for x in got)
+    assert np.array(got).tobytes() == want.tobytes()
 
 
 def _block_spectrum(m):

@@ -1,9 +1,10 @@
-"""Start-up cost: importing paulivol and the exact commands load no numpy.
+"""Start-up cost: importing paulivol and the per-triple commands load no numpy.
 
 numpy is imported inside the functions that build or read an array, so
-``import paulivol``, ``import paulivol.cli`` and every command that only
-does exact arithmetic start without it.  pytest's own process already has
-numpy loaded, so the check runs in a fresh interpreter.
+``import paulivol``, ``import paulivol.cli``, every command that only does
+exact arithmetic, ``classify`` and ``evolve --t`` start without it.
+pytest's own process already has numpy loaded, so the check runs in a
+fresh interpreter.
 """
 
 import ast
@@ -43,8 +44,10 @@ for argv in (
     ["volume", "--region", "TLG"],
     ["volume", "--region", "CPDIV"],
     ["classify", "0.5", "0.5", "0.5"],
+    ["evolve", "--schedule", "FILE", "--t", "0.5"],
+    ["evolve", "--schedule", "FILE", "--steps", "3"],
 ):
-    step(" ".join(argv), lambda: main(argv))
+    step(" ".join(argv), lambda: main([sys.argv[1] if a == "FILE" else a for a in argv]))
 print(json.dumps(report))
 """
 
@@ -61,10 +64,15 @@ CPDIV: true
 """
 
 
-def test_exact_commands_start_without_numpy():
+_EVOLVE_TEXT = "t=0.5 lambda=(0.818731, 0.818731, 0.818731) in [PT,CPT,TLG,PDIV,CPDIV]\n"
+
+
+def test_exact_commands_start_without_numpy(tmp_path):
+    schedule = tmp_path / "schedule.json"
+    schedule.write_text(json.dumps([{"duration": 1.0, "rates": [0.2, 0.2, 0.2]}]))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", _SCRIPT], capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", _SCRIPT, str(schedule)], capture_output=True,
                           text=True, env=env, check=True)
     report = {r["step"]: r for r in json.loads(proc.stdout)}
     expected = {
@@ -75,13 +83,16 @@ def test_exact_commands_start_without_numpy():
         "mesh --region PT,CPT,EBC,PDIV": 0,
         "volume --region TLG": 1,
         "volume --region CPDIV": 1,
+        "classify 0.5 0.5 0.5": 0,
+        "evolve --schedule FILE --t 0.5": 0,
     }
     for name, code in expected.items():
         assert (report[name]["exit"], report[name]["numpy"]) == (code, False), name
-    # a command that classifies builds an array, and imports numpy to do it
-    classify = report["classify 0.5 0.5 0.5"]
-    assert (classify["exit"], classify["numpy"]) == (0, True)
-    assert classify["stdout"] == _CLASSIFY_TEXT
+    assert report["classify 0.5 0.5 0.5"]["stdout"] == _CLASSIFY_TEXT
+    assert report["evolve --schedule FILE --t 0.5"]["stdout"] == _EVOLVE_TEXT
+    # a trajectory is evaluated as arrays, and imports numpy to do it
+    trajectory = report["evolve --schedule FILE --steps 3"]
+    assert (trajectory["exit"], trajectory["numpy"]) == (0, True)
 
 
 def test_no_module_imports_numpy_at_module_level():
