@@ -17,8 +17,6 @@ from .channel import (
     ChoiMatrix,
     EigenvalueTriple,
     ProbabilityVector,
-    QubitState,
-    apply_map,
     choi_matrix,
     choi_spectrum,
     lambda_to_p,
@@ -78,12 +76,10 @@ __all__ = [
     "EigenvalueTriple",
     "ProbabilityVector",
     "ChoiMatrix",
-    "QubitState",
     "p_to_lambda",
     "lambda_to_p",
     "choi_matrix",
     "choi_spectrum",
-    "apply_map",
     "RegionId",
     "RegionExpr",
     "HalfSpace",

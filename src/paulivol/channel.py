@@ -3,9 +3,8 @@
 A Pauli map acts as rho -> sum_a p_a sigma_a rho sigma_a.  It is diagonal
 in the Pauli basis, Lambda[sigma_a] = lambda_a sigma_a with lambda_0 = 1,
 so the triple (lambda_1, lambda_2, lambda_3) fixes the map completely.
-This module converts between the two coordinate systems, builds the
-Choi-Jamiolkowski state of a map, and applies a map to qubit states in
-Bloch form.
+This module converts between the two coordinate systems and builds the
+Choi-Jamiolkowski state of a map and its spectrum.
 """
 
 from __future__ import annotations
@@ -17,12 +16,10 @@ __all__ = [
     "EigenvalueTriple",
     "ProbabilityVector",
     "ChoiMatrix",
-    "QubitState",
     "p_to_lambda",
     "lambda_to_p",
     "choi_matrix",
     "choi_spectrum",
-    "apply_map",
 ]
 
 # Trace preservation / hermiticity checks share one tolerance.
@@ -55,10 +52,6 @@ class EigenvalueTriple:
         yield self.l1
         yield self.l2
         yield self.l3
-
-    def as_array(self) -> np.ndarray:
-        import numpy as np
-        return np.array([self.l1, self.l2, self.l3])
 
 
 @dataclass(frozen=True)
@@ -94,10 +87,6 @@ class ProbabilityVector:
         yield self.p1
         yield self.p2
         yield self.p3
-
-    def as_array(self) -> np.ndarray:
-        import numpy as np
-        return np.array([self.p0, self.p1, self.p2, self.p3])
 
     def min(self) -> float:
         return min(self.p0, self.p1, self.p2, self.p3)
@@ -151,56 +140,6 @@ class ChoiMatrix:
             radius = math.hypot(0.5 * (a - d), abs(c))
             out.extend([half_sum + radius, half_sum - radius])
         return np.array(out)
-
-
-@dataclass(frozen=True)
-class QubitState:
-    """Qubit state as a Bloch vector, rho = (I + r . sigma)/2.
-
-    The raw constructor accepts any finite vector (useful for probing
-    maps); ``from_density_matrix`` enforces physicality |r| <= 1.
-    """
-
-    r1: float
-    r2: float
-    r3: float
-
-    def __post_init__(self):
-        for name in ("r1", "r2", "r3"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ValueError(f"Bloch component {name} must be finite, got {v!r}")
-            object.__setattr__(self, name, float(v))
-
-    @classmethod
-    def from_density_matrix(cls, rho: np.ndarray) -> "QubitState":
-        import numpy as np
-        rho = np.asarray(rho, dtype=complex)
-        if rho.shape != (2, 2):
-            raise ValueError(f"density matrix must be 2x2, got shape {rho.shape}")
-        if np.abs(rho - rho.conj().T).max() > 1e-10:
-            raise ValueError("density matrix must be Hermitian")
-        if abs(rho.trace() - 1.0) > 1e-10:
-            raise ValueError("density matrix must have unit trace")
-        r1 = 2.0 * rho[0, 1].real
-        r2 = -2.0 * rho[0, 1].imag
-        r3 = (rho[0, 0] - rho[1, 1]).real
-        if r1 * r1 + r2 * r2 + r3 * r3 > 1.0 + _ATOL:
-            raise ValueError("Bloch vector lies outside the unit ball")
-        return cls(r1, r2, r3)
-
-    def to_density_matrix(self) -> np.ndarray:
-        import numpy as np
-        return 0.5 * np.array(
-            [
-                [1.0 + self.r3, self.r1 - 1j * self.r2],
-                [self.r1 + 1j * self.r2, 1.0 - self.r3],
-            ]
-        )
-
-    def bloch(self) -> np.ndarray:
-        import numpy as np
-        return np.array([self.r1, self.r2, self.r3])
 
 
 def p_to_lambda(p: ProbabilityVector) -> EigenvalueTriple:
@@ -282,8 +221,3 @@ def choi_spectrum(l: EigenvalueTriple) -> list:
     """
     dp, dm, op, om = _choi_entries(l)
     return [dp + abs(op), dp - abs(op), dm + abs(om), dm - abs(om)]
-
-
-def apply_map(l: EigenvalueTriple, s: QubitState) -> QubitState:
-    """Apply the map to a state: the Bloch vector scales componentwise."""
-    return QubitState(l.l1 * s.r1, l.l2 * s.r2, l.l3 * s.r3)

@@ -11,8 +11,6 @@ from paulivol import (
     ChoiMatrix,
     EigenvalueTriple,
     ProbabilityVector,
-    QubitState,
-    apply_map,
     choi_matrix,
     choi_spectrum,
     lambda_to_p,
@@ -37,7 +35,7 @@ def test_lambda_to_p_examples():
     assert tuple(lambda_to_p(EigenvalueTriple(1, 1, 1))) == (1, 0, 0, 0)
     assert tuple(lambda_to_p(EigenvalueTriple(0, 0, 0))) == (0.25, 0.25, 0.25, 0.25)
     p = lambda_to_p(EigenvalueTriple(0.5, 0.5, 0.5))
-    assert np.abs(p.as_array() - [5 / 8, 1 / 8, 1 / 8, 1 / 8]).max() < 1e-15
+    assert np.abs(np.array(list(p)) - [5 / 8, 1 / 8, 1 / 8, 1 / 8]).max() < 1e-15
 
 
 def test_round_trip_random():
@@ -88,7 +86,7 @@ def test_choi_spectrum_matches_weights():
     for _ in range(2 * 10**4):
         l = EigenvalueTriple(*rng.uniform(-2.0, 2.0, 3))
         spectrum = np.sort(choi_matrix(l).eigenvalues())
-        p = np.sort(lambda_to_p(l).as_array())
+        p = np.sort(np.array(list(lambda_to_p(l))))
         assert np.abs(spectrum - p).max() < 1e-12
 
 
@@ -274,34 +272,3 @@ def test_choi_eigenvalues_match_the_block_formula_on_complex_entries(a, b, c, z1
         assert error == "Choi matrix must have unit trace"
         return
     assert choi.eigenvalues().tobytes() == _block_spectrum(choi.entries).tobytes()
-
-
-def test_apply_map_examples():
-    s = QubitState(0.3, 0.2, 0.1)
-    assert tuple(apply_map(EigenvalueTriple(1, 1, 1), s).bloch()) == (0.3, 0.2, 0.1)
-    assert tuple(apply_map(EigenvalueTriple(0, 0, 0), s).bloch()) == (0, 0, 0)
-    out = apply_map(EigenvalueTriple(1, -1, -1), QubitState(0.5, 0.5, 0.0))
-    assert tuple(out.bloch()) == (0.5, -0.5, 0.0)
-
-
-def test_apply_map_unital():
-    rng = np.random.default_rng(3)
-    for _ in range(100):
-        l = EigenvalueTriple(*rng.uniform(-2.0, 2.0, 3))
-        assert tuple(apply_map(l, QubitState(0, 0, 0)).bloch()) == (0, 0, 0)
-
-
-def test_qubit_state_density_matrix_round_trip():
-    rng = np.random.default_rng(4)
-    for _ in range(100):
-        v = rng.normal(size=3)
-        v *= rng.uniform(0, 1) / np.linalg.norm(v)
-        s = QubitState(*v)
-        back = QubitState.from_density_matrix(s.to_density_matrix())
-        assert np.abs(back.bloch() - s.bloch()).max() < 1e-12
-
-
-def test_qubit_state_rejects_unphysical_density_matrix():
-    rho = np.diag([1.5, -0.5]).astype(complex)
-    with pytest.raises(ValueError):
-        QubitState.from_density_matrix(rho)
