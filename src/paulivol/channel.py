@@ -158,14 +158,19 @@ def lambda_to_p(l: EigenvalueTriple) -> ProbabilityVector:
     """Map eigenvalues to Pauli weights (inverse of :func:`p_to_lambda`).
 
     p_0 = (1 + l1 + l2 + l3)/4 and cyclic sign flips for p_1, p_2, p_3.
-    The weights equal the Choi spectrum of the map.
+    The weights equal the Choi spectrum of the map.  Eigenvalues so large
+    that a weight overflows are rejected as such.
     """
-    return ProbabilityVector(
-        0.25 * (1.0 + l.l1 + l.l2 + l.l3),
-        0.25 * (1.0 + l.l1 - l.l2 - l.l3),
-        0.25 * (1.0 - l.l1 + l.l2 - l.l3),
-        0.25 * (1.0 - l.l1 - l.l2 + l.l3),
-    )
+    p0 = 0.25 * (1.0 + l.l1 + l.l2 + l.l3)
+    p1 = 0.25 * (1.0 + l.l1 - l.l2 - l.l3)
+    p2 = 0.25 * (1.0 - l.l1 + l.l2 - l.l3)
+    p3 = 0.25 * (1.0 - l.l1 - l.l2 + l.l3)
+    try:
+        return ProbabilityVector(p0, p1, p2, p3)
+    except ValueError:
+        if math.isfinite(p0) and math.isfinite(p1) and math.isfinite(p2) and math.isfinite(p3):
+            raise
+    raise ValueError("eigenvalues are too large for finite Pauli weights")
 
 
 def _choi_entries(l: EigenvalueTriple) -> tuple:

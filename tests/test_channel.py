@@ -148,6 +148,8 @@ def _with_entry(i, j, value):
         (lambda: ChoiMatrix(_with_entry(1, 0, complex(0.0, -np.inf))), _CHOI_FINITE),
         (lambda: ChoiMatrix(np.where(np.eye(4, dtype=bool), np.inf, 0.0)), _CHOI_FINITE),
         (lambda: choi_matrix(EigenvalueTriple(1e308, 1e308, 0.0)), _CHOI_FINITE),  # l1 + l2 overflows
+        (lambda: lambda_to_p(EigenvalueTriple(1e308, 1e308, 1e308)),
+         "eigenvalues are too large for finite Pauli weights"),  # p0 overflows
     ],
 )
 def test_value_object_messages_name_the_first_bad_field(make, message):

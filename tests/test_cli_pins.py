@@ -104,6 +104,7 @@ def test_classify_output_pinned(argv, digest):
     [
         (("0.1", "0", "1e16"), "error: Choi matrix must have unit trace\n"),
         (("0.1", "0", "1e17"), "error: weights must sum to 1 within 1e-12, got sum 0.0\n"),
+        (("1e308", "1e308", "1e308"), "error: eigenvalues are too large for finite Pauli weights\n"),
     ],
 )
 def test_classify_rounding_failures_pinned(triple, message):
