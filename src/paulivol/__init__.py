@@ -9,8 +9,8 @@ Carlo, and evolves eigenvalues under piecewise-constant generator
 rates.  The command-line front end lives in :mod:`paulivol.cli`.
 
 numpy is imported inside the functions that build or read an array, so
-importing the package, and the exact volume and mesh commands, do not
-load it.
+importing the package, the exact volume and mesh commands, ``classify``
+and ``evolve --t`` do not load it.
 """
 
 from .channel import (

@@ -197,20 +197,16 @@ def _choi_entries(l: EigenvalueTriple) -> tuple:
 def choi_matrix(l: EigenvalueTriple) -> ChoiMatrix:
     """Choi-Jamiolkowski state (1/4) sum_ij |i><j| (x) Lambda[|i><j|].
 
-    Only the diagonal and anti-diagonal are nonzero; see
-    :func:`_choi_entries` for the entries and the checks they pass.
+    Its entries, and the checks they pass, are those of :func:`_choi_entries`.
     """
     dp, dm, op, om = _choi_entries(l)
     import numpy as np
-    entries = np.array(
-        [
-            [dp, 0.0, 0.0, op],
-            [0.0, dm, om, 0.0],
-            [0.0, om, dm, 0.0],
-            [op, 0.0, 0.0, dp],
-        ],
-        dtype=complex,
-    )
+    entries = np.array([
+        [dp, 0.0, 0.0, op],
+        [0.0, dm, om, 0.0],
+        [0.0, om, dm, 0.0],
+        [op, 0.0, 0.0, dp],
+    ], dtype=complex)
     entries.setflags(write=False)
     choi = object.__new__(ChoiMatrix)
     object.__setattr__(choi, "entries", entries)

@@ -12,10 +12,11 @@ Every region lives in eigenvalue space (lambda_1, lambda_2, lambda_3):
 All boundaries are inclusive except the strict product positivity in
 ``CPDIV``.  Comparisons are exact float comparisons, no epsilon, so the
 predicates agree bit for bit with the rational half-space descriptions.
-Each region is one predicate.  It takes an :class:`EigenvalueTriple` and
-returns a bool, or the columns of an (n, 3) array and returns a boolean
-mask; ``contains``, ``region_mask`` and the Monte Carlo engine all call it
-through one table.
+Each region is one predicate of ``l.l1``, ``l.l2``, ``l.l3`` that uses
+only abs, + - *, parenthesized comparisons and &.  On an
+:class:`EigenvalueTriple` it returns a bool; on the column views of an
+(n, 3) array, a boolean mask.  ``contains``, ``region_mask`` and the Monte
+Carlo engine all call it through one table.
 Every region except ``CPDIV`` is a finite union of convex polytopes;
 ``halfspace_description`` emits that union for the exact volume engine.
 """
@@ -102,12 +103,6 @@ class RegionExpr:
         return ",".join(t.value for t in _TAG_ORDER if t in self.conjuncts)
 
 
-# Each predicate reads l.l1, l.l2 and l.l3 with abs, + - *, comparisons and
-# &, every comparison parenthesized.  On an EigenvalueTriple it returns a
-# Python bool; on the column views of an (n, 3) array (see _columns) it
-# returns a boolean array, with the same float operations row by row.
-
-
 def is_positive(l: EigenvalueTriple) -> bool:
     """Positivity of the map: every |lambda_a| <= 1."""
     return (abs(l.l1) <= 1.0) & (abs(l.l2) <= 1.0) & (abs(l.l3) <= 1.0)
@@ -145,16 +140,15 @@ def is_cp_divisible(l: EigenvalueTriple) -> bool:
     Pauli unitary), as divisibility must be, so each even-sign orthant
     carries the same CP-divisible share; reading the bound as the
     square of the signed minimum would break the invariance on triples
-    with negative eigenvalues.  ``prod <= min`` is written as three
-    comparisons, which is exact: a square of a finite float is never NaN.
+    with negative eigenvalues.  Three comparisons stand for ``prod <= min``
+    exactly, as no square of a finite float is NaN.
     """
     prod = l.l1 * l.l2 * l.l3
     return (prod > 0.0) & (prod <= l.l1 * l.l1) & (prod <= l.l2 * l.l2) & (prod <= l.l3 * l.l3)
 
 
-# The one table of regions, in display order.  Callers go through it, not
-# through the module-global names, so a tracer that wraps those names counts
-# only the calls made to the public functions.
+# The one region table, in display order.  Callers use it, not the global
+# names, so a tracer that wraps those names counts only direct calls.
 _PREDICATES = {
     RegionId.PT: is_positive,
     RegionId.CPT: is_cp,
@@ -176,10 +170,7 @@ def _columns(lam: np.ndarray) -> SimpleNamespace:
 
 
 def _region_record(l) -> dict:
-    """Six-region membership by tag name, in display order.
-
-    The values are bools for a triple and boolean arrays for columns.
-    """
+    """Six-region membership by tag name: bools for a triple, masks for columns."""
     return {tag.value: predicate(l) for tag, predicate in _PREDICATES.items()}
 
 

@@ -130,9 +130,8 @@ def test_containment_chains():
     assert not (cpdiv & ~pdiv).any()
 
 
-# Reference copies of the scalar predicates and of their column-mask twins,
-# as each region was written twice before it became one function.  CPDIV
-# keeps its min-based bound here.
+# Reference predicates written separately for floats (with `and`) and for
+# numpy columns; CPDIV keeps its min-based bound here.
 def _reference_scalar(l1, l2, l3):
     prod = l1 * l2 * l3
     return {
