@@ -110,6 +110,42 @@ def test_choi_matrix_from_componentwise_action():
         assert np.abs(assembled - choi_matrix(l).entries).max() < 1e-12
 
 
+def _bloch(rho):
+    return np.array([np.trace(rho @ s).real for s in _SIGMA[1:]])
+
+
+def test_pauli_weights_scale_the_bloch_vector_by_the_eigenvalues():
+    # rho -> sum_a p_a sigma_a rho sigma_a multiplies Bloch component i by l_i:
+    # the identity and the fully depolarising maps, sigma_1 conjugation, and
+    # random triples, where the maximally mixed state stays fixed.
+    cases = [
+        ((1, 1, 1), (0.3, 0.2, 0.1)),
+        ((0, 0, 0), (0.3, 0.2, 0.1)),
+        ((1, -1, -1), (0.5, 0.5, 0.0)),
+    ]
+    rng = np.random.default_rng(3)
+    for _ in range(100):
+        v = rng.normal(size=3)
+        v *= rng.uniform(0, 1) / np.linalg.norm(v)
+        cases.append((tuple(rng.uniform(-2.0, 2.0, 3)), tuple(v)))
+        cases.append((tuple(rng.uniform(-2.0, 2.0, 3)), (0.0, 0.0, 0.0)))
+    for lam, r in cases:
+        l = EigenvalueTriple(*lam)
+        p = lambda_to_p(l)
+        rho = 0.5 * (_SIGMA[0] + sum(x * s for x, s in zip(r, _SIGMA[1:])))
+        out = sum(w * s @ rho @ s for w, s in zip(p, _SIGMA))
+        assert abs(np.trace(out) - 1) < 1e-12
+        assert np.abs(_bloch(out) - np.array(lam) * r).max() < 1e-12
+
+
+def test_package_exports_resolve():
+    import paulivol
+
+    missing = [name for name in paulivol.__all__ if not hasattr(paulivol, name)]
+    assert missing == []
+    assert len(set(paulivol.__all__)) == len(paulivol.__all__)
+
+
 def test_choi_matrix_validation():
     with pytest.raises(ValueError):
         ChoiMatrix(np.eye(4))  # trace 4
