@@ -1,9 +1,10 @@
-"""Byte pins of the per-row CLI outputs: ``evolve`` and ``classify``.
+"""Byte pins of the CLI outputs of ``evolve``, ``classify`` and ``volume``.
 
 The digests are sha256 of stdout, taken before the trajectory was
 evaluated as arrays and before the per-row value objects got their own
 constructors; any change to a time, an eigenvalue, a region flag or the
-formatting shows up here.  The error pins fix the exit code and the
+formatting shows up here.  The ``volume`` pins cover all three formats of
+every method, so a change to how the result is assembled shows up too.  The error pins fix the exit code and the
 ``error:`` line of inputs that fail partway through.
 """
 
@@ -95,6 +96,43 @@ CLASSIFY_PINS = [
 @pytest.mark.parametrize("argv, digest", CLASSIFY_PINS, ids=[" ".join(a) for a, _d in CLASSIFY_PINS])
 def test_classify_output_pinned(argv, digest):
     code, out, err = _main(["classify", *argv])
+    assert (code, err) == (0, "")
+    assert _digest(out) == digest
+
+
+VOLUME_MC = ("--samples", "5000", "--seed", "11")
+
+VOLUME_PINS = [
+    (("--region", "CPT", "--method", "exact", "--format", "json"),
+     "7223bd6e2a1e3dba07ba6efa275a8db3d59008490769da7947b9cd3138504257"),
+    (("--region", "CPT", "--method", "exact", "--format", "csv"),
+     "46eb52095a8d66e0276b295d5fc21774c82178ee1b1cf8f110a8be28dcf1b171"),
+    (("--region", "CPT", "--method", "exact", "--format", "text"),
+     "b00156ffd1e8354ceb320d1ed4fbb903d6f434fa087b0c60511206a69d362255"),
+    (("--region", "PT,CPT,EBC,TLG,PDIV", "--method", "exact", "--format", "json"),
+     "332be947213b3f077e1dba3009656388acbf8159ee850e9260e9e0d3db298c62"),
+    (("--region", "PT,CPT,EBC,TLG,PDIV", "--method", "exact", "--format", "csv"),
+     "3a11c9f18118619807f00b88351900883753eefd4ca5aca981db94af2c12e74e"),
+    (("--region", "PT,CPT,EBC,TLG,PDIV", "--method", "exact", "--format", "text"),
+     "e2488f02f0aada2bc5cadbba99404d9c32b8992ab4d8b076b6ac7a5b2d3217cc"),
+    (("--region", "CPT", "--method", "mc", *VOLUME_MC, "--format", "json"),
+     "d3dbab9f04dc7729c44197bdfedee33ee7011ed5492b70dcc684fbf7d82ab190"),
+    (("--region", "CPT", "--method", "mc", *VOLUME_MC, "--format", "csv"),
+     "4b3fe348997fc9a97673c174d2e3a9a060316965676ceadad196dddc63b25db0"),
+    (("--region", "CPT", "--method", "mc", *VOLUME_MC, "--format", "text"),
+     "dd2ea12ed3cf8742d96bbf5b0034d1ead87d3702ac0e17a8317111bc6d94dba9"),
+    (("--region", "CPT", "--method", "fr", *VOLUME_MC, "--format", "json"),
+     "f08268c1d22dcdbdf48f5f9836e19d186865d2580c6135bd26712c054f3a3547"),
+    (("--region", "CPT", "--method", "fr", *VOLUME_MC, "--format", "csv"),
+     "40ece3961813b0b99dca94a43e9c59b2b4e98fc1d57cc4ad0f855a2ed31403c3"),
+    (("--region", "CPT", "--method", "fr", *VOLUME_MC, "--format", "text"),
+     "c299473f558ef8dff435b7a0ff50a7bf545e8f2364da8fbd91f0c50425ed8bb2"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", VOLUME_PINS, ids=[" ".join(a) for a, _d in VOLUME_PINS])
+def test_volume_output_pinned(argv, digest):
+    code, out, err = _main(["volume", *argv])
     assert (code, err) == (0, "")
     assert _digest(out) == digest
 
