@@ -283,3 +283,45 @@ def test_integer_engine_matches_fraction_reference(system, data):
     shuffled[i] = HalfSpace(*(factor * c for c in (hs.a1, hs.a2, hs.a3, hs.b)))
     assert enumerate_vertices(shuffled) == vertices
     assert build_polytope(shuffled).euclidean_volume() == volume
+
+
+def _outcome(system):
+    """Sorted vertices of the system, or the message it is rejected with."""
+    try:
+        return enumerate_vertices(system)
+    except UnboundedPolytopeError as exc:
+        return str(exc)
+
+
+def _first_occurrences(system):
+    """The system with each half-space kept once, at its first position."""
+    first = {}
+    for hs in system:
+        first.setdefault(hs.canonical(), hs)
+    return list(first.values())
+
+
+_small = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+_row = st.tuples(_small, _small, _small, _small).filter(lambda t: any(t[:3]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.lists(_row, min_size=1, max_size=6),
+    with_cube=st.booleans(),
+    data=st.data(),
+)
+def test_repeated_halfspaces_change_nothing(rows, with_cube, data):
+    # Copies and positive rescalings of a half-space in any order give the
+    # same vertices, and the same error, as the system without repeats.
+    cube = halfspace_description(RegionExpr.parse("PT"))[0] if with_cube else []
+    base = _first_occurrences(cube + [HalfSpace(*t) for t in rows])
+    messy = list(base)
+    for hs in data.draw(st.lists(st.sampled_from(base), max_size=6)):
+        factor = data.draw(st.sampled_from([F(1), F(1, 3), F(2), F(7, 2)]))
+        messy.append(HalfSpace(*(factor * c for c in (hs.a1, hs.a2, hs.a3, hs.b))))
+    messy = data.draw(st.permutations(messy))
+    got = _outcome(messy)
+    assert got == _outcome(_first_occurrences(messy))
+    if not isinstance(got, str):
+        assert got == enumerate_vertices(base)
