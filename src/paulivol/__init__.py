@@ -23,7 +23,6 @@ from .channel import (
     p_to_lambda,
 )
 from .dynamics import (
-    IntegratedRates,
     RateSchedule,
     RateTriple,
     TrajectoryPoint,
@@ -50,7 +49,6 @@ from .mc_volume import (
     fr_volume_mc,
     hs_volume_mc,
     ratio_mc,
-    region_hit_count,
     sample_region,
 )
 from .regions import (
@@ -103,14 +101,12 @@ __all__ = [
     "VolumeEstimate",
     "FR_TOTAL",
     "FisherRaoDomainError",
-    "region_hit_count",
     "hs_volume_mc",
     "ratio_mc",
     "fr_volume_mc",
     "sample_region",
     "RateTriple",
     "RateSchedule",
-    "IntegratedRates",
     "TrajectoryPoint",
     "schedule_from_json",
     "integrate_rates",

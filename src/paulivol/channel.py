@@ -22,7 +22,7 @@ __all__ = [
     "choi_spectrum",
 ]
 
-# Trace preservation / hermiticity checks share one tolerance.
+# The weight-sum and Choi-trace checks share one tolerance.
 _ATOL = 1e-12
 
 
@@ -88,58 +88,41 @@ class ProbabilityVector:
         yield self.p2
         yield self.p3
 
-    def min(self) -> float:
-        return min(self.p0, self.p1, self.p2, self.p3)
-
 
 @dataclass(frozen=True, eq=False)
 class ChoiMatrix:
-    """4x4 Choi-Jamiolkowski state of a Pauli map.
+    """4x4 Choi-Jamiolkowski state (1/2) sum_ij |i><j| (x) Lambda[|i><j|].
 
-    Only the diagonal and anti-diagonal can be nonzero; the matrix is
-    Hermitian with unit trace.  Both 2x2 invariant blocks (indices {0,3}
-    and {1,2}) are kept implicit, which gives the spectrum in closed form.
+    Built from the eigenvalue triple of a Pauli map: the diagonal holds
+    (1 +- l3)/4 and the anti-diagonal (l1 +- l2)/4, all real, every other
+    entry is zero, and ``entries`` is a read-only complex array.  The two
+    2x2 invariant blocks (indices {0,3} and {1,2}) give the spectrum in
+    closed form.
     """
 
     entries: np.ndarray
 
-    def __post_init__(self):
+    def __init__(self, l: EigenvalueTriple):
+        dp, dm, op, om = _choi_entries(l)
         import numpy as np
-        m = np.array(self.entries, dtype=complex)
-        if m.shape != (4, 4):
-            raise ValueError(f"Choi matrix must be 4x4, got shape {m.shape}")
-        if not np.isfinite(m).all():
-            raise ValueError("Choi matrix entries must be finite")
-        if np.abs(m - m.conj().T).max() > _ATOL:
-            raise ValueError("Choi matrix must be Hermitian")
-        if abs(m.trace() - 1.0) > _ATOL:
-            raise ValueError("Choi matrix must have unit trace")
-        mask = np.zeros((4, 4), dtype=bool)
-        for i in range(4):
-            mask[i, i] = True
-            mask[i, 3 - i] = True
-        if np.abs(m[~mask]).max() > _ATOL:
-            raise ValueError("entries off the diagonal and anti-diagonal must vanish")
-        m.setflags(write=False)
-        object.__setattr__(self, "entries", m)
+        entries = np.array([
+            [dp, 0.0, 0.0, op],
+            [0.0, dm, om, 0.0],
+            [0.0, om, dm, 0.0],
+            [op, 0.0, 0.0, dp],
+        ], dtype=complex)
+        entries.setflags(write=False)
+        object.__setattr__(self, "entries", entries)
 
     def eigenvalues(self) -> np.ndarray:
-        """Spectrum from the two 2x2 blocks, no general eigensolver.
+        """Spectrum of the two blocks, no general eigensolver.
 
-        Each Hermitian block [[a, c], [conj(c), d]] contributes
-        (a + d)/2 +- sqrt(((a - d)/2)^2 + |c|^2).
+        Each block [[d, o], [o, d]] has equal diagonal entries and a real
+        off-diagonal one, so its eigenvalues are d + |o| and d - |o|.
         """
         import numpy as np
         m = self.entries.tolist()
-        out = []
-        for i, j in ((0, 3), (1, 2)):
-            a = m[i][i].real
-            d = m[j][j].real
-            c = m[i][j]
-            half_sum = 0.5 * (a + d)
-            radius = math.hypot(0.5 * (a - d), abs(c))
-            out.extend([half_sum + radius, half_sum - radius])
-        return np.array(out)
+        return np.array(_block_spectrum(m[0][0].real, m[1][1].real, m[0][3].real, m[1][2].real))
 
 
 def p_to_lambda(p: ProbabilityVector) -> EigenvalueTriple:
@@ -176,12 +159,9 @@ def lambda_to_p(l: EigenvalueTriple) -> ProbabilityVector:
 def _choi_entries(l: EigenvalueTriple) -> tuple:
     """Diagonal entries (1 +- l3)/4 and anti-diagonal entries (l1 +- l2)/4.
 
-    The entries are real and symmetric with the zero pattern by
-    construction, so of the checks in :class:`ChoiMatrix` only two can
-    fail: finiteness, once l1 +- l2 overflows, and the trace, through
-    rounding once |l3| is near 1e16.  The trace is checked on the sum
-    ``m.trace()`` takes (numpy adds the four complex diagonal entries
-    pairwise).
+    Two checks can fail: finiteness, once l1 +- l2 overflows, and the
+    trace, through rounding once |l3| is near 1e16.  The trace is summed
+    pairwise, (dp + dm) + (dm + dp), as numpy sums a 4x4 diagonal.
     """
     dp = 0.25 * (1.0 + l.l3)
     dm = 0.25 * (1.0 - l.l3)
@@ -194,31 +174,18 @@ def _choi_entries(l: EigenvalueTriple) -> tuple:
     return dp, dm, op, om
 
 
-def choi_matrix(l: EigenvalueTriple) -> ChoiMatrix:
-    """Choi-Jamiolkowski state (1/4) sum_ij |i><j| (x) Lambda[|i><j|].
+def _block_spectrum(dp: float, dm: float, op: float, om: float) -> list:
+    return [dp + abs(op), dp - abs(op), dm + abs(om), dm - abs(om)]
 
-    Its entries, and the checks they pass, are those of :func:`_choi_entries`.
-    """
-    dp, dm, op, om = _choi_entries(l)
-    import numpy as np
-    entries = np.array([
-        [dp, 0.0, 0.0, op],
-        [0.0, dm, om, 0.0],
-        [0.0, om, dm, 0.0],
-        [op, 0.0, 0.0, dp],
-    ], dtype=complex)
-    entries.setflags(write=False)
-    choi = object.__new__(ChoiMatrix)
-    object.__setattr__(choi, "entries", entries)
-    return choi
+
+def choi_matrix(l: EigenvalueTriple) -> ChoiMatrix:
+    """The Choi-Jamiolkowski state of the map; see :class:`ChoiMatrix`."""
+    return ChoiMatrix(l)
 
 
 def choi_spectrum(l: EigenvalueTriple) -> list:
     """``choi_matrix(l).eigenvalues()`` as Python floats, without numpy.
 
-    Both blocks have equal diagonal entries, so the block formula reduces
-    exactly to dp +- |op| and dm +- |om|; the same checks raise the same
-    errors.
+    The same checks raise the same errors.
     """
-    dp, dm, op, om = _choi_entries(l)
-    return [dp + abs(op), dp - abs(op), dm + abs(om), dm - abs(om)]
+    return _block_spectrum(*_choi_entries(l))

@@ -37,7 +37,6 @@ from .mc_volume import (
     DEFAULT_CHUNK_SIZE,
     FisherRaoDomainError,
     SamplerConfig,
-    VolumeEstimate,
     _hit_counts,
     _hs_estimate,
     _ratio_estimate,
@@ -121,61 +120,33 @@ def cmd_classify(args) -> str:
 # --- volume ------------------------------------------------------------------
 
 
-def _estimate_payload(est: VolumeEstimate) -> dict:
-    if est.method == "exact":
-        return {
-            "method": "exact",
-            "value": _rat(est.value),
-            "approx": float(est.value),
-        }
-    return {
-        "method": est.method,
-        "value": est.value,
-        "std_error": est.std_error,
-        "samples": est.samples,
-        "seed": est.seed,
-    }
-
-
 def _sampler_config(args) -> SamplerConfig:
     return SamplerConfig(samples=args.samples, seed=args.seed, chunk_size=args.chunk_size)
 
 
 def cmd_volume(args) -> str:
     expr = RegionExpr.parse(args.region)
-    if args.method == "exact":
-        est = VolumeEstimate(region_volume(expr), 0.0, 0, "exact")
-    elif args.method == "mc":
-        est = hs_volume_mc(expr, _sampler_config(args))
-    else:
-        est = fr_volume_mc(expr, _sampler_config(args))
     inputs = {"region": str(expr), "method": args.method}
-    if est.method != "exact":
-        inputs.update(samples=args.samples, seed=args.seed, chunk_size=args.chunk_size)
-    doc = _document("volume", inputs, _estimate_payload(est))
-    if args.format == "json":
-        return _json_text(doc)
-    if args.format == "csv":
-        if est.method == "exact":
-            row = [str(expr), "exact", str(est.value), "0", "", ""]
-        else:
-            row = [
-                str(expr),
-                est.method,
-                repr(est.value),
-                repr(est.std_error),
-                str(est.samples),
-                str(est.seed),
-            ]
-        return _csv_text(["region", "method", "value", "std_error", "samples", "seed"], [row])
-    if est.method == "exact":
-        value = f"volume: {_rat_text(est.value)}"
+    if args.method == "exact":
+        value = region_volume(expr)
+        payload = {"method": "exact", "value": _rat(value), "approx": float(value)}
+        row = [str(expr), "exact", str(value), "0", "", ""]
+        line = f"volume: {_rat_text(value)}"
     else:
-        value = (
-            f"volume: {est.value!r} ± {est.std_error:.3g}"
-            f" ({est.samples} samples, seed {est.seed})"
-        )
-    return f"region: {expr}\nmethod: {est.method}\n{value}\n"
+        estimator = hs_volume_mc if args.method == "mc" else fr_volume_mc
+        est = estimator(expr, _sampler_config(args))
+        inputs.update(samples=args.samples, seed=args.seed, chunk_size=args.chunk_size)
+        payload = {"method": est.method, "value": est.value, "std_error": est.std_error,
+                   "samples": est.samples, "seed": est.seed}
+        row = [str(expr), est.method, repr(est.value), repr(est.std_error),
+               str(est.samples), str(est.seed)]
+        line = (f"volume: {est.value!r} ± {est.std_error:.3g}"
+                f" ({est.samples} samples, seed {est.seed})")
+    if args.format == "json":
+        return _json_text(_document("volume", inputs, payload))
+    if args.format == "csv":
+        return _csv_text(["region", "method", "value", "std_error", "samples", "seed"], [row])
+    return f"region: {expr}\nmethod: {payload['method']}\n{line}\n"
 
 
 # --- table -------------------------------------------------------------------
@@ -390,8 +361,9 @@ def _add_sampler_flags(sub, default_samples=1_000_000):
                      dest="chunk_size", help="samples per PRNG chunk")
 
 
-def _add_common_flags(sub):
-    sub.add_argument("--format", choices=("json", "csv", "text"), default="text",
+def _add_common_flags(sub, formats=("json", "csv", "text")):
+    # the last format is the default
+    sub.add_argument("--format", choices=formats, default=formats[-1],
                      help="output format")
     sub.add_argument("--out", type=str, default=None, help="write output to a file")
 
@@ -425,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mesh", help="exact mesh of a polytopal region")
     p.add_argument("--region", required=True, help="comma-separated region tags")
-    _add_common_flags(p)
+    _add_common_flags(p, formats=("json",))
     p.set_defaults(handler=cmd_mesh)
 
     p = sub.add_parser("sample", help="draw uniform samples from a region")

@@ -27,7 +27,6 @@ from .regions import _region_records
 __all__ = [
     "RateTriple",
     "RateSchedule",
-    "IntegratedRates",
     "TrajectoryPoint",
     "schedule_from_json",
     "integrate_rates",
@@ -116,22 +115,8 @@ def schedule_from_json(obj) -> RateSchedule:
     return RateSchedule(segments)
 
 
-@dataclass(frozen=True)
-class IntegratedRates:
-    """Accumulated rate integrals (Gamma_1, Gamma_2, Gamma_3)."""
-
-    G1: float
-    G2: float
-    G3: float
-
-    @property
-    def total(self) -> float:
-        """Gamma_0, the sum of the three integrals."""
-        return self.G1 + self.G2 + self.G3
-
-
-def integrate_rates(schedule: RateSchedule, t: float) -> IntegratedRates:
-    """Integrate the rates over [0, t], exactly segment by segment."""
+def integrate_rates(schedule: RateSchedule, t: float) -> tuple:
+    """Rate integrals (Gamma_1, Gamma_2, Gamma_3) over [0, t], exactly segment by segment."""
     if not 0.0 <= t <= schedule.total_duration:
         raise ValueError(
             f"time {t!r} outside the schedule range [0, {schedule.total_duration}]"
@@ -146,7 +131,7 @@ def integrate_rates(schedule: RateSchedule, t: float) -> IntegratedRates:
         G2 += rates.g2 * dt
         G3 += rates.g3 * dt
         remaining -= duration
-    return IntegratedRates(G1, G2, G3)
+    return G1, G2, G3
 
 
 def evolve(schedule: RateSchedule, t: float) -> EigenvalueTriple:
@@ -156,8 +141,8 @@ def evolve(schedule: RateSchedule, t: float) -> EigenvalueTriple:
     two integrals, which is how it is evaluated; outputs are therefore
     always strictly positive, and lambda(0) = (1, 1, 1).
     """
-    G = integrate_rates(schedule, t)
-    return _eigenvalues(t, -(G.G2 + G.G3), -(G.G1 + G.G3), -(G.G1 + G.G2))
+    G1, G2, G3 = integrate_rates(schedule, t)
+    return _eigenvalues(t, -(G2 + G3), -(G1 + G3), -(G1 + G2))
 
 
 def _eigenvalues(t: float, x1: float, x2: float, x3: float) -> EigenvalueTriple:

@@ -138,9 +138,10 @@ def enumerate_vertices(halfspaces) -> list:
 
     Returns sorted triples of :class:`fractions.Fraction`.  Raises
     :class:`UnboundedPolytopeError` when the system admits a recession
-    direction.  An empty list means the system is infeasible.
+    direction.  An empty list means the system is infeasible.  Repeated
+    half-spaces change neither result.
     """
-    halfspaces = _dedupe(halfspaces)
+    halfspaces = list(halfspaces)
     rows = [hs.canonical() for hs in halfspaces]
     _check_bounded(halfspaces, rows)
     tried = set()
@@ -238,9 +239,6 @@ class Polytope:
             for i in range(1, len(cycle) - 1):
                 total += _det3(anchor, centred[cycle[i]], centred[cycle[i + 1]])
         return Fraction(abs(total), 6 * (k * scale) ** 3)
-
-    def hs_volume(self) -> Fraction:
-        return self.euclidean_volume() * HS_SCALE
 
 
 def build_polytope(halfspaces) -> Polytope:

@@ -25,7 +25,6 @@ import math
 import operator
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator
 
 from .channel import EigenvalueTriple
@@ -35,7 +34,6 @@ __all__ = [
     "SamplerConfig",
     "VolumeEstimate",
     "FisherRaoDomainError",
-    "region_hit_count",
     "hs_volume_mc",
     "ratio_mc",
     "fr_volume_mc",
@@ -86,21 +84,20 @@ class SamplerConfig:
 
 @dataclass(frozen=True)
 class VolumeEstimate:
-    """Volume (or ratio) result with its statistical error.
+    """Monte Carlo volume (or ratio) with its statistical error.
 
-    ``method`` is "exact" for rational results (value a Fraction,
-    std_error 0), "mc-hs" for Hilbert-Schmidt sampling and "mc-fr" for
-    Fisher-Rao sampling.  ``seed`` is None for exact results.
+    ``method`` is "mc-hs" for Hilbert-Schmidt sampling and "mc-fr" for
+    Fisher-Rao sampling.
     """
 
-    value: float | Fraction
+    value: float
     std_error: float
     samples: int
     method: str
-    seed: int | None = None
+    seed: int
 
     def __post_init__(self):
-        if self.method not in ("exact", "mc-hs", "mc-fr"):
+        if self.method not in ("mc-hs", "mc-fr"):
             raise ValueError(f"unknown method {self.method!r}")
         if self.samples < 0:
             raise ValueError("sample count must be >= 0")
@@ -179,11 +176,6 @@ def _ratio_estimate(joint_hits: int, den_hits: int, den: RegionExpr,
         return VolumeEstimate(math.nan, math.nan, cfg.samples, "mc-hs", cfg.seed)
     r = joint_hits / den_hits
     return VolumeEstimate(r, _binomial_error(r, den_hits), cfg.samples, "mc-hs", cfg.seed)
-
-
-def region_hit_count(expr: RegionExpr, cfg: SamplerConfig) -> tuple[int, int]:
-    """Count cube samples landing in the region: ``(hits, samples)``."""
-    return _hit_counts([expr], cfg)[0], cfg.samples
 
 
 def hs_volume_mc(expr: RegionExpr, cfg: SamplerConfig) -> VolumeEstimate:

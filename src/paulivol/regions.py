@@ -190,15 +190,20 @@ def _region_records(lam) -> list:
 
 
 def region_mask(expr: RegionExpr, lam: np.ndarray) -> np.ndarray:
-    """Vectorized membership for an (n, 3) array of eigenvalue triples."""
+    """Vectorized membership for an (n, 3) array of eigenvalue triples.
+
+    Products that overflow compare as in :func:`_region_records`, without
+    a warning.
+    """
     import numpy as np
     lam = np.asarray(lam, dtype=float)
     if lam.ndim != 2 or lam.shape[1] != 3:
         raise ValueError(f"expected an (n, 3) array, got shape {lam.shape}")
     columns = _columns(lam)
     mask = np.ones(lam.shape[0], dtype=bool)
-    for tag in expr.conjuncts:
-        mask &= _PREDICATES[tag](columns)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for tag in expr.conjuncts:
+            mask &= _PREDICATES[tag](columns)
     return mask
 
 
@@ -235,13 +240,6 @@ class HalfSpace:
     @property
     def normal(self) -> tuple:
         return (self.a1, self.a2, self.a3)
-
-    def contains(self, v) -> bool:
-        """Exact membership of a rational point."""
-        return self.a1 * v[0] + self.a2 * v[1] + self.a3 * v[2] <= self.b
-
-    def is_tight(self, v) -> bool:
-        return self.a1 * v[0] + self.a2 * v[1] + self.a3 * v[2] == self.b
 
     def canonical(self) -> tuple:
         """Primitive integer form (a1, a2, a3, b), unique per half-space.

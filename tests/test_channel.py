@@ -147,22 +147,18 @@ def test_package_exports_resolve():
 
 
 def test_choi_matrix_validation():
+    # The constructor takes a triple; its entries are the formula's, read-only.
+    choi = ChoiMatrix(EigenvalueTriple(0.5, -0.25, 0.75))
+    assert choi.entries.tobytes() == _formula_entries(0.5, -0.25, 0.75).tobytes()
     with pytest.raises(ValueError):
-        ChoiMatrix(np.eye(4))  # trace 4
-    bad = np.eye(4) / 4
-    bad[0, 1] = 0.1  # breaks Hermiticity and the zero pattern
-    with pytest.raises(ValueError):
-        ChoiMatrix(bad)
+        choi.entries[0, 0] = 1.0
+    with pytest.raises(ValueError, match="unit trace"):
+        ChoiMatrix(EigenvalueTriple(0.1, 0.0, 1e16))
+    with pytest.raises(ValueError, match="must be finite"):
+        ChoiMatrix(EigenvalueTriple(1e308, 1e308, 0.0))
 
 
 _CHOI_FINITE = "Choi matrix entries must be finite"
-
-
-def _with_entry(i, j, value):
-    """The Choi matrix of (0.5, 0.5, 0.5) with one entry replaced."""
-    m = _formula_entries(0.5, 0.5, 0.5)
-    m[i, j] = value
-    return m
 
 
 @pytest.mark.parametrize(
@@ -176,13 +172,6 @@ def _with_entry(i, j, value):
         (lambda: ProbabilityVector(2.0, 0.0, math.inf, math.nan), "weight p2 must be finite, got inf"),
         (lambda: ProbabilityVector(0.0, 0.0, 0.0, -math.inf), "weight p3 must be finite, got -inf"),
         (lambda: ProbabilityVector(0.5, 0.5, 0.5, 0.5), "weights must sum to 1 within 1e-12, got sum 2.0"),
-        (lambda: ChoiMatrix(np.full((4, 4), np.nan)), _CHOI_FINITE),
-        (lambda: ChoiMatrix(_with_entry(0, 0, np.nan)), _CHOI_FINITE),
-        (lambda: ChoiMatrix(_with_entry(1, 2, complex(0.0, np.nan))), _CHOI_FINITE),
-        (lambda: ChoiMatrix(_with_entry(0, 3, np.inf)), _CHOI_FINITE),
-        (lambda: ChoiMatrix(_with_entry(2, 2, -np.inf)), _CHOI_FINITE),
-        (lambda: ChoiMatrix(_with_entry(1, 0, complex(0.0, -np.inf))), _CHOI_FINITE),
-        (lambda: ChoiMatrix(np.where(np.eye(4, dtype=bool), np.inf, 0.0)), _CHOI_FINITE),
         (lambda: choi_matrix(EigenvalueTriple(1e308, 1e308, 0.0)), _CHOI_FINITE),  # l1 + l2 overflows
         (lambda: lambda_to_p(EigenvalueTriple(1e308, 1e308, 1e308)),
          "eigenvalues are too large for finite Pauli weights"),  # p0 overflows
@@ -237,6 +226,22 @@ def _formula_entries(l1, l2, l3):
     )
 
 
+def _block_spectrum(m):
+    """Spectrum of the Hermitian blocks [[a, c], [conj(c), d]] at {0,3} and {1,2}.
+
+    Each gives (a + d)/2 +- sqrt(((a - d)/2)^2 + |c|^2), the general formula.
+    """
+    out = []
+    for i, j in ((0, 3), (1, 2)):
+        a = m[i, i].real
+        d = m[j, j].real
+        c = m[i, j]
+        half_sum = 0.5 * (a + d)
+        radius = math.hypot(0.5 * (a - d), abs(c))
+        out.extend([half_sum + radius, half_sum - radius])
+    return np.array(out)
+
+
 def _outcome(fn, *args):
     try:
         return fn(*args), None
@@ -251,16 +256,25 @@ _magnitude = st.floats(-1.5, 1.5) | st.floats(-1e17, 1e17) | st.floats(-1e308, 1
 @given(l1=_magnitude, l2=_magnitude, l3=_magnitude)
 @example(l1=1.7e308, l2=1.7e308, l3=0.5)  # l1 + l2 overflows
 @example(l1=1.7e308, l2=-1.7e308, l3=-0.5)  # l1 - l2 overflows
-def test_choi_matrix_raises_exactly_when_the_validating_constructor_does(l1, l2, l3):
-    with np.errstate(over="ignore", invalid="ignore"):
-        want, want_error = _outcome(ChoiMatrix, _formula_entries(l1, l2, l3))
-        got, got_error = _outcome(choi_matrix, EigenvalueTriple(l1, l2, l3))
-        assert got_error == want_error
-        if want is None:
-            return
-        assert got.entries.dtype == complex and not got.entries.flags.writeable
-        assert got.entries.tobytes() == want.entries.tobytes()
-        assert got.eigenvalues().tobytes() == want.eigenvalues().tobytes()
+def test_choi_matrix_raises_exactly_when_the_general_checks_do(l1, l2, l3):
+    # The checks of a general 4x4 Choi matrix, finite entries and unit
+    # trace, fail on the formula's entries exactly when choi_matrix raises;
+    # the spectrum is the general block formula's, bit for bit.
+    entries = _formula_entries(l1, l2, l3)
+    if not np.isfinite(entries).all():
+        want_error = _CHOI_FINITE
+    elif abs(entries.trace() - 1.0) > 1e-12:
+        want_error = "Choi matrix must have unit trace"
+    else:
+        want_error = None
+    got, got_error = _outcome(choi_matrix, EigenvalueTriple(l1, l2, l3))
+    assert got_error == want_error
+    if got is None:
+        return
+    assert type(got) is ChoiMatrix
+    assert got.entries.dtype == complex and not got.entries.flags.writeable
+    assert got.entries.tobytes() == entries.tobytes()
+    assert got.eigenvalues().tobytes() == _block_spectrum(entries).tobytes()
 
 
 @settings(max_examples=500, deadline=None)
@@ -278,35 +292,3 @@ def test_choi_spectrum_equals_the_matrix_eigenvalues(l1, l2, l3):
         return
     assert all(type(x) is float for x in got)
     assert np.array(got).tobytes() == want.tobytes()
-
-
-def _block_spectrum(m):
-    """The Choi spectrum read entry by entry from the numpy array."""
-    out = []
-    for i, j in ((0, 3), (1, 2)):
-        a = m[i, i].real
-        d = m[j, j].real
-        c = m[i, j]
-        half_sum = 0.5 * (a + d)
-        radius = math.hypot(0.5 * (a - d), abs(c))
-        out.extend([half_sum + radius, half_sum - radius])
-    return np.array(out)
-
-
-_diagonal = st.floats(-10.0, 10.0) | st.floats(-1e6, 1e6)
-_off = st.complex_numbers(max_magnitude=1e300, allow_nan=False, allow_infinity=False)
-
-
-@settings(max_examples=300, deadline=None)
-@given(a=_diagonal, b=_diagonal, c=_diagonal, z1=_off, z2=_off)
-def test_choi_eigenvalues_match_the_block_formula_on_complex_entries(a, b, c, z1, z2):
-    d = 1.0 - (a + b + c)
-    entries = np.array(
-        [[a, 0, 0, z1], [0, b, z2, 0], [0, z2.conjugate(), c, 0], [z1.conjugate(), 0, 0, d]],
-        dtype=complex,
-    )
-    choi, error = _outcome(ChoiMatrix, entries)
-    if error is not None:
-        assert error == "Choi matrix must have unit trace"
-        return
-    assert choi.eigenvalues().tobytes() == _block_spectrum(choi.entries).tobytes()

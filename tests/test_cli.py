@@ -142,6 +142,20 @@ def test_mesh_document():
     assert len(doc["pieces"][0]["vertices"]) == 6
 
 
+def test_mesh_writes_json_only(capsys):
+    assert main(["mesh", "--region", "CPT"]) == 0
+    default = capsys.readouterr().out
+    assert main(["mesh", "--region", "CPT", "--format", "json"]) == 0
+    assert capsys.readouterr().out == default
+    assert json.loads(default)["region"] == "CPT"
+    for fmt in ("csv", "text"):
+        with pytest.raises(SystemExit) as info:
+            main(["mesh", "--region", "CPT", "--format", fmt])
+        out, err = capsys.readouterr()
+        assert (info.value.code, out) == (2, "")
+        assert "argument --format: invalid choice" in err
+
+
 def test_sample_csv_members_and_determinism():
     args = ("sample", "--region", "CPT", "-n", "3", "--seed", "5")
     first = run_cli(*args)

@@ -4,8 +4,9 @@ The digests are sha256 of stdout, taken before the trajectory was
 evaluated as arrays and before the per-row value objects got their own
 constructors; any change to a time, an eigenvalue, a region flag or the
 formatting shows up here.  The ``volume`` pins cover all three formats of
-every method, so a change to how the result is assembled shows up too.  The error pins fix the exit code and the
-``error:`` line of inputs that fail partway through.
+every method, so a change to how the result is assembled shows up too.
+The error pins fix the exit code and the ``error:`` line of inputs that
+fail partway through.
 """
 
 import contextlib

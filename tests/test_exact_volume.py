@@ -24,6 +24,10 @@ jsonschema = pytest.importorskip("jsonschema")
 F = Fraction
 
 
+def _lhs(hs, point):
+    return hs.a1 * point[0] + hs.a2 * point[1] + hs.a3 * point[2]
+
+
 def _cpt_system():
     return halfspace_description(RegionExpr.parse("CPT"))[0]
 
@@ -43,7 +47,7 @@ def test_pt_cube():
     assert len(poly.vertices) == 8
     assert len(poly.facets) == 6
     assert poly.euclidean_volume() == 8
-    assert poly.hs_volume() == 1
+    assert region_volume(RegionExpr.parse("PT")) == 1
 
 
 def test_ebc_octahedron():
@@ -128,7 +132,7 @@ def test_facets_are_tight_and_closed():
                 assert len(cycle) >= 3
                 assert len(set(cycle)) == len(cycle)
                 for i in cycle:
-                    assert hs.is_tight(poly.vertices[i])
+                    assert _lhs(hs, poly.vertices[i]) == hs.b
             # every vertex lies on at least three facets
             for i in range(len(poly.vertices)):
                 count = sum(i in cycle for _h, cycle in poly.facets)
@@ -243,7 +247,7 @@ def _reference_vertices(system):
             _det([row[:k] + (b,) + row[k + 1:] for row, b in zip(m, rhs)]) / det
             for k in range(3)
         )
-        if all(hs.contains(point) for hs in system):
+        if all(_lhs(hs, point) <= hs.b for hs in system):
             found.add(point)
     return sorted(found)
 
@@ -270,7 +274,7 @@ def test_integer_engine_matches_fraction_reference(system, data):
     assert 0 <= volume <= 8
     for hs_index, cycle in poly.facets:
         hs = poly.halfspaces[hs_index]
-        assert all(hs.is_tight(poly.vertices[i]) for i in cycle)
+        assert all(_lhs(hs, poly.vertices[i]) == hs.b for i in cycle)
     if volume > 0:
         # a solid's facets close up: every vertex is on at least three
         for i in range(len(poly.vertices)):

@@ -17,7 +17,6 @@ from paulivol import (
     fr_volume_mc,
     hs_volume_mc,
     ratio_mc,
-    region_hit_count,
     region_mask,
     sample_region,
 )
@@ -59,8 +58,9 @@ def test_volume_estimate_validation():
         VolumeEstimate(0.5, 0.01, 100, "bogus", 0)
     with pytest.raises(ValueError):
         VolumeEstimate(0.5, 0.01, -1, "mc-hs", 0)
-    # exact results carry no samples
-    VolumeEstimate(0.5, 0.0, 0, "exact")
+    # exact volumes are Fractions, never estimates
+    with pytest.raises(ValueError):
+        VolumeEstimate(0.5, 0.0, 0, "exact", 0)
 
 
 def test_hs_volume_deterministic():
@@ -97,8 +97,10 @@ def test_hs_volume_chunking_covers_all_samples():
 
 def test_complement_estimates_sum_to_one():
     expr = RegionExpr.parse("CPT")
-    hits, n = region_hit_count(expr, _cfg(10**6, seed=4))
-    assert n == 10**6
+    cfg = _cfg(10**6, seed=4)
+    hits = _hit_counts([expr], cfg)[0]
+    n = cfg.samples
+    assert hs_volume_mc(expr, cfg).value == hits / n
     assert hits / n + (n - hits) / n == 1.0
 
 
