@@ -407,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="PRNG seed")
     p.add_argument("--chunk-size", type=int, default=DEFAULT_CHUNK_SIZE,
                    dest="chunk_size", help="proposals per PRNG chunk")
-    _add_common_flags(p)
+    _add_common_flags(p, formats=("json", "csv"))
     p.set_defaults(handler=cmd_sample)
 
     p = sub.add_parser("evolve", help="run a rate schedule or invert a target")

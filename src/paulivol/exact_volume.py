@@ -32,7 +32,6 @@ __all__ = [
     "build_polytope",
     "region_volume",
     "mesh_document",
-    "HS_SCALE",
 ]
 
 # Hilbert-Schmidt measure of a Euclidean unit of eigenvalue space.
@@ -49,10 +48,6 @@ class UnboundedPolytopeError(ValueError):
 
 # _dot, _cross and _det3 read only the first three entries, so a
 # half-space row (a1, a2, a3, b) serves as its own normal.
-
-
-def _sub(u, v):
-    return (u[0] - v[0], u[1] - v[1], u[2] - v[2])
 
 
 def _dot(u, v):
@@ -139,7 +134,9 @@ def enumerate_vertices(halfspaces) -> list:
     Returns sorted triples of :class:`fractions.Fraction`.  Raises
     :class:`UnboundedPolytopeError` when the system admits a recession
     direction.  An empty list means the system is infeasible.  Repeated
-    half-spaces change neither result.
+    half-spaces change neither result.  Each vertex is a feasible point on
+    three planes with independent normals, so the list holds exactly the
+    extreme points, and no three of them are collinear.
     """
     halfspaces = list(halfspaces)
     rows = [hs.canonical() for hs in halfspaces]
@@ -180,16 +177,12 @@ def _centred(points, indices):
     }
 
 
-def _collinear(points) -> bool:
-    base = points[0]
-    u = next((_sub(p, base) for p in points[1:] if _sub(p, base) != (0, 0, 0)), None)
-    if u is None:
-        return True
-    return all(_cross(u, _sub(p, base)) == (0, 0, 0) for p in points[1:])
-
-
 def _cycle_order(indices, points, normal) -> tuple:
-    """Sort facet vertices counterclockwise around the outward normal."""
+    """Sort facet vertices counterclockwise around the outward normal.
+
+    Facet vertices are extreme points, so no two point the same way from
+    the facet centroid and the comparator never ties.
+    """
     dirs = _centred(points, indices)
     ref = dirs[indices[0]]
 
@@ -203,10 +196,7 @@ def _cycle_order(indices, points, normal) -> tuple:
         hi, hj = half(dirs[i]), half(dirs[j])
         if hi != hj:
             return -1 if hi < hj else 1
-        s = _dot(normal, _cross(dirs[i], dirs[j]))
-        if s == 0:
-            return 0
-        return -1 if s > 0 else 1
+        return -1 if _dot(normal, _cross(dirs[i], dirs[j])) > 0 else 1
 
     return tuple(sorted(indices, key=functools.cmp_to_key(cmp)))
 
@@ -224,11 +214,11 @@ class Polytope:
     facets: tuple
 
     def euclidean_volume(self) -> Fraction:
-        if len(self.vertices) < 4:
+        # A flat vertex set gives zero determinants; an empty one has no
+        # centroid to scale about.
+        if not self.facets:
             return Fraction(0)
         points, scale = _integer_points(self.vertices)
-        if _rank([_sub(p, points[0]) for p in points[1:]]) < 3:
-            return Fraction(0)
         # Points scaled by k * L about the centroid: every determinant
         # grows by (k * L)**3, which the final division takes back.
         k = len(points)
@@ -251,7 +241,7 @@ def build_polytope(halfspaces) -> Polytope:
         row = hs.canonical()
         bound = row[3] * scale
         tight = [i for i, p in enumerate(points) if _dot(row, p) == bound]
-        if len(tight) < 3 or _collinear([points[i] for i in tight]):
+        if len(tight) < 3:  # three tight vertices are never collinear
             continue
         facets.append((hs_index, _cycle_order(tight, points, row)))
     return Polytope(tuple(halfspaces), tuple(vertices), tuple(facets))

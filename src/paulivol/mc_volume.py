@@ -33,6 +33,7 @@ from .regions import _PREDICATES, RegionExpr, RegionId, _columns, region_mask
 __all__ = [
     "SamplerConfig",
     "VolumeEstimate",
+    "FR_TOTAL",
     "FisherRaoDomainError",
     "hs_volume_mc",
     "ratio_mc",

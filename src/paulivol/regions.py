@@ -24,7 +24,9 @@ Every region except ``CPDIV`` is a finite union of convex polytopes;
 from __future__ import annotations
 
 import enum
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from types import SimpleNamespace
@@ -160,8 +162,12 @@ _PREDICATES = {
 
 
 def contains(expr: RegionExpr, l: EigenvalueTriple) -> bool:
-    """Membership in a conjunction of regions."""
-    return all(_PREDICATES[tag](l) for tag in expr.conjuncts)
+    """Membership in a conjunction of regions: the AND of its predicates.
+
+    On an :class:`EigenvalueTriple` it returns a bool; on the column views
+    of an (n, 3) array (``_columns``), a boolean mask.
+    """
+    return functools.reduce(operator.and_, (_PREDICATES[tag](l) for tag in expr.conjuncts))
 
 
 def _columns(lam: np.ndarray) -> SimpleNamespace:
@@ -199,12 +205,8 @@ def region_mask(expr: RegionExpr, lam: np.ndarray) -> np.ndarray:
     lam = np.asarray(lam, dtype=float)
     if lam.ndim != 2 or lam.shape[1] != 3:
         raise ValueError(f"expected an (n, 3) array, got shape {lam.shape}")
-    columns = _columns(lam)
-    mask = np.ones(lam.shape[0], dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
-        for tag in expr.conjuncts:
-            mask &= _PREDICATES[tag](columns)
-    return mask
+        return contains(expr, _columns(lam))
 
 
 # --- exact half-space descriptions ------------------------------------------

@@ -146,6 +146,31 @@ def test_package_exports_resolve():
     assert len(set(paulivol.__all__)) == len(paulivol.__all__)
 
 
+# The package's public names; the package __all__ is built from the modules'
+# lists, so this pins it against a name added or dropped by accident.
+_PUBLIC_NAMES = {
+    "__version__", "EigenvalueTriple", "ProbabilityVector", "ChoiMatrix", "p_to_lambda",
+    "lambda_to_p", "choi_matrix", "choi_spectrum", "RegionId", "RegionExpr", "HalfSpace",
+    "NonPolytopalRegionError", "is_positive", "is_cp", "is_ebc", "is_tlg",
+    "is_p_divisible", "is_cp_divisible", "contains", "region_mask",
+    "halfspace_description", "UnboundedPolytopeError", "Polytope", "enumerate_vertices",
+    "build_polytope", "region_volume", "mesh_document", "SamplerConfig", "VolumeEstimate",
+    "FR_TOTAL", "FisherRaoDomainError", "hs_volume_mc", "ratio_mc", "fr_volume_mc",
+    "sample_region", "RateTriple", "RateSchedule", "TrajectoryPoint", "schedule_from_json",
+    "integrate_rates", "evolve", "rates_for_target", "is_semigroup_reachable",
+    "classify_trajectory",
+}
+
+
+def test_public_surface_is_the_modules_lists():
+    import paulivol
+    from paulivol import channel, dynamics, exact_volume, mc_volume, regions
+
+    modules = (channel, regions, exact_volume, mc_volume, dynamics)
+    assert set(paulivol.__all__) == _PUBLIC_NAMES
+    assert _PUBLIC_NAMES == {"__version__"}.union(*(m.__all__ for m in modules))
+
+
 def test_choi_matrix_validation():
     # The constructor takes a triple; its entries are the formula's, read-only.
     choi = ChoiMatrix(EigenvalueTriple(0.5, -0.25, 0.75))

@@ -170,6 +170,19 @@ def test_sample_csv_members_and_determinism():
     assert run_cli(*args).stdout == first.stdout
 
 
+def test_sample_writes_csv_by_default_and_rejects_text(capsys):
+    args = ["sample", "--region", "CPT", "-n", "3", "--seed", "5"]
+    assert main(args) == 0
+    default = capsys.readouterr().out
+    assert main([*args, "--format", "csv"]) == 0
+    assert capsys.readouterr().out == default
+    with pytest.raises(SystemExit) as info:
+        main([*args, "--format", "text"])
+    out, err = capsys.readouterr()
+    assert (info.value.code, out) == (2, "")
+    assert "argument --format: invalid choice" in err
+
+
 def test_sample_json():
     proc = run_cli(
         "sample", "--region", "CPT,EBC", "-n", "4", "--seed", "1",
@@ -345,6 +358,8 @@ def _main(argv):
         ({"duration": 1, "rates": ["1", 0, 0]}, "rate must be a number"),
         ({"duration": True, "rates": [1, 0, 0]}, "duration must be a number"),
         ({"duration": 1, "rates": [-1000, -1000, -1000]}, "eigenvalues overflow"),
+        ({"duration": 1, "rates": [math.inf, 0, 0]}, "must be finite"),
+        ({"duration": math.nan, "rates": [1, 0, 0]}, "must be positive"),
     ],
 )
 @pytest.mark.parametrize("when", [("--t", "1.0"), ("--steps", "11")])

@@ -123,6 +123,16 @@ def test_degenerate_piece_has_zero_volume():
     assert any(len(p.vertices) == 2 for p in flat)
 
 
+def test_flat_polygon_has_zero_volume():
+    # The cube cut to the plane l3 = 0 is a square: its two facets are the
+    # plane's two sides, and their determinants about the centroid vanish.
+    system = halfspace_description(RegionExpr.parse("PT"))[0]
+    poly = build_polytope(system + [HalfSpace(0, 0, 1, 0), HalfSpace(0, 0, -1, 0)])
+    assert len(poly.vertices) == 4
+    assert len(poly.facets) == 2
+    assert poly.euclidean_volume() == 0
+
+
 def test_facets_are_tight_and_closed():
     for name in ("PT", "CPT", "CPT,EBC", "CPT,TLG", "CPT,PDIV"):
         for system in halfspace_description(RegionExpr.parse(name)):

@@ -20,6 +20,7 @@ from paulivol import (
     region_mask,
     sample_region,
 )
+from paulivol import mc_volume
 from paulivol.mc_volume import MAX_CHUNK_SIZE, _hit_counts, _lambda_columns, _stream
 
 
@@ -173,6 +174,23 @@ def test_sample_region_cube_proposals():
     draws = list(sample_region(expr, cfg))
     assert len(draws) == 200
     assert all(contains(expr, l) for l in draws)
+
+
+def test_sample_region_warns_once_below_the_acceptance_floor(monkeypatch):
+    # EBC,TLG fills 1/48 of the cube, so 100 rows take several chunks of
+    # 1000 proposals, and a floor of 0.5 is above every chunk's rate.
+    cfg = _cfg(100, seed=4, chunk_size=1000)
+    expr = RegionExpr.parse("EBC,TLG")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        plain = [tuple(l) for l in sample_region(expr, cfg)]
+    monkeypatch.setattr(mc_volume, "_ACCEPTANCE_FLOOR", 0.5)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        floored = [tuple(l) for l in sample_region(expr, cfg)]
+    assert [w.category for w in caught] == [UserWarning]
+    assert "acceptance rate" in str(caught[0].message)
+    assert floored == plain
 
 
 def test_sample_region_is_unbiased_on_symmetric_region():

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from paulivol import (
     EigenvalueTriple,
+    HalfSpace,
     NonPolytopalRegionError,
     RegionExpr,
     RegionId,
@@ -204,6 +205,11 @@ def test_scalar_and_vector_predicates_agree(rows, tags):
 def test_region_mask_shape_check():
     with pytest.raises(ValueError):
         region_mask(RegionExpr([RegionId.PT]), np.zeros((4, 2)))
+
+
+def test_halfspace_rejects_a_zero_normal():
+    with pytest.raises(ValueError, match="normal must be nonzero"):
+        HalfSpace(0, 0, 0, 1)
 
 
 def test_halfspace_description_structure():
