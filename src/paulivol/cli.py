@@ -245,9 +245,16 @@ def cmd_sample(args) -> str:
     cfg = _sampler_config(args)
     rows = _sample_array(expr, cfg).tolist()
     if args.format == "json":
-        inputs = {"region": str(expr), **asdict(cfg)}
-        return _json_text(_document("sample", inputs, {"rows": rows, "method": "mc-hs"}))
+        return _sample_json({"region": str(expr), **asdict(cfg)}, rows)
+    return _sample_csv(rows)
+
+
+def _sample_csv(rows: list) -> str:
     return _csv_text(["l1", "l2", "l3"], rows)  # csv writes floats with repr
+
+
+def _sample_json(inputs: dict, rows: list) -> str:
+    return _json_text(_document("sample", inputs, {"rows": rows, "method": "mc-hs"}))
 
 
 # --- evolve ------------------------------------------------------------------
@@ -292,12 +299,7 @@ def cmd_evolve(args) -> str:
     if args.format == "json":
         return _json_text(doc)
     if args.format == "csv":
-        rows = [
-            [repr(t), repr(lam.l1), repr(lam.l2), repr(lam.l3)]
-            + [_bool_text(regions[tag]) for tag in _REGION_LABELS]
-            for t, lam, regions in points
-        ]
-        return _csv_text(["t", "l1", "l2", "l3", *_REGION_LABELS], rows)
+        return _evolve_csv(points)
     lines = []
     for t, lam, regions in points:
         tags = ",".join(tag for tag in _REGION_LABELS if regions[tag])
@@ -305,6 +307,15 @@ def cmd_evolve(args) -> str:
             f"t={t:g} lambda=({lam.l1:.6g}, {lam.l2:.6g}, {lam.l3:.6g}) in [{tags}]"
         )
     return "\n".join(lines) + "\n"
+
+
+def _evolve_csv(points: list) -> str:
+    rows = [
+        [repr(t), repr(lam.l1), repr(lam.l2), repr(lam.l3)]
+        + [_bool_text(regions[tag]) for tag in _REGION_LABELS]
+        for t, lam, regions in points
+    ]
+    return _csv_text(["t", "l1", "l2", "l3", *_REGION_LABELS], rows)
 
 
 def _evolve_target(args) -> str:

@@ -243,6 +243,30 @@ def test_fisher_rao_stream_matches_reference(samples, chunk_size, seed):
         assert np.array_equal(lam, _lambda_columns(g / g.sum(axis=1, keepdims=True)))
 
 
+# Rejection sampling may draw a chunk in slices; its rows stay the seeded
+# rows only because numpy fills k rows and then m rows exactly as it fills
+# k + m rows, for both proposals the rejection sampler uses.
+_REJECTION_DRAWS = {
+    "cube": lambda rng, n: rng.uniform(-1.0, 1.0, size=(n, 3)),
+    "tetrahedron": lambda rng, n: rng.dirichlet(np.ones(4), size=n),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    proposal=st.sampled_from(sorted(_REJECTION_DRAWS)),
+    seed=st.integers(0, 2**64 - 1),
+    c=st.integers(0, 10**6),
+    slices=st.lists(st.integers(1, 3000), min_size=1, max_size=8),
+)
+def test_slices_of_a_chunk_concatenate_to_one_draw(proposal, seed, c, slices):
+    draw = _REJECTION_DRAWS[proposal]
+    rng = np.random.default_rng([seed, c])
+    parts = [draw(rng, n) for n in slices]
+    whole = draw(np.random.default_rng([seed, c]), sum(slices))
+    assert np.array_equal(np.concatenate(parts), whole)
+
+
 @settings(max_examples=40, deadline=None)
 @given(num=_expr, den=_expr, **_budgets)
 def test_ratio_mc_matches_reference_and_flags_empty_denominator(
