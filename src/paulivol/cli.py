@@ -249,12 +249,26 @@ def cmd_sample(args) -> str:
     return _sample_csv(rows)
 
 
+# The row writers below format each float once with repr, which is the text
+# csv.writer and json.dumps give a finite float; tests/test_cli_writers.py
+# holds them to those writers.
+
+
 def _sample_csv(rows: list) -> str:
-    return _csv_text(["l1", "l2", "l3"], rows)  # csv writes floats with repr
+    return "l1,l2,l3\n" + "".join([f"{a!r},{b!r},{c!r}\n" for a, b, c in rows])
 
 
 def _sample_json(inputs: dict, rows: list) -> str:
-    return _json_text(_document("sample", inputs, {"rows": rows, "method": "mc-hs"}))
+    """``_json_text`` of the sample document; ``rows`` is not empty.
+
+    ``inputs`` holds only the region and ints, so the first ``"rows": []``
+    is the results' one, and the rows go there at json's indent.
+    """
+    text = _json_text(_document("sample", inputs, {"rows": [], "method": "mc-hs"}))
+    body = ",\n".join([
+        f"      [\n        {a!r},\n        {b!r},\n        {c!r}\n      ]" for a, b, c in rows
+    ])
+    return text.replace('"rows": []', f'"rows": [\n{body}\n    ]', 1)
 
 
 # --- evolve ------------------------------------------------------------------
@@ -286,18 +300,12 @@ def cmd_evolve(args) -> str:
             (pt.t, pt.eigenvalues, pt.regions)
             for pt in classify_trajectory(schedule, args.steps)
         ]
-    doc = _document(
-        "evolve",
-        {"schedule": args.schedule, "t": args.t, "steps": None if args.t is not None else args.steps},
-        {
-            "trajectory": [
-                {"t": t, "eigenvalues": _triple_payload(lam), "regions": regions}
-                for t, lam, regions in points
-            ]
-        },
-    )
     if args.format == "json":
-        return _json_text(doc)
+        inputs = {"schedule": args.schedule, "t": args.t,
+                  "steps": None if args.t is not None else args.steps}
+        trajectory = [{"t": t, "eigenvalues": _triple_payload(lam), "regions": regions}
+                      for t, lam, regions in points]
+        return _json_text(_document("evolve", inputs, {"trajectory": trajectory}))
     if args.format == "csv":
         return _evolve_csv(points)
     lines = []
@@ -310,12 +318,11 @@ def cmd_evolve(args) -> str:
 
 
 def _evolve_csv(points: list) -> str:
-    rows = [
-        [repr(t), repr(lam.l1), repr(lam.l2), repr(lam.l3)]
-        + [_bool_text(regions[tag]) for tag in _REGION_LABELS]
-        for t, lam, regions in points
-    ]
-    return _csv_text(["t", "l1", "l2", "l3", *_REGION_LABELS], rows)
+    lines = [",".join(["t", "l1", "l2", "l3", *_REGION_LABELS]) + "\n"]
+    for t, lam, regions in points:
+        flags = ",".join([_bool_text(regions[tag]) for tag in _REGION_LABELS])
+        lines.append(f"{t!r},{lam.l1!r},{lam.l2!r},{lam.l3!r},{flags}\n")
+    return "".join(lines)
 
 
 def _evolve_target(args) -> str:
