@@ -10,11 +10,14 @@ generator seeded with (seed, c), so a fixed (seed, samples,
 chunk_size) triple reproduces the estimate bit for bit no matter how
 chunks would be scheduled.
 
-One stream: ``_stream`` is the only place a chunk is drawn, and every
-estimator and the rejection sampler read it.  Counting evaluates each
-base region mask once per chunk and counts every expression as an AND
-of those cached masks, so any number of conjunctions (all the rows of
-the reference table, say) cost one pass over the stream.
+One stream: ``_chunk_rng`` is the only place a chunk is seeded and
+``_draw`` the only place proposals are drawn.  Every estimator reads
+whole chunks through ``_stream``; the rejection sampler reads the same
+chunks in slices, which numpy fills as it fills whole chunks.  Counting
+evaluates each base region mask once per chunk and counts every
+expression as an AND of those cached masks, so any number of
+conjunctions (all the rows of the reference table, say) cost one pass
+over the stream.
 """
 
 from __future__ import annotations
@@ -45,11 +48,19 @@ DEFAULT_CHUNK_SIZE = 2**16
 # Largest chunk a config accepts: an (n, 4) float64 chunk is about 0.13 GB
 # at this size, and it is rejected before anything is allocated.
 MAX_CHUNK_SIZE = 2**22
+# Largest sample budget a config accepts.  The estimators stream, so this
+# bounds run time (a 10**10 table takes minutes), not memory.
+MAX_SAMPLES = 10**10
+# Largest ``sample`` request.  It holds every row and its text at once, and
+# peaks at about 0.4 KB a row for csv and 0.5 KB for json, so near 1 GB here.
+MAX_SAMPLE_ROWS = 2 * 10**6
 
 # Total Fisher-Rao volume of the channel tetrahedron; see fr_volume_mc.
 FR_TOTAL = 2.0 * math.pi * math.pi
 
 _ACCEPTANCE_FLOOR = 1e-4
+# Rejection sampling gives up after this many proposals per requested row.
+_PROPOSALS_PER_ROW = round(1 / _ACCEPTANCE_FLOOR)
 
 
 class FisherRaoDomainError(ValueError):
@@ -71,6 +82,8 @@ class SamplerConfig:
             raise ValueError(f"chunk_size must be >= 1, got {self.chunk_size}")
         if self.chunk_size > MAX_CHUNK_SIZE:
             raise ValueError(f"chunk_size must be <= {MAX_CHUNK_SIZE}, got {self.chunk_size}")
+        if self.samples > MAX_SAMPLES:
+            raise ValueError(f"samples must be <= {MAX_SAMPLES}, got {self.samples}")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
 
@@ -114,31 +127,37 @@ def _lambda_columns(p: np.ndarray) -> np.ndarray:
     return np.stack([l1, l2, l3], axis=1)
 
 
-def _stream(cfg: SamplerConfig, proposal: str, endless: bool = False) -> Iterator[tuple]:
-    """Yield ``(c, lam)``: chunk ``c`` of (n, 3) triples, drawn seeded ``[seed, c]``.
+def _chunk_rng(cfg: SamplerConfig, c: int):
+    """The generator of chunk ``c``, seeded ``[seed, c]``: the one place a chunk is seeded."""
+    import numpy as np
+    return np.random.default_rng([cfg.seed, c])
+
+
+def _draw(rng, proposal: str, n: int) -> np.ndarray:
+    """The next ``n`` proposals of ``rng`` as an (n, 3) array of triples.
 
     Proposals: ``cube``, uniform over the positivity cube (the HS
     reference measure); ``fisher-rao``, Dirichlet(1/2) weights from
     squared normals; ``tetrahedron``, Dirichlet(1) weights, uniform over
-    the channels.  Chunk sizes follow ``cfg.chunks()``; an endless stream
-    (rejection sampling) draws full chunks until its reader stops.  This
-    is the one place a chunk generator is seeded.
+    the channels.
     """
     import numpy as np
-    chunks = ((c, cfg.chunk_size) for c in itertools.count()) if endless else cfg.chunks()
-    for c, n in chunks:
-        rng = np.random.default_rng([cfg.seed, c])
-        if proposal == "cube":
-            yield c, rng.uniform(-1.0, 1.0, size=(n, 3))
-        elif proposal == "fisher-rao":
-            # Gamma(1/2) = Z^2 / 2, in place; halving after squaring is exact
-            g = rng.standard_normal(size=(n, 4))
-            g *= g
-            g *= 0.5
-            g /= g.sum(axis=1, keepdims=True)
-            yield c, _lambda_columns(g)
-        else:  # "tetrahedron"
-            yield c, _lambda_columns(rng.dirichlet(np.ones(4), size=n))
+    if proposal == "cube":
+        return rng.uniform(-1.0, 1.0, size=(n, 3))
+    if proposal == "fisher-rao":
+        # Gamma(1/2) = Z^2 / 2, in place; halving after squaring is exact
+        g = rng.standard_normal(size=(n, 4))
+        g *= g
+        g *= 0.5
+        g /= g.sum(axis=1, keepdims=True)
+        return _lambda_columns(g)
+    return _lambda_columns(rng.dirichlet(np.ones(4), size=n))  # "tetrahedron"
+
+
+def _stream(cfg: SamplerConfig, proposal: str) -> Iterator[tuple]:
+    """Yield ``(c, lam)``: chunk ``c`` of (n, 3) triples, sizes from ``cfg.chunks()``."""
+    for c, n in cfg.chunks():
+        yield c, _draw(_chunk_rng(cfg, c), proposal, n)
 
 
 def _hit_counts(exprs, cfg: SamplerConfig, proposal: str = "cube") -> list:
@@ -229,30 +248,56 @@ def fr_volume_mc(expr: RegionExpr, cfg: SamplerConfig) -> VolumeEstimate:
 
 
 def _accepted_chunks(expr: RegionExpr, cfg: SamplerConfig) -> Iterator[np.ndarray]:
-    """Accepted proposals as (k, 3) arrays, chunk by chunk, cfg.samples rows in all."""
+    """Accepted proposals as (k, 3) arrays, slice by slice, cfg.samples rows in all.
+
+    Chunk ``c`` holds the same ``cfg.chunk_size`` proposals as in any
+    stream, but it is drawn in slices, the first as long as the rows still
+    missing and each next one twice the last, so a request that needs few
+    rows draws few.  numpy fills k rows and then m rows as it fills k + m,
+    so the rows are those of whole chunks.  Raises ValueError once
+    ``cfg.samples * _PROPOSALS_PER_ROW`` proposals give too few rows.
+    """
     proposal = "tetrahedron" if RegionId.CPT in expr.conjuncts else "cube"
     missing = cfg.samples
+    budget = cfg.samples * _PROPOSALS_PER_ROW
     proposed = accepted = 0
     warned = False
-    for _c, lam in _stream(cfg, proposal, endless=True):
-        rows = lam[region_mask(expr, lam)]
-        proposed += len(lam)
-        accepted += len(rows)
-        if not warned and accepted < _ACCEPTANCE_FLOOR * proposed:
-            warnings.warn(
-                f"acceptance rate {accepted}/{proposed} below {_ACCEPTANCE_FLOOR}"
-                f" while sampling {expr}",
-                stacklevel=3,
-            )
-            warned = True
-        yield rows[:missing]
-        missing -= len(rows)
-        if missing <= 0:
-            return
+    for c in itertools.count():
+        rng = _chunk_rng(cfg, c)
+        left, n = cfg.chunk_size, missing
+        while left:
+            n = min(n, left, budget - proposed)
+            lam = _draw(rng, proposal, n)
+            rows = lam[region_mask(expr, lam)]
+            left -= n
+            proposed += n
+            accepted += len(rows)
+            # fewer than 1 / floor proposals cannot show a rate below the floor
+            if (not warned and proposed * _ACCEPTANCE_FLOOR >= 1
+                    and accepted < _ACCEPTANCE_FLOOR * proposed):
+                warnings.warn(
+                    f"acceptance rate {accepted}/{proposed} below {_ACCEPTANCE_FLOOR}"
+                    f" while sampling {expr}",
+                    stacklevel=3,
+                )
+                warned = True
+            yield rows[:missing]
+            missing -= len(rows)
+            if missing <= 0:
+                return
+            if proposed >= budget:
+                raise ValueError(
+                    f"rejection sampling of {expr} accepted {accepted} of {proposed}"
+                    f" proposals, fewer than the {cfg.samples} rows asked for"
+                )
+            n *= 2
 
 
 def _sample_array(expr: RegionExpr, cfg: SamplerConfig) -> np.ndarray:
     """The rows ``sample_region`` yields, as one (cfg.samples, 3) array."""
+    if cfg.samples > MAX_SAMPLE_ROWS:
+        raise ValueError(f"sample holds every row: samples must be <= {MAX_SAMPLE_ROWS},"
+                         f" got {cfg.samples}")
     import numpy as np
     return np.concatenate(list(_accepted_chunks(expr, cfg)))
 
@@ -264,7 +309,8 @@ def sample_region(expr: RegionExpr, cfg: SamplerConfig) -> Iterator[EigenvalueTr
     p ~ Dirichlet(1,1,1,1) mapped linearly to eigenvalues) when the
     expression contains CPT, else uniform over the positivity cube;
     rejection against the full expression keeps the output uniform.
-    Warns once if the observed acceptance rate drops below 1e-4.
+    Warns once if the observed acceptance rate drops below 1e-4, and
+    raises ValueError once 10**4 proposals per requested row are spent.
     """
     for rows in _accepted_chunks(expr, cfg):
         for l1, l2, l3 in zip(*rows.T.tolist()):

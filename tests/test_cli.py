@@ -8,12 +8,15 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paulivol import FR_TOTAL, RegionExpr, contains, EigenvalueTriple
+from paulivol import mc_volume
 from paulivol.cli import main
+from paulivol.mc_volume import MAX_SAMPLE_ROWS, MAX_SAMPLES
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -392,6 +395,46 @@ def test_chunk_size_above_the_cap_exits_2_before_drawing(argv):
     code, out, err = _main(argv)
     assert (code, out) == (2, "")
     assert err == "error: chunk_size must be <= 4194304, got 10000000000000\n"
+
+
+def _no_draws(*args):
+    raise AssertionError("a chunk generator was seeded")
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(MAX_SAMPLE_ROWS + 1, 10**30))
+def test_sample_above_the_caps_exits_2_before_drawing(n):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mc_volume, "_chunk_rng", _no_draws)
+        code, out, err = _main(["sample", "--region", "EBC", "-n", str(n)])
+    assert (code, out) == (2, "")
+    if n > MAX_SAMPLES:
+        assert err == f"error: samples must be <= 10000000000, got {n}\n"
+    else:
+        assert err == f"error: sample holds every row: samples must be <= 2000000, got {n}\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(MAX_SAMPLES + 1, 10**30),
+    command=st.sampled_from([["table"], ["volume", "--region", "CPT", "--method", "mc"],
+                             ["volume", "--region", "CPT", "--method", "fr"]]),
+)
+def test_volume_and_table_above_the_sample_cap_exit_2_before_drawing(n, command):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mc_volume, "_chunk_rng", _no_draws)
+        code, out, err = _main([*command, "--samples", str(n)])
+    assert (code, out, err) == (2, "", f"error: samples must be <= 10000000000, got {n}\n")
+
+
+def test_sample_exits_2_when_rejection_gives_up(monkeypatch):
+    # no real conjunction rejects every proposal, so a mask stands in for one
+    monkeypatch.setattr(mc_volume, "region_mask", lambda expr, lam: np.zeros(len(lam), bool))
+    with pytest.warns(UserWarning, match="acceptance rate 0/"):
+        code, out, err = _main(["sample", "--region", "CPT,EBC", "-n", "2", "--seed", "3"])
+    assert (code, out) == (2, "")
+    assert err == ("error: rejection sampling of CPT,EBC accepted 0 of 20000 proposals,"
+                   " fewer than the 2 rows asked for\n")
 
 
 def test_evolve_rejects_deeply_nested_schedule_with_exit_2(tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -21,7 +22,14 @@ from paulivol import (
     sample_region,
 )
 from paulivol import mc_volume
-from paulivol.mc_volume import MAX_CHUNK_SIZE, _hit_counts, _lambda_columns, _stream
+from paulivol.mc_volume import (
+    MAX_CHUNK_SIZE,
+    MAX_SAMPLES,
+    _hit_counts,
+    _lambda_columns,
+    _sample_array,
+    _stream,
+)
 
 
 def _cfg(samples, seed=0, **kw):
@@ -49,6 +57,15 @@ def test_sampler_config_rejects_chunks_above_the_cap(chunk_size, samples):
     with pytest.raises(ValueError) as info:
         SamplerConfig(samples=samples, seed=0, chunk_size=chunk_size)
     assert str(info.value) == f"chunk_size must be <= 4194304, got {chunk_size}"
+
+
+@settings(max_examples=200, deadline=None)
+@given(samples=st.integers(MAX_SAMPLES + 1, 10**30), chunk_size=st.integers(1, MAX_CHUNK_SIZE))
+def test_sampler_config_rejects_samples_above_the_cap(samples, chunk_size):
+    with pytest.raises(ValueError) as info:
+        SamplerConfig(samples=samples, seed=0, chunk_size=chunk_size)
+    assert str(info.value) == f"samples must be <= 10000000000, got {samples}"
+    assert SamplerConfig(samples=MAX_SAMPLES, seed=0).samples == MAX_SAMPLES
 
 
 def test_volume_estimate_validation():
@@ -193,6 +210,44 @@ def test_sample_region_warns_once_below_the_acceptance_floor(monkeypatch):
     assert floored == plain
 
 
+@pytest.fixture
+def drawn(monkeypatch):
+    """The size of every slice of proposals drawn while the test runs."""
+    sizes = []
+    draw = mc_volume._draw
+
+    def counted(rng, proposal, n):
+        sizes.append(n)
+        return draw(rng, proposal, n)
+
+    monkeypatch.setattr(mc_volume, "_draw", counted)
+    return sizes
+
+
+def test_rejection_draws_few_rows_in_growing_slices(drawn):
+    # 5 rows of EBC,TLG (1/48 of the cube) take a few hundred proposals,
+    # not a chunk of 2^22
+    cfg = _cfg(5, seed=8, chunk_size=MAX_CHUNK_SIZE)
+    assert len(_sample_array(RegionExpr.parse("EBC,TLG"), cfg)) == 5
+    assert drawn == [5 * 2**i for i in range(len(drawn))]
+    assert sum(drawn) < 5000
+
+
+def test_rejection_gives_up_after_its_proposal_budget(monkeypatch, drawn):
+    # no real conjunction rejects every proposal, so a mask stands in for one
+    monkeypatch.setattr(mc_volume, "region_mask", lambda expr, lam: np.zeros(len(lam), bool))
+    cfg = _cfg(3, seed=5, chunk_size=1000)
+    with pytest.warns(UserWarning, match="acceptance rate 0/"):
+        with pytest.raises(ValueError) as info:
+            list(sample_region(RegionExpr.parse("CPT"), cfg))
+    assert str(info.value) == (
+        "rejection sampling of CPT accepted 0 of 30000 proposals,"
+        " fewer than the 3 rows asked for"
+    )
+    assert sum(drawn) == 3 * mc_volume._PROPOSALS_PER_ROW == 30000
+    assert max(drawn) <= cfg.chunk_size
+
+
 def test_sample_region_is_unbiased_on_symmetric_region():
     # the channel tetrahedron is symmetric under each sign flip pair,
     # so each coordinate has mean zero
@@ -265,6 +320,32 @@ def test_slices_of_a_chunk_concatenate_to_one_draw(proposal, seed, c, slices):
     parts = [draw(rng, n) for n in slices]
     whole = draw(np.random.default_rng([seed, c]), sum(slices))
     assert np.array_equal(np.concatenate(parts), whole)
+
+
+def _reference_rows(expr, samples, chunk_size, seed):
+    """Rejection sampling over whole chunks: the rows each chunk accepts, in order."""
+    rows = []
+    for c in itertools.count():
+        rng = np.random.default_rng([seed, c])
+        if RegionId.CPT in expr.conjuncts:
+            lam = _lambda_columns(rng.dirichlet(np.ones(4), size=chunk_size))
+        else:
+            lam = rng.uniform(-1.0, 1.0, size=(chunk_size, 3))
+        rows.extend(lam[region_mask(expr, lam)].tolist())
+        if len(rows) >= samples:
+            return rows[:samples]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    expr=_expr,
+    samples=st.integers(1, 100),
+    chunk_size=st.integers(1, 3000),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_sliced_rejection_matches_whole_chunk_reference(expr, samples, chunk_size, seed):
+    cfg = SamplerConfig(samples, seed, chunk_size)
+    assert _sample_array(expr, cfg).tolist() == _reference_rows(expr, samples, chunk_size, seed)
 
 
 @settings(max_examples=40, deadline=None)
