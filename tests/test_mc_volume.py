@@ -303,7 +303,7 @@ def test_fisher_rao_stream_matches_reference(samples, chunk_size, seed):
 # k + m rows, for both proposals the rejection sampler uses.
 _REJECTION_DRAWS = {
     "cube": lambda rng, n: rng.uniform(-1.0, 1.0, size=(n, 3)),
-    "tetrahedron": lambda rng, n: rng.dirichlet(np.ones(4), size=n),
+    "tetrahedron": lambda rng, n: _lambda_columns(rng.dirichlet(np.ones(4), size=n)),
 }
 
 
@@ -326,11 +326,8 @@ def _reference_rows(expr, samples, chunk_size, seed):
     """Rejection sampling over whole chunks: the rows each chunk accepts, in order."""
     rows = []
     for c in itertools.count():
-        rng = np.random.default_rng([seed, c])
-        if RegionId.CPT in expr.conjuncts:
-            lam = _lambda_columns(rng.dirichlet(np.ones(4), size=chunk_size))
-        else:
-            lam = rng.uniform(-1.0, 1.0, size=(chunk_size, 3))
+        proposal = "tetrahedron" if RegionId.CPT in expr.conjuncts else "cube"
+        lam = _REJECTION_DRAWS[proposal](np.random.default_rng([seed, c]), chunk_size)
         rows.extend(lam[region_mask(expr, lam)].tolist())
         if len(rows) >= samples:
             return rows[:samples]
