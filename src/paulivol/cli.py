@@ -3,7 +3,9 @@
 Subcommands: ``classify`` a triple, ``volume`` of a region expression
 (exact, Monte Carlo, or Fisher-Rao), the full reference ``table``,
 ``mesh`` export of a polytopal region, ``sample`` from a region, and
-``evolve`` under a rate schedule.
+``evolve`` under a rate schedule.  Each ``cmd_<name>`` computes the
+document ``--format json`` writes; one renderer per format turns that
+document into text, and ``main`` writes it.
 
 Exit codes: 0 on success, 1 for method/region combinations that are
 unsupported (exact or mesh on a non-polytopal or unbounded region,
@@ -25,7 +27,7 @@ from . import __version__
 from .channel import EigenvalueTriple, choi_spectrum, lambda_to_p
 from .dynamics import (
     RateSchedule,
-    RateTriple,
+    TrajectoryPoint,
     classify_trajectory,
     evolve,
     is_semigroup_reachable,
@@ -51,31 +53,28 @@ __all__ = ["main", "build_parser"]
 
 
 def _document(command: str, inputs: dict, results: dict) -> dict:
-    return {
-        "version": __version__,
-        "command": command,
-        "inputs": inputs,
-        "results": results,
-    }
+    return {"version": __version__, "command": command, "inputs": inputs, "results": results}
 
 
 def _rat(value: Fraction) -> list:
     return [value.numerator, value.denominator]
 
 
-def _rat_text(value: Fraction) -> str:
-    return f"{value} (≈{float(value):.4f})"
-
-
 def _bool_text(value: bool) -> str:
     return "true" if value else "false"
 
 
+def _tuple_text(values, spec: str) -> str:
+    return "(" + ", ".join([format(x, spec) for x in values]) + ")"
+
+
 def _json_text(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    # the one place a Fraction becomes [numerator, denominator]
+    return json.dumps(doc, indent=2, default=_rat) + "\n"
 
 
 def _csv_text(header: list, rows: list) -> str:
+    # csv writes None as an empty field, floats with repr and fractions with str
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -83,37 +82,50 @@ def _csv_text(header: list, rows: list) -> str:
     return buf.getvalue()
 
 
+# The row writers below format each float once with repr, which is the text
+# csv.writer and json.dumps give a finite float; tests/test_cli_writers.py
+# holds them to those writers.
+
+
+def _spliced_json(doc: dict, key: str, row_text) -> str:
+    """``_json_text(doc)``, each row of ``doc["results"][key]`` written by ``row_text``.
+
+    ``row_text`` writes one row at json's indent of 6; the rows are not
+    empty.  No other key is ``key`` and a quote in a string is escaped, so
+    the first ``"<key>": []`` of the text is the results' one.
+    """
+    results = doc["results"]
+    text = _json_text({**doc, "results": {**results, key: []}})
+    body = ",\n".join([row_text(row) for row in results[key]])
+    return text.replace(f'"{key}": []', f'"{key}": [\n{body}\n    ]', 1)
+
+
 # --- classify ----------------------------------------------------------------
 
 
-def cmd_classify(args) -> str:
+def cmd_classify(args) -> dict:
     lam = EigenvalueTriple(args.l1, args.l2, args.l3)
-    p = lambda_to_p(lam)
-    spectrum = choi_spectrum(lam)
-    regions = _region_record(lam)
-    doc = _document(
-        "classify",
-        {"lambda": [lam.l1, lam.l2, lam.l3]},
-        {
-            "regions": regions,
-            "p": [p.p0, p.p1, p.p2, p.p3],
-            "choi_spectrum": spectrum,
-        },
-    )
-    if args.format == "json":
-        return _json_text(doc)
-    if args.format == "csv":
-        rows = [["lambda", repr(lam.l1), repr(lam.l2), repr(lam.l3)]]
-        rows.append(["p"] + [repr(x) for x in p])
-        rows.append(["choi_spectrum"] + [repr(x) for x in spectrum])
-        rows.extend([tag, _bool_text(regions[tag])] for tag in _REGION_LABELS)
-        return _csv_text(["quantity", "value"], rows)
+    results = {"regions": _region_record(lam), "p": list(lambda_to_p(lam)),
+               "choi_spectrum": choi_spectrum(lam)}
+    return _document("classify", {"lambda": list(lam)}, results)
+
+
+def _classify_csv(doc: dict) -> str:
+    r = doc["results"]
+    rows = [["lambda", *doc["inputs"]["lambda"]], ["p", *r["p"]],
+            ["choi_spectrum", *r["choi_spectrum"]],
+            *([tag, _bool_text(flag)] for tag, flag in r["regions"].items())]
+    return _csv_text(["quantity", "value"], rows)
+
+
+def _classify_text(doc: dict) -> str:
+    r = doc["results"]
     lines = [
-        f"lambda = ({lam.l1:g}, {lam.l2:g}, {lam.l3:g})",
-        f"p = ({p.p0:g}, {p.p1:g}, {p.p2:g}, {p.p3:g})",
-        "choi spectrum = (" + ", ".join(f"{x:g}" for x in spectrum) + ")",
+        f"lambda = {_tuple_text(doc['inputs']['lambda'], 'g')}",
+        f"p = {_tuple_text(r['p'], 'g')}",
+        f"choi spectrum = {_tuple_text(r['choi_spectrum'], 'g')}",
+        *(f"{tag}: {_bool_text(flag)}" for tag, flag in r["regions"].items()),
     ]
-    lines.extend(f"{tag}: {_bool_text(regions[tag])}" for tag in _REGION_LABELS)
     return "\n".join(lines) + "\n"
 
 
@@ -124,29 +136,37 @@ def _sampler_config(args) -> SamplerConfig:
     return SamplerConfig(samples=args.samples, seed=args.seed, chunk_size=args.chunk_size)
 
 
-def cmd_volume(args) -> str:
+def cmd_volume(args) -> dict:
     expr = RegionExpr.parse(args.region)
     inputs = {"region": str(expr), "method": args.method}
     if args.method == "exact":
         value = region_volume(expr)
-        payload = {"method": "exact", "value": _rat(value), "approx": float(value)}
-        row = [str(expr), "exact", str(value), "0", "", ""]
-        line = f"volume: {_rat_text(value)}"
+        return _document("volume", inputs,
+                         {"method": "exact", "value": value, "approx": float(value)})
+    estimator = hs_volume_mc if args.method == "mc" else fr_volume_mc
+    est = estimator(expr, _sampler_config(args))
+    inputs.update(samples=args.samples, seed=args.seed, chunk_size=args.chunk_size)
+    return _document("volume", inputs, {"method": est.method, "value": est.value,
+                                        "std_error": est.std_error, "samples": est.samples,
+                                        "seed": est.seed})
+
+
+def _volume_csv(doc: dict) -> str:
+    r = doc["results"]
+    # an exact volume has std_error 0 and no samples or seed
+    row = [doc["inputs"]["region"], r["method"], r["value"], r.get("std_error", 0),
+           r.get("samples"), r.get("seed")]
+    return _csv_text(["region", "method", "value", "std_error", "samples", "seed"], [row])
+
+
+def _volume_text(doc: dict) -> str:
+    r = doc["results"]
+    if r["method"] == "exact":
+        line = f"volume: {r['value']} (≈{r['approx']:.4f})"
     else:
-        estimator = hs_volume_mc if args.method == "mc" else fr_volume_mc
-        est = estimator(expr, _sampler_config(args))
-        inputs.update(samples=args.samples, seed=args.seed, chunk_size=args.chunk_size)
-        payload = {"method": est.method, "value": est.value, "std_error": est.std_error,
-                   "samples": est.samples, "seed": est.seed}
-        row = [str(expr), est.method, repr(est.value), repr(est.std_error),
-               str(est.samples), str(est.seed)]
-        line = (f"volume: {est.value!r} ± {est.std_error:.3g}"
-                f" ({est.samples} samples, seed {est.seed})")
-    if args.format == "json":
-        return _json_text(_document("volume", inputs, payload))
-    if args.format == "csv":
-        return _csv_text(["region", "method", "value", "std_error", "samples", "seed"], [row])
-    return f"region: {expr}\nmethod: {payload['method']}\n{line}\n"
+        line = (f"volume: {r['value']!r} ± {r['std_error']:.3g}"
+                f" ({r['samples']} samples, seed {r['seed']})")
+    return f"region: {doc['inputs']['region']}\nmethod: {r['method']}\n{line}\n"
 
 
 # --- table -------------------------------------------------------------------
@@ -201,21 +221,19 @@ def build_table(cfg: SamplerConfig) -> list:
     return rows
 
 
-def cmd_table(args) -> str:
+def cmd_table(args) -> dict:
     cfg = _sampler_config(args)
-    rows = build_table(cfg)
-    if args.format == "json":
-        payload = [
-            {**row, "reference": _rat(row["reference"]),
-             "exact": None if row["exact"] is None else _rat(row["exact"])}
-            for row in rows
-        ]
-        return _json_text(_document("table", asdict(cfg), {"rows": payload, "mc_method": "mc-hs"}))
-    header = ("quantity", "reference", "exact", "mc", "mc_stderr")
-    if args.format == "csv":
-        # csv writes None as an empty field, floats with repr and fractions with str
-        return _csv_text(header, [row.values() for row in rows])
-    cells = [header]
+    return _document("table", asdict(cfg), {"rows": build_table(cfg), "mc_method": "mc-hs"})
+
+
+def _table_csv(doc: dict) -> str:
+    rows = doc["results"]["rows"]
+    return _csv_text(list(rows[0]), [row.values() for row in rows])
+
+
+def _table_text(doc: dict) -> str:
+    rows = doc["results"]["rows"]
+    cells = [tuple(rows[0])]
     for row in rows:
         cells.append((
             row["quantity"],
@@ -232,53 +250,37 @@ def cmd_table(args) -> str:
 # --- mesh --------------------------------------------------------------------
 
 
-def cmd_mesh(args) -> str:
-    expr = RegionExpr.parse(args.region)
-    return _json_text(mesh_document(expr))
+def cmd_mesh(args) -> dict:
+    return mesh_document(RegionExpr.parse(args.region))
 
 
 # --- sample ------------------------------------------------------------------
 
 
-def cmd_sample(args) -> str:
+def cmd_sample(args) -> dict:
     expr = RegionExpr.parse(args.region)
     cfg = _sampler_config(args)
-    rows = _sample_array(expr, cfg).tolist()
-    if args.format == "json":
-        return _sample_json({"region": str(expr), **asdict(cfg)}, rows)
-    return _sample_csv(rows)
+    return _document("sample", {"region": str(expr), **asdict(cfg)},
+                     {"rows": _sample_array(expr, cfg).tolist(), "method": "mc-hs"})
 
 
-# The row writers below format each float once with repr, which is the text
-# csv.writer and json.dumps give a finite float; tests/test_cli_writers.py
-# holds them to those writers.
+def _sample_csv(doc: dict) -> str:
+    return "l1,l2,l3\n" + "".join([f"{a!r},{b!r},{c!r}\n" for a, b, c in doc["results"]["rows"]])
 
 
-def _sample_csv(rows: list) -> str:
-    return "l1,l2,l3\n" + "".join([f"{a!r},{b!r},{c!r}\n" for a, b, c in rows])
+def _sample_json(doc: dict) -> str:
+    return _spliced_json(doc, "rows", _triple_json)
 
 
-def _sample_json(inputs: dict, rows: list) -> str:
-    """``_json_text`` of the sample document; ``rows`` is not empty.
-
-    ``inputs`` holds only the region and ints, so the first ``"rows": []``
-    is the results' one, and the rows go there at json's indent.
-    """
-    text = _json_text(_document("sample", inputs, {"rows": [], "method": "mc-hs"}))
-    body = ",\n".join([
-        f"      [\n        {a!r},\n        {b!r},\n        {c!r}\n      ]" for a, b, c in rows
-    ])
-    return text.replace('"rows": []', f'"rows": [\n{body}\n    ]', 1)
+def _triple_json(row: list) -> str:
+    a, b, c = row
+    return f"      [\n        {a!r},\n        {b!r},\n        {c!r}\n      ]"
 
 
 # --- evolve ------------------------------------------------------------------
 
 
-def _triple_payload(lam: EigenvalueTriple) -> list:
-    return [lam.l1, lam.l2, lam.l3]
-
-
-def cmd_evolve(args) -> str:
+def cmd_evolve(args) -> dict:
     if args.target is not None:
         return _evolve_target(args)
     if args.schedule is None:
@@ -294,96 +296,98 @@ def cmd_evolve(args) -> str:
     schedule = schedule_from_json(doc)
     if args.t is not None:
         lam = evolve(schedule, args.t)
-        points = [(args.t, lam, _region_record(lam))]
+        points = [TrajectoryPoint(args.t, lam, _region_record(lam))]
     else:
-        points = [
-            (pt.t, pt.eigenvalues, pt.regions)
-            for pt in classify_trajectory(schedule, args.steps)
-        ]
-    if args.format == "json":
-        inputs = {"schedule": args.schedule, "t": args.t,
-                  "steps": None if args.t is not None else args.steps}
-        trajectory = [{"t": t, "eigenvalues": _triple_payload(lam), "regions": regions}
-                      for t, lam, regions in points]
-        return _json_text(_document("evolve", inputs, {"trajectory": trajectory}))
-    if args.format == "csv":
-        return _evolve_csv(points)
-    lines = []
-    for t, lam, regions in points:
-        tags = ",".join(tag for tag in _REGION_LABELS if regions[tag])
-        lines.append(
-            f"t={t:g} lambda=({lam.l1:.6g}, {lam.l2:.6g}, {lam.l3:.6g}) in [{tags}]"
-        )
-    return "\n".join(lines) + "\n"
+        points = classify_trajectory(schedule, args.steps)
+    inputs = {"schedule": args.schedule, "t": args.t,
+              "steps": None if args.t is not None else args.steps}
+    trajectory = [
+        {"t": pt.t, "eigenvalues": [pt.eigenvalues.l1, pt.eigenvalues.l2, pt.eigenvalues.l3],
+         "regions": pt.regions}
+        for pt in points
+    ]
+    return _document("evolve", inputs, {"trajectory": trajectory})
 
 
-def _evolve_csv(points: list) -> str:
+def _trajectory_json(doc: dict) -> str:
+    return _spliced_json(doc, "trajectory", _point_json)
+
+
+def _point_json(point: dict) -> str:
+    l1, l2, l3 = point["eigenvalues"]
+    flags = ",\n".join([f'          "{tag}": {_bool_text(flag)}'
+                        for tag, flag in point["regions"].items()])
+    return (f'      {{\n        "t": {point["t"]!r},\n        "eigenvalues": [\n'
+            f"          {l1!r},\n          {l2!r},\n          {l3!r}\n        ],\n"
+            f'        "regions": {{\n{flags}\n        }}\n      }}')
+
+
+def _trajectory_csv(doc: dict) -> str:
     lines = [",".join(["t", "l1", "l2", "l3", *_REGION_LABELS]) + "\n"]
-    for t, lam, regions in points:
-        flags = ",".join([_bool_text(regions[tag]) for tag in _REGION_LABELS])
-        lines.append(f"{t!r},{lam.l1!r},{lam.l2!r},{lam.l3!r},{flags}\n")
+    for point in doc["results"]["trajectory"]:
+        l1, l2, l3 = point["eigenvalues"]
+        flags = ",".join([_bool_text(flag) for flag in point["regions"].values()])
+        lines.append(f"{point['t']!r},{l1!r},{l2!r},{l3!r},{flags}\n")
     return "".join(lines)
 
 
-def _evolve_target(args) -> str:
+def _trajectory_text(doc: dict) -> str:
+    lines = []
+    for point in doc["results"]["trajectory"]:
+        l1, l2, l3 = point["eigenvalues"]
+        tags = ",".join(tag for tag, flag in point["regions"].items() if flag)
+        lines.append(f"t={point['t']:g} lambda=({l1:.6g}, {l2:.6g}, {l3:.6g}) in [{tags}]")
+    return "\n".join(lines) + "\n"
+
+
+def _evolve_target(args) -> dict:
     target = EigenvalueTriple(*args.target)
     rates = rates_for_target(target, args.t_star)
-    schedule = RateSchedule([(args.t_star, rates)])
-    reached = evolve(schedule, args.t_star)
-    err = max(
-        abs(reached.l1 - target.l1),
-        abs(reached.l2 - target.l2),
-        abs(reached.l3 - target.l3),
-    )
-    doc = _document(
-        "evolve",
-        {"target": _triple_payload(target), "t_star": args.t_star},
-        {
-            "rates": [rates.g1, rates.g2, rates.g3],
-            "reached": _triple_payload(reached),
-            "max_error": err,
-            "semigroup_reachable": is_semigroup_reachable(target),
-        },
-    )
-    if args.format == "json":
-        return _json_text(doc)
-    if args.format == "csv":
-        return _csv_text(
-            ["g1", "g2", "g3", "t_star", "max_error", "semigroup_reachable"],
-            [[
-                repr(rates.g1),
-                repr(rates.g2),
-                repr(rates.g3),
-                repr(args.t_star),
-                repr(err),
-                _bool_text(is_semigroup_reachable(target)),
-            ]],
-        )
+    reached = evolve(RateSchedule([(args.t_star, rates)]), args.t_star)
+    results = {"rates": list(rates), "reached": list(reached),
+               "max_error": max(abs(a - b) for a, b in zip(reached, target)),
+               "semigroup_reachable": is_semigroup_reachable(target)}
+    return _document("evolve", {"target": list(target), "t_star": args.t_star}, results)
+
+
+def _target_csv(doc: dict) -> str:
+    r = doc["results"]
+    row = [*r["rates"], doc["inputs"]["t_star"], r["max_error"],
+           _bool_text(r["semigroup_reachable"])]
+    return _csv_text(["g1", "g2", "g3", "t_star", "max_error", "semigroup_reachable"], [row])
+
+
+def _target_text(doc: dict) -> str:
+    r = doc["results"]
     return (
-        f"target: ({target.l1:g}, {target.l2:g}, {target.l3:g})\n"
-        f"rates (t_star={args.t_star:g}): ({rates.g1:.12g}, {rates.g2:.12g}, {rates.g3:.12g})\n"
-        f"reached: ({reached.l1:.12g}, {reached.l2:.12g}, {reached.l3:.12g})"
-        f" max error {err:.3g}\n"
-        f"semigroup reachable: {_bool_text(is_semigroup_reachable(target))}\n"
+        f"target: {_tuple_text(doc['inputs']['target'], 'g')}\n"
+        f"rates (t_star={doc['inputs']['t_star']:g}): {_tuple_text(r['rates'], '.12g')}\n"
+        f"reached: {_tuple_text(r['reached'], '.12g')} max error {r['max_error']:.3g}\n"
+        f"semigroup reachable: {_bool_text(r['semigroup_reachable'])}\n"
     )
+
+
+def _evolve_output(trajectory, target):
+    """One renderer for both evolve documents: a trajectory, or the rates for --target."""
+    return lambda doc: (trajectory if "trajectory" in doc["results"] else target)(doc)
 
 
 # --- parser ------------------------------------------------------------------
 
 
-def _add_sampler_flags(sub, default_samples=1_000_000):
-    sub.add_argument("--samples", type=int, default=default_samples,
-                     help="Monte Carlo sample budget")
+def _add_sampler_flags(sub):
+    sub.add_argument("--samples", type=int, default=1_000_000, help="Monte Carlo sample budget")
     sub.add_argument("--seed", type=int, default=0, help="PRNG seed")
     sub.add_argument("--chunk-size", type=int, default=DEFAULT_CHUNK_SIZE,
                      dest="chunk_size", help="samples per PRNG chunk")
 
 
-def _add_common_flags(sub, formats=("json", "csv", "text")):
-    # the last format is the default
-    sub.add_argument("--format", choices=formats, default=formats[-1],
+def _add_output(sub, handler, **renderers):
+    # the renderers' names are the --format choices, and the last is the default
+    sub.add_argument("--format", choices=list(renderers), default=list(renderers)[-1],
                      help="output format")
     sub.add_argument("--out", type=str, default=None, help="write output to a file")
+    sub.set_defaults(handler=handler, render=renderers)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -398,25 +402,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("l1", type=float)
     p.add_argument("l2", type=float)
     p.add_argument("l3", type=float)
-    _add_common_flags(p)
-    p.set_defaults(handler=cmd_classify)
+    _add_output(p, cmd_classify, json=_json_text, csv=_classify_csv, text=_classify_text)
 
     p = sub.add_parser("volume", help="volume of a region expression")
     p.add_argument("--region", required=True, help="comma-separated region tags")
     p.add_argument("--method", choices=("exact", "mc", "fr"), default="exact")
     _add_sampler_flags(p)
-    _add_common_flags(p)
-    p.set_defaults(handler=cmd_volume)
+    _add_output(p, cmd_volume, json=_json_text, csv=_volume_csv, text=_volume_text)
 
     p = sub.add_parser("table", help="all reference volumes and ratios")
     _add_sampler_flags(p)
-    _add_common_flags(p)
-    p.set_defaults(handler=cmd_table)
+    _add_output(p, cmd_table, json=_json_text, csv=_table_csv, text=_table_text)
 
     p = sub.add_parser("mesh", help="exact mesh of a polytopal region")
     p.add_argument("--region", required=True, help="comma-separated region tags")
-    _add_common_flags(p, formats=("json",))
-    p.set_defaults(handler=cmd_mesh)
+    _add_output(p, cmd_mesh, json=_json_text)
 
     p = sub.add_parser("sample", help="draw uniform samples from a region")
     p.add_argument("--region", required=True, help="comma-separated region tags")
@@ -425,22 +425,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="PRNG seed")
     p.add_argument("--chunk-size", type=int, default=DEFAULT_CHUNK_SIZE,
                    dest="chunk_size", help="proposals per PRNG chunk")
-    _add_common_flags(p, formats=("json", "csv"))
-    p.set_defaults(handler=cmd_sample)
+    _add_output(p, cmd_sample, json=_sample_json, csv=_sample_csv)
 
     p = sub.add_parser("evolve", help="run a rate schedule or invert a target")
     p.add_argument("--schedule", type=str, default=None,
                    help="JSON schedule file: [{\"duration\": d, \"rates\": [g1,g2,g3]}, ...]")
     p.add_argument("--t", type=float, default=None, help="single evaluation time")
-    p.add_argument("--steps", type=int, default=11,
-                   help="number of classified trajectory steps")
-    p.add_argument("--target", type=float, nargs=3, default=None,
-                   metavar=("L1", "L2", "L3"),
+    p.add_argument("--steps", type=int, default=11, help="number of classified trajectory steps")
+    p.add_argument("--target", type=float, nargs=3, default=None, metavar=("L1", "L2", "L3"),
                    help="find constant rates reaching this triple")
     p.add_argument("--t-star", type=float, default=1.0, dest="t_star",
                    help="arrival time for --target")
-    _add_common_flags(p)
-    p.set_defaults(handler=cmd_evolve)
+    _add_output(p, cmd_evolve, json=_evolve_output(_trajectory_json, _json_text),
+                csv=_evolve_output(_trajectory_csv, _target_csv),
+                text=_evolve_output(_trajectory_text, _target_text))
 
     return parser
 
@@ -448,7 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        text = args.handler(args)
+        doc = args.handler(args)
+        text = args.render[args.format](doc)
     except (NonPolytopalRegionError, UnboundedPolytopeError, FisherRaoDomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

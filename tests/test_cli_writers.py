@@ -1,6 +1,7 @@
 """The row writers of ``sample`` and ``evolve`` against the stdlib writers.
 
-Both commands write their rows with their own formatting; these tests
+Both commands write their rows with their own formatting, and their JSON
+through one splice into the rest of the document; these tests
 hold that text to what ``csv.writer`` and ``json.dumps(indent=2)`` write
 for the same rows, on random finite floats and on the floats whose text
 is most irregular (signed zero, the smallest subnormal, exponents).
@@ -13,8 +14,14 @@ import json
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from paulivol import EigenvalueTriple
-from paulivol.cli import _REGION_LABELS, _document, _evolve_csv, _sample_csv, _sample_json
+from paulivol.cli import (
+    _REGION_LABELS,
+    _document,
+    _sample_csv,
+    _sample_json,
+    _trajectory_csv,
+    _trajectory_json,
+)
 
 _floats = st.floats(allow_nan=False, allow_infinity=False)
 _rows = st.lists(st.lists(_floats, min_size=3, max_size=3), min_size=1, max_size=40)
@@ -37,7 +44,8 @@ def _stdlib_csv(header, rows):
 @example(rows=[EDGES[:3]])
 @example(rows=[EDGES[3:]])
 def test_sample_csv_matches_csv_writer(rows):
-    assert _sample_csv(rows) == _stdlib_csv(["l1", "l2", "l3"], rows)
+    doc = _document("sample", {}, {"rows": rows, "method": "mc-hs"})
+    assert _sample_csv(doc) == _stdlib_csv(["l1", "l2", "l3"], rows)
 
 
 @settings(max_examples=200, deadline=None)
@@ -52,7 +60,7 @@ def test_sample_csv_matches_csv_writer(rows):
 def test_sample_json_matches_json_dumps(rows, region, seed):
     inputs = {"region": region, "samples": len(rows), "seed": seed, "chunk_size": 65536}
     doc = _document("sample", inputs, {"rows": rows, "method": "mc-hs"})
-    assert _sample_json(inputs, rows) == json.dumps(doc, indent=2) + "\n"
+    assert _sample_json(doc) == json.dumps(doc, indent=2) + "\n"
 
 
 _points = st.lists(
@@ -67,12 +75,41 @@ _points = st.lists(
 @example(points=[(0.0, *EDGES[:3], [True] * 6)])
 @example(points=[(EDGES[3], *EDGES[3:], [False] * 6), (-0.0, *EDGE_ROWS[2], [True, False] * 3)])
 def test_evolve_csv_matches_csv_writer(points):
-    triples = [
-        (t, EigenvalueTriple(l1, l2, l3), dict(zip(_REGION_LABELS, flags)))
-        for t, l1, l2, l3, flags in points
-    ]
     rows = [
         [t, l1, l2, l3, *("true" if f else "false" for f in flags)]
         for t, l1, l2, l3, flags in points
     ]
-    assert _evolve_csv(triples) == _stdlib_csv(["t", "l1", "l2", "l3", *_REGION_LABELS], rows)
+    doc = _trajectory_doc(points, at=None, steps=len(points))
+    assert _trajectory_csv(doc) == _stdlib_csv(["t", "l1", "l2", "l3", *_REGION_LABELS], rows)
+
+
+def _trajectory_doc(points, at, steps):
+    """The evolve document of ``points``; ``at`` is the --t time, or None for --steps."""
+    trajectory = [
+        {"t": t, "eigenvalues": [l1, l2, l3], "regions": dict(zip(_REGION_LABELS, flags))}
+        for t, l1, l2, l3, flags in points
+    ]
+    inputs = {"schedule": "schedule.json", "t": at, "steps": steps}
+    return _document("evolve", inputs, {"trajectory": trajectory})
+
+
+@settings(max_examples=200, deadline=None)
+@given(points=_points, schedule=st.text(max_size=20))
+@example(points=[(0.0, *EDGES[:3], [True] * 6)], schedule="schedule.json")
+@example(points=[(-0.0, *EDGE_ROWS[2], [True, False] * 3)], schedule='"trajectory": []')
+@example(points=[(EDGES[3], *EDGES[3:], [False] * 6), (0.0, *EDGE_ROWS[0], [False, True] * 3)],
+         schedule="s")
+def test_evolve_trajectory_json_matches_json_dumps(points, schedule):
+    doc = _trajectory_doc(points, at=None, steps=len(points))
+    doc["inputs"]["schedule"] = schedule
+    assert _trajectory_json(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(point=_points.map(lambda points: points[0]))
+@example(point=(0.0, *EDGES[:3], [True] * 6))
+@example(point=(EDGES[5], *EDGES[3:], [False] * 6))
+def test_evolve_single_point_json_matches_json_dumps(point):
+    # the --t document: one point, with t in the inputs and no steps
+    doc = _trajectory_doc([point], at=point[0], steps=None)
+    assert _trajectory_json(doc) == json.dumps(doc, indent=2) + "\n"
