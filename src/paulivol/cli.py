@@ -18,7 +18,10 @@ import argparse
 import csv
 import io
 import json
+import math
+import re
 import sys
+import warnings
 from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
@@ -69,8 +72,8 @@ def _tuple_text(values, spec: str) -> str:
 
 
 def _json_text(doc: dict) -> str:
-    # the one place a Fraction becomes [numerator, denominator]
-    return json.dumps(doc, indent=2, default=_rat) + "\n"
+    # the one place a Fraction becomes [numerator, denominator]; NaN and inf are not JSON
+    return json.dumps(doc, indent=2, allow_nan=False, default=_rat) + "\n"
 
 
 def _csv_text(header: list, rows: list) -> str:
@@ -224,6 +227,17 @@ def build_table(cfg: SamplerConfig) -> list:
 def cmd_table(args) -> dict:
     cfg = _sampler_config(args)
     return _document("table", asdict(cfg), {"rows": build_table(cfg), "mc_method": "mc-hs"})
+
+
+def _table_json(doc: dict) -> str:
+    # an estimate whose denominator got no hit is NaN, and JSON writes it as null
+    rows = [{**row, "mc": _defined(row["mc"]), "mc_stderr": _defined(row["mc_stderr"])}
+            for row in doc["results"]["rows"]]
+    return _json_text({**doc, "results": {**doc["results"], "rows": rows}})
+
+
+def _defined(value: float):
+    return None if math.isnan(value) else value
 
 
 def _table_csv(doc: dict) -> str:
@@ -390,8 +404,23 @@ def _add_output(sub, handler, **renderers):
     sub.set_defaults(handler=handler, render=renderers)
 
 
+# A float literal float() reads, with a leading minus: argparse's own matcher
+# knows only the -1 and -.5 forms and takes any other "-..." for an option.
+_DIGITS = r"\d(?:_?\d)*"
+_NEGATIVE_NUMBER = re.compile(
+    rf"-(?:{_DIGITS}(?:\.(?:{_DIGITS})?)?|\.{_DIGITS})(?:[eE][-+]?{_DIGITS})?$")
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads ``-1e-3`` as a number; subparsers inherit it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="paulivol",
         description="Classify qubit Pauli maps and compute region volumes.",
     )
@@ -412,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="all reference volumes and ratios")
     _add_sampler_flags(p)
-    _add_output(p, cmd_table, json=_json_text, csv=_table_csv, text=_table_text)
+    _add_output(p, cmd_table, json=_table_json, csv=_table_csv, text=_table_text)
 
     p = sub.add_parser("mesh", help="exact mesh of a polytopal region")
     p.add_argument("--region", required=True, help="comma-separated region tags")
@@ -446,7 +475,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        doc = args.handler(args)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", UserWarning)
+            try:
+                doc = args.handler(args)
+            finally:
+                # each message once, and before the error line if compute fails
+                for message in dict.fromkeys(str(w.message) for w in caught):
+                    print(f"warning: {message}", file=sys.stderr)
         text = args.render[args.format](doc)
     except (NonPolytopalRegionError, UnboundedPolytopeError, FisherRaoDomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -196,6 +196,12 @@ def is_semigroup_reachable(l: EigenvalueTriple) -> bool:
     return m2 + m3 >= m1 and m1 + m3 >= m2 and m1 + m2 >= m3
 
 
+# Largest ``steps`` of classify_trajectory.  The CLI holds every point and its
+# text at once and peaks at about 1.8 KB a step for json (1.0 KB for csv),
+# so near 1 GB here; the cap is checked before anything is allocated.
+MAX_STEPS = 5 * 10**5
+
+
 @dataclass(frozen=True)
 class TrajectoryPoint:
     """One classified step of an eigenvalue trajectory."""
@@ -218,6 +224,8 @@ def classify_trajectory(schedule: RateSchedule, steps: int) -> list:
     """
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
+    if steps > MAX_STEPS:
+        raise ValueError(f"steps must be <= {MAX_STEPS}, got {steps}")
     import numpy as np
     total = schedule.total_duration
     times = np.arange(steps) * total / (steps - 1)

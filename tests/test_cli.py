@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from paulivol import FR_TOTAL, RegionExpr, contains, EigenvalueTriple
 from paulivol import mc_volume
 from paulivol.cli import main
+from paulivol.dynamics import MAX_STEPS
 from paulivol.mc_volume import MAX_SAMPLE_ROWS, MAX_SAMPLES
 
 jsonschema = pytest.importorskip("jsonschema")
@@ -430,11 +431,60 @@ def test_volume_and_table_above_the_sample_cap_exit_2_before_drawing(n, command)
 def test_sample_exits_2_when_rejection_gives_up(monkeypatch):
     # no real conjunction rejects every proposal, so a mask stands in for one
     monkeypatch.setattr(mc_volume, "region_mask", lambda expr, lam: np.zeros(len(lam), bool))
-    with pytest.warns(UserWarning, match="acceptance rate 0/"):
-        code, out, err = _main(["sample", "--region", "CPT,EBC", "-n", "2", "--seed", "3"])
+    code, out, err = _main(["sample", "--region", "CPT,EBC", "-n", "2", "--seed", "3"])
     assert (code, out) == (2, "")
-    assert err == ("error: rejection sampling of CPT,EBC accepted 0 of 20000 proposals,"
+    assert err == ("warning: acceptance rate 0/16382 below 0.0001 while sampling CPT,EBC\n"
+                   "error: rejection sampling of CPT,EBC accepted 0 of 20000 proposals,"
                    " fewer than the 2 rows asked for\n")
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_table_json_writes_null_for_an_undefined_estimate():
+    # one sample hits neither CPT nor CPT,TLG: every ratio and the complement are undefined
+    code, out, err = _main(["table", "--samples", "1", "--format", "json"])
+    assert code == 0
+    doc = json.loads(out, parse_constant=_no_constant)
+    jsonschema.validate(doc, _schema("output.schema.json"))
+    rows = doc["results"]["rows"]
+    undefined = [row["quantity"] for row in rows if row["mc"] is None]
+    assert undefined == [row["quantity"] for row in rows if row["mc_stderr"] is None]
+    assert len(undefined) == 7 and "memory-kernel-only" in undefined
+    assert err == ("warning: no sample hit the denominator region CPT; ratio undefined\n"
+                   "warning: no sample hit the denominator region CPT,TLG; ratio undefined\n")
+    for fmt in ("csv", "text"):  # these keep nan
+        assert _main(["table", "--samples", "1", "--format", fmt])[1].count("nan") == 14
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=st.floats(allow_nan=False, allow_infinity=False), slot=st.integers(0, 2))
+def test_every_finite_float_literal_is_a_number_to_argparse(x, slot):
+    # argparse alone reads -1e-3 as an option, and then lacks a positional
+    triple = ["0.5", "0.25", "0.125"]
+    triple[slot] = repr(x)
+    for argv in (["classify", *triple], ["evolve", "--target", *triple]):
+        code, out, err = _main(argv)
+        assert code in (0, 2), err
+        if code == 2:
+            assert out == "" and err.startswith("error: ") and "usage:" not in err, err
+
+
+def _no_arange(*args):
+    raise AssertionError("the trajectory times were allocated")
+
+
+@settings(max_examples=50, deadline=None)
+@given(n=st.integers(MAX_STEPS + 1, 10**30), fmt=st.sampled_from(["json", "csv", "text"]))
+def test_evolve_steps_above_the_cap_exit_2_before_allocating(tmp_path_factory, n, fmt):
+    path = tmp_path_factory.getbasetemp() / "capped-schedule.json"
+    path.write_text('[{"duration": 1.0, "rates": [0.1, 0.2, 0.3]}]')
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "arange", _no_arange)
+        code, out, err = _main(["evolve", "--schedule", str(path), "--steps", str(n),
+                                "--format", fmt])
+    assert (code, out, err) == (2, "", f"error: steps must be <= {MAX_STEPS}, got {n}\n")
 
 
 def test_evolve_rejects_deeply_nested_schedule_with_exit_2(tmp_path):
