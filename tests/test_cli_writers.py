@@ -5,22 +5,28 @@ through one splice into the rest of the document; these tests
 hold that text to what ``csv.writer`` and ``json.dumps(indent=2)`` write
 for the same rows, on random finite floats and on the floats whose text
 is most irregular (signed zero, the smallest subnormal, exponents).
+The last test holds every command's document to the output schemas, and
+its rendered JSON to ``_json_text`` of that document.
 """
 
 import csv
 import io
 import json
+from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from paulivol.cli import (
     _REGION_LABELS,
     _document,
+    _json_text,
     _sample_csv,
     _sample_json,
     _trajectory_csv,
     _trajectory_json,
+    build_parser,
 )
 
 _floats = st.floats(allow_nan=False, allow_infinity=False)
@@ -113,3 +119,44 @@ def test_evolve_single_point_json_matches_json_dumps(point):
     # the --t document: one point, with t in the inputs and no steps
     doc = _trajectory_doc([point], at=point[0], steps=None)
     assert _trajectory_json(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+# --- every command's document against the schemas -----------------------------
+
+SCHEMAS = Path(__file__).resolve().parents[1] / "src" / "paulivol" / "schemas"
+
+COMMANDS = [
+    ["classify", "0.5", "-1e-3", "0.125"],
+    ["volume", "--region", "CPT,EBC"],
+    ["volume", "--region", "CPT", "--method", "mc", "--samples", "2000"],
+    ["volume", "--region", "CPT", "--method", "fr", "--samples", "2000"],
+    ["table", "--samples", "20000", "--seed", "5"],
+    ["mesh", "--region", "CPT,EBC"],
+    ["sample", "--region", "EBC,TLG", "-n", "5"],
+    ["evolve", "--schedule", "schedule.json", "--steps", "7"],
+    ["evolve", "--schedule", "schedule.json", "--t", "0.3"],
+    ["evolve", "--target", "0.5", "0.4", "0.3"],
+]
+# each command's --format choices are the names of its renderers
+CASES = [(argv, fmt) for argv in COMMANDS for fmt in build_parser().parse_args(argv).render]
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("argv, fmt", CASES, ids=[" ".join([*a, f]) for a, f in CASES])
+def test_document_validates_and_renders(tmp_path, monkeypatch, argv, fmt):
+    jsonschema = pytest.importorskip("jsonschema")
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "schedule.json").write_text('[{"duration": 0.5, "rates": [1.0, 0.5, -0.2]}]')
+    args = build_parser().parse_args([*argv, "--format", fmt])
+    doc = args.handler(args)
+    schema = json.loads((SCHEMAS / f"{'mesh' if argv[0] == 'mesh' else 'output'}.schema.json")
+                        .read_text())
+    jsonschema.validate(json.loads(_json_text(doc)), schema)
+    text = args.render[fmt](doc)
+    assert text.endswith("\n")
+    if fmt == "json":
+        json.loads(text, parse_constant=_no_constant)
+        assert text == _json_text(doc)
