@@ -22,11 +22,22 @@ __all__ = [
     "choi_spectrum",
 ]
 
-# The weight-sum and Choi-trace checks share one tolerance.
+# The weight-sum and Choi-trace checks share one tolerance and one rounding bound.
 _ATOL = 1e-12
 
 
-@dataclass(frozen=True)
+def _beyond_rounding(total: float, *terms: float) -> bool:
+    """Whether a float sum of four terms misses 1 by more than its rounding.
+
+    The terms round four numbers that sum to 1: a ``lambda_to_p`` weight is
+    off by at most 3u (u = 2**-53) of (1 + |l1| + |l2| + |l3|)/4 <= sum|x|,
+    a Choi diagonal entry by u/2 of sum|x|, and the sum adds 3u of sum|x|:
+    15u < 2**-49 of sum|x| in all, each term scaled first so it stays finite.
+    """
+    return abs(total - 1.0) > sum(2.0**-49 * abs(x) for x in terms)
+
+
+@dataclass(frozen=True, slots=True)
 class EigenvalueTriple:
     """Eigenvalues (lambda_1, lambda_2, lambda_3) of a Pauli map.
 
@@ -54,7 +65,7 @@ class EigenvalueTriple:
         yield self.l3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProbabilityVector:
     """Pauli weights (p_0, p_1, p_2, p_3) of a map.
 
@@ -79,7 +90,7 @@ class ProbabilityVector:
         object.__setattr__(self, "p2", p2)
         object.__setattr__(self, "p3", p3)
         total = p0 + p1 + p2 + p3
-        if abs(total - 1.0) > _ATOL:
+        if abs(total - 1.0) > _ATOL and _beyond_rounding(total, p0, p1, p2, p3):
             raise ValueError(f"weights must sum to 1 within {_ATOL}, got sum {total!r}")
 
     def __iter__(self):
@@ -89,30 +100,31 @@ class ProbabilityVector:
         yield self.p3
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class ChoiMatrix:
     """4x4 Choi-Jamiolkowski state (1/2) sum_ij |i><j| (x) Lambda[|i><j|].
 
     Built from the eigenvalue triple of a Pauli map: the diagonal holds
     (1 +- l3)/4 and the anti-diagonal (l1 +- l2)/4, all real, every other
-    entry is zero, and ``entries`` is a read-only complex array.  The two
-    2x2 invariant blocks (indices {0,3} and {1,2}) give the spectrum in
-    closed form.
+    entry is zero.  ``blocks`` keeps those four numbers (dp, dm, op, om);
+    the two 2x2 invariant blocks (indices {0,3} and {1,2}) they make give
+    the spectrum in closed form.
     """
 
-    entries: np.ndarray
+    blocks: tuple
 
     def __init__(self, l: EigenvalueTriple):
-        dp, dm, op, om = _choi_entries(l)
+        object.__setattr__(self, "blocks", _choi_entries(l))
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The matrix as a read-only complex array, built on each access."""
         import numpy as np
-        entries = np.array([
-            [dp, 0.0, 0.0, op],
-            [0.0, dm, om, 0.0],
-            [0.0, om, dm, 0.0],
-            [op, 0.0, 0.0, dp],
-        ], dtype=complex)
+        dp, dm, op, om = self.blocks
+        entries = np.array([[dp, 0, 0, op], [0, dm, om, 0], [0, om, dm, 0], [op, 0, 0, dp]],
+                           dtype=complex)
         entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
+        return entries
 
     def eigenvalues(self) -> np.ndarray:
         """Spectrum of the two blocks, no general eigensolver.
@@ -121,8 +133,7 @@ class ChoiMatrix:
         off-diagonal one, so its eigenvalues are d + |o| and d - |o|.
         """
         import numpy as np
-        m = self.entries.tolist()
-        return np.array(_block_spectrum(m[0][0].real, m[1][1].real, m[0][3].real, m[1][2].real))
+        return np.array(_block_spectrum(*self.blocks))
 
 
 def p_to_lambda(p: ProbabilityVector) -> EigenvalueTriple:
@@ -150,18 +161,16 @@ def lambda_to_p(l: EigenvalueTriple) -> ProbabilityVector:
     p3 = 0.25 * (1.0 - l.l1 - l.l2 + l.l3)
     try:
         return ProbabilityVector(p0, p1, p2, p3)
-    except ValueError:
-        if math.isfinite(p0) and math.isfinite(p1) and math.isfinite(p2) and math.isfinite(p3):
-            raise
-    raise ValueError("eigenvalues are too large for finite Pauli weights")
+    except ValueError:  # finite weights sum to 1 within their rounding
+        raise ValueError("eigenvalues are too large for finite Pauli weights") from None
 
 
 def _choi_entries(l: EigenvalueTriple) -> tuple:
     """Diagonal entries (1 +- l3)/4 and anti-diagonal entries (l1 +- l2)/4.
 
-    Two checks can fail: finiteness, once l1 +- l2 overflows, and the
-    trace, through rounding once |l3| is near 1e16.  The trace is summed
-    pairwise, (dp + dm) + (dm + dp), as numpy sums a 4x4 diagonal.
+    Finiteness fails once l1 +- l2 overflows.  The trace is summed
+    pairwise, (dp + dm) + (dm + dp), as numpy sums a 4x4 diagonal, and is
+    held to 1 within its rounding bound (see ``_beyond_rounding``).
     """
     dp = 0.25 * (1.0 + l.l3)
     dm = 0.25 * (1.0 - l.l3)
@@ -169,7 +178,8 @@ def _choi_entries(l: EigenvalueTriple) -> tuple:
     om = 0.25 * (l.l1 - l.l2)
     if not (math.isfinite(op) and math.isfinite(om)):
         raise ValueError("Choi matrix entries must be finite")
-    if abs((dp + dm) + (dm + dp) - 1.0) > _ATOL:
+    trace = (dp + dm) + (dm + dp)
+    if abs(trace - 1.0) > _ATOL and _beyond_rounding(trace, dp, dm, dm, dp):
         raise ValueError("Choi matrix must have unit trace")
     return dp, dm, op, om
 

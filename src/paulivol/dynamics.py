@@ -202,7 +202,7 @@ def is_semigroup_reachable(l: EigenvalueTriple) -> bool:
 MAX_STEPS = 5 * 10**5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrajectoryPoint:
     """One classified step of an eigenvalue trajectory."""
 

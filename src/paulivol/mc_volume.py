@@ -313,5 +313,4 @@ def sample_region(expr: RegionExpr, cfg: SamplerConfig) -> Iterator[EigenvalueTr
     raises ValueError once 10**4 proposals per requested row are spent.
     """
     for rows in _accepted_chunks(expr, cfg):
-        for l1, l2, l3 in zip(*rows.T.tolist()):
-            yield EigenvalueTriple(l1, l2, l3)
+        yield from map(EigenvalueTriple, *rows.T.tolist())

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -11,6 +12,9 @@ from paulivol import (
     ChoiMatrix,
     EigenvalueTriple,
     ProbabilityVector,
+    RateSchedule,
+    RateTriple,
+    classify_trajectory,
     choi_matrix,
     choi_spectrum,
     lambda_to_p,
@@ -177,8 +181,10 @@ def test_choi_matrix_validation():
     assert choi.entries.tobytes() == _formula_entries(0.5, -0.25, 0.75).tobytes()
     with pytest.raises(ValueError):
         choi.entries[0, 0] = 1.0
-    with pytest.raises(ValueError, match="unit trace"):
-        ChoiMatrix(EigenvalueTriple(0.1, 0.0, 1e16))
+    # The trace of the diagonal (1 +- 1e16)/4 rounds to 0, within the
+    # rounding bound of its terms, so the matrix is built.
+    big = ChoiMatrix(EigenvalueTriple(0.1, 0.0, 1e16))
+    assert big.entries.tobytes() == _formula_entries(0.1, 0.0, 1e16).tobytes()
     with pytest.raises(ValueError, match="must be finite"):
         ChoiMatrix(EigenvalueTriple(1e308, 1e308, 0.0))
 
@@ -226,6 +232,9 @@ def test_value_objects_reject_non_numbers_with_type_error():
 def test_value_objects_are_frozen_dataclasses_of_floats(cls, args, text):
     value = cls(*args)
     names = [f.name for f in dataclasses.fields(cls)]
+    assert not hasattr(value, "__dict__")
+    with pytest.raises(TypeError):
+        weakref.ref(value)
     assert all(type(x) is float for x in value)
     assert repr(value) == text
     twin = cls(**{name: float(x) for name, x in zip(names, args)})
@@ -238,6 +247,25 @@ def test_value_objects_are_frozen_dataclasses_of_floats(cls, args, text):
     fields = tuple(value)
     swapped = dataclasses.replace(value, **{names[1]: fields[2], names[2]: fields[1]})
     assert tuple(swapped) == (fields[0], fields[2], fields[1], *fields[3:])
+
+
+def test_trajectory_point_and_choi_matrix_are_frozen_and_slotted():
+    point = classify_trajectory(RateSchedule([(1.0, RateTriple(0.5, 0.25, 1.0))]), 3)[1]
+    assert pickle.loads(pickle.dumps(point)) == point
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        point.t = 0.0
+    choi = choi_matrix(EigenvalueTriple(0.5, -0.25, 0.75))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        choi.blocks = (1.0, 0.0, 0.0, 0.0)
+    for value in (point, choi):
+        assert not hasattr(value, "__dict__")
+        with pytest.raises(TypeError):
+            weakref.ref(value)
+    # entries is built on each read: a new read-only array, the same bytes
+    first, second = choi.entries, choi.entries
+    assert first is not second
+    assert not first.flags.writeable and not second.flags.writeable
+    assert first.tobytes() == second.tobytes()
 
 
 def _formula_entries(l1, l2, l3):
@@ -286,9 +314,12 @@ def test_choi_matrix_raises_exactly_when_the_general_checks_do(l1, l2, l3):
     # trace, fail on the formula's entries exactly when choi_matrix raises;
     # the spectrum is the general block formula's, bit for bit.
     entries = _formula_entries(l1, l2, l3)
+    # The trace may miss 1 by the rounding of its terms, 2**-49 of their
+    # absolute sum (channel._beyond_rounding derives it).
+    diagonal = entries.diagonal().real
     if not np.isfinite(entries).all():
         want_error = _CHOI_FINITE
-    elif abs(entries.trace() - 1.0) > 1e-12:
+    elif abs(entries.trace() - 1.0) > max(1e-12, 2.0**-49 * np.abs(diagonal).sum()):
         want_error = "Choi matrix must have unit trace"
     else:
         want_error = None
@@ -306,7 +337,7 @@ def test_choi_matrix_raises_exactly_when_the_general_checks_do(l1, l2, l3):
 @given(l1=_magnitude, l2=_magnitude, l3=_magnitude)
 @example(l1=-0.0, l2=-0.0, l3=-0.0)
 @example(l1=-0.0, l2=0.0, l3=1.0)  # a zero weight from 1 - l3
-@example(l1=0.1, l2=0.0, l3=1e16)  # the trace check fails
+@example(l1=0.1, l2=0.0, l3=1e16)  # the trace rounds to 0
 @example(l1=1.7e308, l2=1.7e308, l3=0.5)  # l1 + l2 overflows
 def test_choi_spectrum_equals_the_matrix_eigenvalues(l1, l2, l3):
     l = EigenvalueTriple(l1, l2, l3)
@@ -317,3 +348,35 @@ def test_choi_spectrum_equals_the_matrix_eigenvalues(l1, l2, l3):
         return
     assert all(type(x) is float for x in got)
     assert np.array(got).tobytes() == want.tobytes()
+
+
+def _weights(l1, l2, l3):
+    return [
+        0.25 * (1.0 + l1 + l2 + l3), 0.25 * (1.0 + l1 - l2 - l3),
+        0.25 * (1.0 - l1 + l2 - l3), 0.25 * (1.0 - l1 - l2 + l3),
+    ]
+
+
+_cancelling = st.floats(1e15, 1e308).flatmap(
+    lambda x: st.tuples(st.just(x), st.sampled_from([-x, x]), st.floats(-2.0, 2.0))
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(l=st.tuples(_magnitude, _magnitude, _magnitude) | _cancelling.flatmap(st.permutations))
+@example(l=(1e16, 0.3, 0.2))  # the weights sum to 0.0
+@example(l=(0.1, 0.0, 1e16))  # the trace rounds to 0
+@example(l=(0.1, 0.0, 1e17))
+@example(l=(1e300, -1e300, 0.5))
+def test_finite_weights_never_fail_the_sum_or_trace_check(l):
+    # Rounding is all that moves a finite triple's weight sum and Choi
+    # trace off 1; only weights that overflow are rejected.
+    l = EigenvalueTriple(*l)
+    weights = _weights(*l)
+    p, p_error = _outcome(lambda_to_p, l)
+    spectrum, spectrum_error = _outcome(choi_spectrum, l)
+    if all(math.isfinite(w) for w in weights):
+        assert (p_error, spectrum_error) == (None, None)
+        assert list(p) == weights
+    else:
+        assert p_error == "eigenvalues are too large for finite Pauli weights"

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from paulivol import (
     FR_TOTAL,
+    EigenvalueTriple,
     FisherRaoDomainError,
     RegionExpr,
     RegionId,
@@ -343,6 +344,23 @@ def _reference_rows(expr, samples, chunk_size, seed):
 def test_sliced_rejection_matches_whole_chunk_reference(expr, samples, chunk_size, seed):
     cfg = SamplerConfig(samples, seed, chunk_size)
     assert _sample_array(expr, cfg).tolist() == _reference_rows(expr, samples, chunk_size, seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    region=st.sampled_from(["CPT", "EBC,TLG", "PT"]),
+    samples=st.integers(1, 300),
+    chunk_size=st.integers(1, 3000),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_sample_region_streams_the_sample_array_bit_for_bit(region, samples, chunk_size, seed):
+    expr = RegionExpr.parse(region)
+    cfg = SamplerConfig(samples, seed, chunk_size)
+    triples = list(sample_region(expr, cfg))
+    assert all(type(t) is EigenvalueTriple for t in triples)
+    got = np.array([tuple(t) for t in triples])
+    want = _sample_array(expr, cfg)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=40, deadline=None)
