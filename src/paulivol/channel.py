@@ -10,7 +10,7 @@ Choi-Jamiolkowski state of a map and its spectrum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 
 __all__ = [
     "EigenvalueTriple",
@@ -37,6 +37,25 @@ def _beyond_rounding(total: float, *terms: float) -> bool:
     return abs(total - 1.0) > sum(2.0**-49 * abs(x) for x in terms)
 
 
+def _frozen(cls):
+    """Make assigning or deleting any attribute of ``cls`` raise FrozenInstanceError.
+
+    ``dataclass(frozen=True, slots=True)`` in Python 3.11 generates methods
+    that still name the class from before the slots rebuild, so for a name
+    that is not a field they raise TypeError from ``super()`` instead.
+    """
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    cls.__setattr__ = __setattr__
+    cls.__delattr__ = __delattr__
+    return cls
+
+
+@_frozen
 @dataclass(frozen=True, slots=True)
 class EigenvalueTriple:
     """Eigenvalues (lambda_1, lambda_2, lambda_3) of a Pauli map.
@@ -65,6 +84,7 @@ class EigenvalueTriple:
         yield self.l3
 
 
+@_frozen
 @dataclass(frozen=True, slots=True)
 class ProbabilityVector:
     """Pauli weights (p_0, p_1, p_2, p_3) of a map.
@@ -100,6 +120,7 @@ class ProbabilityVector:
         yield self.p3
 
 
+@_frozen
 @dataclass(frozen=True, eq=False, slots=True)
 class ChoiMatrix:
     """4x4 Choi-Jamiolkowski state (1/2) sum_ij |i><j| (x) Lambda[|i><j|].

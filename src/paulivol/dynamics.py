@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .channel import EigenvalueTriple
+from .channel import EigenvalueTriple, _frozen
 from .regions import _region_records
 
 __all__ = [
@@ -202,6 +202,7 @@ def is_semigroup_reachable(l: EigenvalueTriple) -> bool:
 MAX_STEPS = 5 * 10**5
 
 
+@_frozen
 @dataclass(frozen=True, slots=True)
 class TrajectoryPoint:
     """One classified step of an eigenvalue trajectory."""

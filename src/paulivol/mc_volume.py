@@ -8,24 +8,31 @@ sample the channel tetrahedron through Dirichlet(1/2,...) weights.
 Determinism: samples are drawn in chunks and chunk c uses the
 generator seeded with (seed, c), so a fixed (seed, samples,
 chunk_size) triple reproduces the estimate bit for bit no matter how
-chunks would be scheduled.
+chunks are scheduled.
 
 One stream: ``_chunk_rng`` is the only place a chunk is seeded and
-``_draw`` the only place proposals are drawn.  Every estimator reads
-whole chunks through ``_stream``; the rejection sampler reads the same
-chunks in slices, which numpy fills as it fills whole chunks.  Counting
-evaluates each base region mask once per chunk and counts every
-expression as an AND of those cached masks, so any number of
-conjunctions (all the rows of the reference table, say) cost one pass
-over the stream.
+``_draw`` the only place proposals are drawn.  Every reader draws a
+chunk in slices, which numpy fills exactly as it fills the whole chunk.
+A counting pass counts whole chunks on one thread per usable CPU, at
+most two runs of chunks per thread in flight, and draws each chunk in
+``_SLICE_ROWS``-row slices, so a thread's working set stays near 1 MB for
+any chunk size; the hits are integers summed in chunk order, so the
+result does not depend on the number of threads.  Counting evaluates each base region
+mask once per slice and counts every expression as an AND of those
+cached masks, so any number of conjunctions (all the rows of the
+reference table, say) cost one pass over the stream.  The rejection
+sampler reads the same chunks in slices of its own, on the calling
+thread.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
 import operator
+import os
 import warnings
 from dataclasses import dataclass
 from typing import Iterator
@@ -45,9 +52,13 @@ __all__ = [
 ]
 
 DEFAULT_CHUNK_SIZE = 2**16
-# Largest chunk a config accepts: an (n, 4) float64 chunk is about 0.13 GB
-# at this size, and it is rejected before anything is allocated.
+# Largest chunk a config accepts; it is rejected before anything is drawn.
+# Counting draws any chunk in _SLICE_ROWS-row slices, and sampling in slices
+# no longer than the rows it still needs, so no reader holds a whole chunk.
 MAX_CHUNK_SIZE = 2**22
+# Rows a counting pass draws at a time: a Fisher-Rao slice of (n, 4)
+# normals is 0.5 MB.
+_SLICE_ROWS = 2**14
 # Largest sample budget a config accepts.  The estimators stream, so this
 # bounds run time (a 10**10 table takes minutes), not memory.
 MAX_SAMPLES = 10**10
@@ -120,11 +131,24 @@ class VolumeEstimate:
 
 
 def _lambda_columns(p: np.ndarray) -> np.ndarray:
+    """The (n, 3) triples of (n, 4) Pauli weights, summed left to right in place.
+
+    The result is F-ordered, so each eigenvalue column is contiguous.
+    """
     import numpy as np
-    l1 = p[:, 0] + p[:, 1] - p[:, 2] - p[:, 3]
-    l2 = p[:, 0] - p[:, 1] + p[:, 2] - p[:, 3]
-    l3 = p[:, 0] - p[:, 1] - p[:, 2] + p[:, 3]
-    return np.stack([l1, l2, l3], axis=1)
+    p0, p1, p2, p3 = p.T
+    lam = np.empty((len(p), 3), order="F")
+    l1, l2, l3 = lam.T
+    np.add(p0, p1, out=l1)
+    l1 -= p2
+    l1 -= p3
+    np.subtract(p0, p1, out=l2)
+    l2 += p2
+    l2 -= p3
+    np.subtract(p0, p1, out=l3)
+    l3 -= p2
+    l3 += p3
+    return lam
 
 
 def _chunk_rng(cfg: SamplerConfig, c: int):
@@ -149,33 +173,71 @@ def _draw(rng, proposal: str, n: int) -> np.ndarray:
         g = rng.standard_normal(size=(n, 4))
         g *= g
         g *= 0.5
-        g /= g.sum(axis=1, keepdims=True)
+        # the row sums, added left to right as g.sum(axis=1) adds them
+        p0, p1, p2, p3 = g.T
+        s = p0 + p1
+        s += p2
+        s += p3
+        g /= s[:, None]
         return _lambda_columns(g)
     return _lambda_columns(rng.dirichlet(np.ones(4), size=n))  # "tetrahedron"
 
 
-def _stream(cfg: SamplerConfig, proposal: str) -> Iterator[tuple]:
-    """Yield ``(c, lam)``: chunk ``c`` of (n, 3) triples, sizes from ``cfg.chunks()``."""
-    for c, n in cfg.chunks():
-        yield c, _draw(_chunk_rng(cfg, c), proposal, n)
+def _worker_count() -> int:
+    """Threads of a counting pass: one per CPU this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _run_hits(exprs, cfg: SamplerConfig, proposal: str, run) -> list:
+    """Hits of every expression in a run of ``(c, n)`` chunks, each drawn slice by slice.
+
+    Per slice each base mask a conjunct needs is evaluated once, and every
+    expression is counted as the AND of those cached masks.
+    """
+    import numpy as np
+    hits = [0] * len(exprs)
+    for c, n in run:
+        rng = _chunk_rng(cfg, c)
+        for start in range(0, n, _SLICE_ROWS):
+            columns = _columns(_draw(rng, proposal, min(_SLICE_ROWS, n - start)))
+            masks = {}
+            for i, expr in enumerate(exprs):
+                for tag in expr.conjuncts - masks.keys():
+                    masks[tag] = _PREDICATES[tag](columns)
+                hits[i] += int(np.count_nonzero(functools.reduce(
+                    operator.and_, (masks[tag] for tag in expr.conjuncts))))
+    return hits
 
 
 def _hit_counts(exprs, cfg: SamplerConfig, proposal: str = "cube") -> list:
     """Hits of every expression on one pass over the seeded stream.
 
-    Per chunk each base mask a conjunct needs is evaluated once, and every
-    expression is counted as the AND of those cached masks.
+    Chunks are counted on ``_worker_count()`` threads in runs of at least
+    ``_SLICE_ROWS`` rows (one chunk, unless chunks are shorter), at most
+    two runs per thread in flight, and their hits summed here in chunk
+    order.  An error in a chunk is raised here as it was raised there,
+    once the runs still queued are cancelled and the running ones have
+    ended.
     """
-    import numpy as np
+    from concurrent.futures import ThreadPoolExecutor
+    workers = _worker_count()
+    chunks = cfg.chunks()
+    per_run = -(-_SLICE_ROWS // cfg.chunk_size)
     hits = [0] * len(exprs)
-    for _c, lam in _stream(cfg, proposal):
-        columns = _columns(lam)
-        masks = {}
-        for i, expr in enumerate(exprs):
-            for tag in expr.conjuncts - masks.keys():
-                masks[tag] = _PREDICATES[tag](columns)
-            hits[i] += int(np.count_nonzero(functools.reduce(
-                operator.and_, (masks[tag] for tag in expr.conjuncts))))
+    in_flight = collections.deque()
+    pool = ThreadPoolExecutor(workers)
+    try:
+        while run := list(itertools.islice(chunks, per_run)):
+            in_flight.append(pool.submit(_run_hits, exprs, cfg, proposal, run))
+            if len(in_flight) == 2 * workers:
+                hits = list(map(operator.add, hits, in_flight.popleft().result()))
+        for future in in_flight:
+            hits = list(map(operator.add, hits, future.result()))
+    finally:
+        pool.shutdown(cancel_futures=True)
     return hits
 
 

@@ -268,6 +268,27 @@ def test_trajectory_point_and_choi_matrix_are_frozen_and_slotted():
     assert first.tobytes() == second.tobytes()
 
 
+def _slotted_values():
+    lam = EigenvalueTriple(0.5, -0.25, 0.75)
+    point = classify_trajectory(RateSchedule([(1.0, RateTriple(0.5, 0.25, 1.0))]), 3)[1]
+    return [lam, lambda_to_p(lam), choi_matrix(lam), point]
+
+
+@pytest.mark.parametrize("value", _slotted_values(), ids=lambda v: type(v).__name__)
+def test_slotted_values_refuse_every_write_with_frozen_instance_error(value):
+    # names that are no field (and the ``entries`` property) included
+    names = [f.name for f in dataclasses.fields(value)] + ["foo", "entries", "__dict__"]
+    for name in names:
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot assign to field '{name}'"):
+            setattr(value, name, 0)
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot delete field '{name}'"):
+            delattr(value, name)
+    assert type(value).__slots__
+    assert not hasattr(value, "__dict__")
+    twin = pickle.loads(pickle.dumps(value))
+    assert dataclasses.astuple(twin) == dataclasses.astuple(value)
+
+
 def _formula_entries(l1, l2, l3):
     dp = 0.25 * (1.0 + l3)
     dm = 0.25 * (1.0 - l3)

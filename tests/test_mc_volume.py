@@ -1,5 +1,8 @@
 import itertools
 import math
+import sys
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -23,13 +26,15 @@ from paulivol import (
     sample_region,
 )
 from paulivol import mc_volume
+from paulivol.cli import main
 from paulivol.mc_volume import (
     MAX_CHUNK_SIZE,
     MAX_SAMPLES,
+    _SLICE_ROWS,
+    _chunk_rng,
+    _draw,
     _hit_counts,
-    _lambda_columns,
     _sample_array,
-    _stream,
 )
 
 
@@ -269,58 +274,143 @@ _budgets = dict(
 )
 
 
-def _reference_hits(exprs, samples, chunk_size, seed):
-    """Regenerate every chunk and count each expression on its own."""
+def _reference_lambda(p):
+    """Eigenvalues of (n, 4) weights, each column one expression left to right."""
+    return np.stack([p[:, 0] + p[:, 1] - p[:, 2] - p[:, 3],
+                     p[:, 0] - p[:, 1] + p[:, 2] - p[:, 3],
+                     p[:, 0] - p[:, 1] - p[:, 2] + p[:, 3]], axis=1)
+
+
+def _reference_fisher_rao(rng, n):
+    # the stream squares and halves in place and sums the rows itself
+    z = rng.standard_normal(size=(n, 4))
+    g = 0.5 * z * z
+    return _reference_lambda(g / g.sum(axis=1, keepdims=True))
+
+
+# Each proposal drawn as one whole chunk, with no in-place arithmetic.
+_REFERENCE_DRAWS = {
+    "cube": lambda rng, n: rng.uniform(-1.0, 1.0, size=(n, 3)),
+    "fisher-rao": _reference_fisher_rao,
+    "tetrahedron": lambda rng, n: _reference_lambda(rng.dirichlet(np.ones(4), size=n)),
+}
+
+
+def _reference_hits(exprs, samples, chunk_size, seed, proposal="cube"):
+    """Regenerate every chunk whole and count each expression on its own."""
     hits = [0] * len(exprs)
     full, rem = divmod(samples, chunk_size)
     for c, n in enumerate([chunk_size] * full + ([rem] if rem else [])):
-        lam = np.random.default_rng([seed, c]).uniform(-1.0, 1.0, size=(n, 3))
+        lam = _REFERENCE_DRAWS[proposal](np.random.default_rng([seed, c]), n)
         for i, expr in enumerate(exprs):
             hits[i] += int(region_mask(expr, lam).sum())
     return hits
 
 
-@settings(max_examples=40, deadline=None)
-@given(exprs=_exprs, **_budgets)
-def test_hit_counts_match_per_expression_reference(exprs, samples, chunk_size, seed):
+@settings(max_examples=60, deadline=None)
+@given(exprs=_exprs, proposal=st.sampled_from(sorted(_REFERENCE_DRAWS)),
+       workers=st.sampled_from([1, 2, 5]), **_budgets)
+def test_hit_counts_match_per_expression_reference(exprs, proposal, workers, samples,
+                                                   chunk_size, seed):
     cfg = SamplerConfig(samples, seed, chunk_size)
-    assert _hit_counts(exprs, cfg) == _reference_hits(exprs, samples, chunk_size, seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mc_volume, "_worker_count", lambda: workers)
+        hits = _hit_counts(exprs, cfg, proposal)
+    assert hits == _reference_hits(exprs, samples, chunk_size, seed, proposal)
+
+
+_TABLE_EXPRS = [RegionExpr.parse(t) for t in ("CPT", "CPT,EBC", "CPT,TLG", "CPT,PDIV", "CPDIV",
+                                              "EBC,TLG")]
+
+
+# More runs than the 2 x 5 in flight: chunks of several slices, and short
+# chunks counted many to a run.
+@pytest.mark.parametrize("samples, chunk_size", [
+    (11 * (_SLICE_ROWS + 1000) + 17, _SLICE_ROWS + 1000),
+    (2 * 2**16 + 5, 2**16 + 3),
+    (12 * _SLICE_ROWS + 7, 1000),
+])
+@pytest.mark.parametrize("proposal", sorted(_REFERENCE_DRAWS))
+def test_hit_counts_of_many_slices_and_runs_do_not_depend_on_threads(
+        monkeypatch, proposal, samples, chunk_size):
+    want = _reference_hits(_TABLE_EXPRS, samples, chunk_size, 11, proposal)
+    cfg = SamplerConfig(samples, 11, chunk_size)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # threads switch often, so a lost update would show
+    try:
+        for workers in (1, 2, 5):
+            monkeypatch.setattr(mc_volume, "_worker_count", lambda: workers)
+            assert _hit_counts(_TABLE_EXPRS, cfg, proposal) == want
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @settings(max_examples=40, deadline=None)
 @given(**_budgets)
 def test_fisher_rao_stream_matches_reference(samples, chunk_size, seed):
-    # the stream squares and halves in place; the reference halves first
     cfg = SamplerConfig(samples, seed, chunk_size)
-    for (c, lam), (c_ref, n) in zip(_stream(cfg, "fisher-rao"), cfg.chunks(), strict=True):
-        z = np.random.default_rng([seed, c_ref]).standard_normal(size=(n, 4))
-        g = 0.5 * z * z
-        assert c == c_ref
-        assert np.array_equal(lam, _lambda_columns(g / g.sum(axis=1, keepdims=True)))
+    for c, n in cfg.chunks():
+        lam = _draw(_chunk_rng(cfg, c), "fisher-rao", n)
+        want = _reference_fisher_rao(np.random.default_rng([seed, c]), n)
+        assert np.array_equal(lam, want)
 
 
-# Rejection sampling may draw a chunk in slices; its rows stay the seeded
-# rows only because numpy fills k rows and then m rows exactly as it fills
-# k + m rows, for both proposals the rejection sampler uses.
-_REJECTION_DRAWS = {
-    "cube": lambda rng, n: rng.uniform(-1.0, 1.0, size=(n, 3)),
-    "tetrahedron": lambda rng, n: _lambda_columns(rng.dirichlet(np.ones(4), size=n)),
-}
-
-
+# Every reader draws a chunk in slices; its rows stay the seeded rows only
+# because numpy fills k rows and then m rows exactly as it fills k + m rows.
 @settings(max_examples=60, deadline=None)
 @given(
-    proposal=st.sampled_from(sorted(_REJECTION_DRAWS)),
+    proposal=st.sampled_from(sorted(_REFERENCE_DRAWS)),
     seed=st.integers(0, 2**64 - 1),
     c=st.integers(0, 10**6),
     slices=st.lists(st.integers(1, 3000), min_size=1, max_size=8),
 )
 def test_slices_of_a_chunk_concatenate_to_one_draw(proposal, seed, c, slices):
-    draw = _REJECTION_DRAWS[proposal]
     rng = np.random.default_rng([seed, c])
-    parts = [draw(rng, n) for n in slices]
-    whole = draw(np.random.default_rng([seed, c]), sum(slices))
+    parts = [_draw(rng, proposal, n) for n in slices]
+    whole = _REFERENCE_DRAWS[proposal](np.random.default_rng([seed, c]), sum(slices))
     assert np.array_equal(np.concatenate(parts), whole)
+
+
+@pytest.fixture
+def failing_chunk(monkeypatch):
+    """Chunk 3 raises; chunks 4 and 5 keep both threads busy; records each chunk drawn."""
+    error = ValueError("chunk 3 failed")
+    drawn = []
+    draw = mc_volume._draw
+
+    def failing(rng, proposal, n):
+        c = rng.bit_generator.seed_seq.entropy[1]
+        drawn.append(c)
+        if c == 3:
+            raise error
+        if c > 3:
+            time.sleep(0.5)
+        return draw(rng, proposal, n)
+
+    monkeypatch.setattr(mc_volume, "_draw", failing)
+    monkeypatch.setattr(mc_volume, "_worker_count", lambda: 2)
+    return error, drawn
+
+
+def test_error_in_a_chunk_is_raised_unchanged_and_queued_chunks_are_cancelled(failing_chunk):
+    # chunks 3-6 are in flight when chunk 3's error arrives, and 7-49 are not
+    # submitted yet; 6, and 4 or 5 if no thread took them yet, wait behind
+    # the sleeping chunks and must be cancelled
+    error, drawn = failing_chunk
+    threads = threading.active_count()
+    with pytest.raises(ValueError) as info:
+        hs_volume_mc(RegionExpr.parse("CPT"), _cfg(50 * _SLICE_ROWS, chunk_size=_SLICE_ROWS))
+    assert info.value is error
+    assert sorted(drawn) == list(range(len(drawn))) and 4 <= len(drawn) <= 6
+    assert threading.active_count() == threads
+
+
+def test_table_reports_an_error_in_a_chunk_as_one_error_line(failing_chunk, capsys):
+    threads = threading.active_count()
+    code = main(["table", "--samples", str(50 * _SLICE_ROWS), "--chunk-size", str(_SLICE_ROWS)])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (2, "", "error: chunk 3 failed\n")
+    assert threading.active_count() == threads
 
 
 def _reference_rows(expr, samples, chunk_size, seed):
@@ -328,7 +418,7 @@ def _reference_rows(expr, samples, chunk_size, seed):
     rows = []
     for c in itertools.count():
         proposal = "tetrahedron" if RegionId.CPT in expr.conjuncts else "cube"
-        lam = _REJECTION_DRAWS[proposal](np.random.default_rng([seed, c]), chunk_size)
+        lam = _REFERENCE_DRAWS[proposal](np.random.default_rng([seed, c]), chunk_size)
         rows.extend(lam[region_mask(expr, lam)].tolist())
         if len(rows) >= samples:
             return rows[:samples]

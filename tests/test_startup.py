@@ -2,7 +2,9 @@
 
 numpy is imported inside the functions that build or read an array, so
 ``import paulivol``, ``import paulivol.cli``, every command that only does
-exact arithmetic, ``classify`` and ``evolve --t`` start without it.
+exact arithmetic, ``classify`` and ``evolve --t`` start without it.  The
+thread pool of the Monte Carlo counting passes is imported the same way,
+so none of these steps, nor ``evolve --steps``, loads concurrent.futures.
 pytest's own process already has numpy loaded, so the check runs in a
 fresh interpreter.
 """
@@ -18,7 +20,8 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 
 # Each step runs in the same fresh interpreter, in order; after each one
-# the script records its exit code and whether numpy has been imported.
+# the script records its exit code and whether numpy and the thread pool
+# of the counting passes (concurrent.futures) have been imported.
 _SCRIPT = r"""
 import contextlib, io, json, sys
 
@@ -32,7 +35,7 @@ def step(name, fn):
         except SystemExit as exc:
             code = exc.code
     report.append({"step": name, "exit": code, "numpy": "numpy" in sys.modules,
-                   "stdout": out.getvalue()})
+                   "futures": "concurrent.futures" in sys.modules, "stdout": out.getvalue()})
 
 step("import paulivol", lambda: __import__("paulivol") and 0)
 step("import paulivol.cli", lambda: __import__("paulivol.cli") and 0)
@@ -88,6 +91,8 @@ def test_exact_commands_start_without_numpy(tmp_path):
     }
     for name, code in expected.items():
         assert (report[name]["exit"], report[name]["numpy"]) == (code, False), name
+    for name, step in report.items():
+        assert not step["futures"], name
     assert report["classify 0.5 0.5 0.5"]["stdout"] == _CLASSIFY_TEXT
     assert report["evolve --schedule FILE --t 0.5"]["stdout"] == _EVOLVE_TEXT
     # a trajectory is evaluated as arrays, and imports numpy to do it
