@@ -131,24 +131,11 @@ class VolumeEstimate:
 
 
 def _lambda_columns(p: np.ndarray) -> np.ndarray:
-    """The (n, 3) triples of (n, 4) Pauli weights, summed left to right in place.
-
-    The result is F-ordered, so each eigenvalue column is contiguous.
-    """
     import numpy as np
-    p0, p1, p2, p3 = p.T
-    lam = np.empty((len(p), 3), order="F")
-    l1, l2, l3 = lam.T
-    np.add(p0, p1, out=l1)
-    l1 -= p2
-    l1 -= p3
-    np.subtract(p0, p1, out=l2)
-    l2 += p2
-    l2 -= p3
-    np.subtract(p0, p1, out=l3)
-    l3 -= p2
-    l3 += p3
-    return lam
+    l1 = p[:, 0] + p[:, 1] - p[:, 2] - p[:, 3]
+    l2 = p[:, 0] - p[:, 1] + p[:, 2] - p[:, 3]
+    l3 = p[:, 0] - p[:, 1] - p[:, 2] + p[:, 3]
+    return np.stack([l1, l2, l3], axis=1)
 
 
 def _chunk_rng(cfg: SamplerConfig, c: int):
@@ -173,13 +160,26 @@ def _draw(rng, proposal: str, n: int) -> np.ndarray:
         g = rng.standard_normal(size=(n, 4))
         g *= g
         g *= 0.5
-        # the row sums, added left to right as g.sum(axis=1) adds them
+        # The row sums as g.sum(axis=1) adds them and the sums of
+        # _lambda_columns, each left to right and in place; F order keeps
+        # each eigenvalue column contiguous for the masks.
         p0, p1, p2, p3 = g.T
         s = p0 + p1
         s += p2
         s += p3
         g /= s[:, None]
-        return _lambda_columns(g)
+        lam = np.empty((n, 3), order="F")
+        l1, l2, l3 = lam.T
+        np.add(p0, p1, out=l1)
+        l1 -= p2
+        l1 -= p3
+        np.subtract(p0, p1, out=l2)
+        l2 += p2
+        l2 -= p3
+        np.subtract(p0, p1, out=l3)
+        l3 -= p2
+        l3 += p3
+        return lam
     return _lambda_columns(rng.dirichlet(np.ones(4), size=n))  # "tetrahedron"
 
 

@@ -34,6 +34,7 @@ from paulivol.mc_volume import (
     _chunk_rng,
     _draw,
     _hit_counts,
+    _lambda_columns,
     _sample_array,
 )
 
@@ -274,25 +275,18 @@ _budgets = dict(
 )
 
 
-def _reference_lambda(p):
-    """Eigenvalues of (n, 4) weights, each column one expression left to right."""
-    return np.stack([p[:, 0] + p[:, 1] - p[:, 2] - p[:, 3],
-                     p[:, 0] - p[:, 1] + p[:, 2] - p[:, 3],
-                     p[:, 0] - p[:, 1] - p[:, 2] + p[:, 3]], axis=1)
-
-
 def _reference_fisher_rao(rng, n):
-    # the stream squares and halves in place and sums the rows itself
+    # the stream squares, halves, sums and forms the triples in place
     z = rng.standard_normal(size=(n, 4))
     g = 0.5 * z * z
-    return _reference_lambda(g / g.sum(axis=1, keepdims=True))
+    return _lambda_columns(g / g.sum(axis=1, keepdims=True))
 
 
 # Each proposal drawn as one whole chunk, with no in-place arithmetic.
 _REFERENCE_DRAWS = {
     "cube": lambda rng, n: rng.uniform(-1.0, 1.0, size=(n, 3)),
     "fisher-rao": _reference_fisher_rao,
-    "tetrahedron": lambda rng, n: _reference_lambda(rng.dirichlet(np.ones(4), size=n)),
+    "tetrahedron": lambda rng, n: _lambda_columns(rng.dirichlet(np.ones(4), size=n)),
 }
 
 
