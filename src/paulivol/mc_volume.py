@@ -15,19 +15,18 @@ One stream: ``_chunk_rng`` is the only place a chunk is seeded and
 chunk in slices, which numpy fills exactly as it fills the whole chunk.
 A counting pass counts whole chunks on one thread per usable CPU, at
 most two runs of chunks per thread in flight, and draws each chunk in
-``_SLICE_ROWS``-row slices, so a thread's working set stays near 1 MB for
-any chunk size; the hits are integers summed in chunk order, so the
-result does not depend on the number of threads.  Counting evaluates each base region
-mask once per slice and counts every expression as an AND of those
-cached masks, so any number of conjunctions (all the rows of the
-reference table, say) cost one pass over the stream.  The rejection
-sampler reads the same chunks in slices of its own, on the calling
-thread.
+``_SLICE_ROWS``-row slices, so a thread's working set stays near 1 MB
+for any chunk size; the hits are integers summed in chunk order, so the
+result does not depend on the number of threads.  Counting evaluates
+each base region mask once per slice and counts every expression as an
+AND of those cached masks, so any number of conjunctions (all the rows
+of the reference table, say) cost one pass over the stream.  The
+rejection sampler reads the same chunks in slices of its own, on the
+calling thread.
 """
 
 from __future__ import annotations
 
-import collections
 import functools
 import itertools
 import math
@@ -227,13 +226,13 @@ def _hit_counts(exprs, cfg: SamplerConfig, proposal: str = "cube") -> list:
     chunks = cfg.chunks()
     per_run = -(-_SLICE_ROWS // cfg.chunk_size)
     hits = [0] * len(exprs)
-    in_flight = collections.deque()
+    in_flight = []
     pool = ThreadPoolExecutor(workers)
     try:
         while run := list(itertools.islice(chunks, per_run)):
             in_flight.append(pool.submit(_run_hits, exprs, cfg, proposal, run))
             if len(in_flight) == 2 * workers:
-                hits = list(map(operator.add, hits, in_flight.popleft().result()))
+                hits = list(map(operator.add, hits, in_flight.pop(0).result()))
         for future in in_flight:
             hits = list(map(operator.add, hits, future.result()))
     finally:
