@@ -75,11 +75,13 @@ class RateSchedule:
             parsed.append((duration, rates))
         if not parsed:
             raise ValueError("schedule needs at least one segment")
+        try:
+            total = math.fsum(d for d, _r in parsed)
+        except OverflowError:
+            raise ValueError("segment durations sum past the largest float") from None
         object.__setattr__(self, "segments", tuple(parsed))
-
-    @property
-    def total_duration(self) -> float:
-        return math.fsum(d for d, _r in self.segments)
+        # the exact sum of the durations, rounded once; not a field
+        object.__setattr__(self, "total_duration", total)
 
 
 def _json_number(value, what: str) -> float:
@@ -227,8 +229,10 @@ def classify_trajectory(schedule: RateSchedule, steps: int) -> list:
         raise ValueError(f"steps must be >= 2, got {steps}")
     if steps > MAX_STEPS:
         raise ValueError(f"steps must be <= {MAX_STEPS}, got {steps}")
-    import numpy as np
     total = schedule.total_duration
+    if not math.isfinite(total * (steps - 1)):
+        raise ValueError(f"step times overflow: {steps - 1} steps of a {total!r} schedule")
+    import numpy as np
     times = np.arange(steps) * total / (steps - 1)
     times[-1] = total
     remaining = times.copy()

@@ -10,19 +10,18 @@ generator seeded with (seed, c), so a fixed (seed, samples,
 chunk_size) triple reproduces the estimate bit for bit no matter how
 chunks are scheduled.
 
-One stream: ``_chunk_rng`` is the only place a chunk is seeded and
-``_draw`` the only place proposals are drawn.  Every reader draws a
-chunk in slices, which numpy fills exactly as it fills the whole chunk.
-A counting pass counts whole chunks on one thread per usable CPU, at
-most two runs of chunks per thread in flight, and draws each chunk in
-``_SLICE_ROWS``-row slices, so a thread's working set stays near 1 MB
-for any chunk size; the hits are integers summed in chunk order, so the
+One stream: ``_slices`` is the one reader of the stream.  It seeds
+each chunk with ``_chunk_rng`` and draws it with ``_draw`` in
+``_SLICE_ROWS``-row slices, which numpy fills exactly as it fills the
+whole chunk, so no reader holds a whole chunk and a thread's working
+set stays near 1 MB for any chunk size.  A counting pass counts whole
+chunks on one thread per usable CPU, at most two runs of chunks per
+thread in flight; the hits are integers summed in chunk order, so the
 result does not depend on the number of threads.  Counting evaluates
 each base region mask once per slice and counts every expression as an
 AND of those cached masks, so any number of conjunctions (all the rows
 of the reference table, say) cost one pass over the stream.  The
-rejection sampler reads the same chunks in slices of its own, on the
-calling thread.
+rejection sampler reads the same slices on the calling thread.
 """
 
 from __future__ import annotations
@@ -52,11 +51,10 @@ __all__ = [
 
 DEFAULT_CHUNK_SIZE = 2**16
 # Largest chunk a config accepts; it is rejected before anything is drawn.
-# Counting draws any chunk in _SLICE_ROWS-row slices, and sampling in slices
-# no longer than the rows it still needs, so no reader holds a whole chunk.
+# Every reader draws a chunk in _SLICE_ROWS-row slices, so none holds it whole.
 MAX_CHUNK_SIZE = 2**22
-# Rows a counting pass draws at a time: a Fisher-Rao slice of (n, 4)
-# normals is 0.5 MB.
+# Rows any reader draws at a time: a Fisher-Rao slice of (n, 4) normals
+# is 0.5 MB.
 _SLICE_ROWS = 2**14
 # Largest sample budget a config accepts.  The estimators stream, so this
 # bounds run time (a 10**10 table takes minutes), not memory.
@@ -130,11 +128,21 @@ class VolumeEstimate:
 
 
 def _lambda_columns(p: np.ndarray) -> np.ndarray:
+    """Eigenvalues of (n, 4) weight rows, summed left to right in place; F order for the masks."""
     import numpy as np
-    l1 = p[:, 0] + p[:, 1] - p[:, 2] - p[:, 3]
-    l2 = p[:, 0] - p[:, 1] + p[:, 2] - p[:, 3]
-    l3 = p[:, 0] - p[:, 1] - p[:, 2] + p[:, 3]
-    return np.stack([l1, l2, l3], axis=1)
+    p0, p1, p2, p3 = p.T
+    lam = np.empty((len(p), 3), order="F")
+    l1, l2, l3 = lam.T
+    np.add(p0, p1, out=l1)
+    l1 -= p2
+    l1 -= p3
+    np.subtract(p0, p1, out=l2)
+    l2 += p2
+    l2 -= p3
+    np.subtract(p0, p1, out=l3)
+    l3 -= p2
+    l3 += p3
+    return lam
 
 
 def _chunk_rng(cfg: SamplerConfig, c: int):
@@ -159,27 +167,22 @@ def _draw(rng, proposal: str, n: int) -> np.ndarray:
         g = rng.standard_normal(size=(n, 4))
         g *= g
         g *= 0.5
-        # The row sums as g.sum(axis=1) adds them and the sums of
-        # _lambda_columns, each left to right and in place; F order keeps
-        # each eigenvalue column contiguous for the masks.
+        # the row sums as g.sum(axis=1) adds them, left to right and in place
         p0, p1, p2, p3 = g.T
         s = p0 + p1
         s += p2
         s += p3
         g /= s[:, None]
-        lam = np.empty((n, 3), order="F")
-        l1, l2, l3 = lam.T
-        np.add(p0, p1, out=l1)
-        l1 -= p2
-        l1 -= p3
-        np.subtract(p0, p1, out=l2)
-        l2 += p2
-        l2 -= p3
-        np.subtract(p0, p1, out=l3)
-        l3 -= p2
-        l3 += p3
-        return lam
+        return _lambda_columns(g)
     return _lambda_columns(rng.dirichlet(np.ones(4), size=n))  # "tetrahedron"
+
+
+def _slices(cfg: SamplerConfig, proposal: str, chunks) -> Iterator[np.ndarray]:
+    """Proposals of the ``(c, n)`` chunks in order, at most ``_SLICE_ROWS`` rows per draw."""
+    for c, n in chunks:
+        rng = _chunk_rng(cfg, c)
+        for start in range(0, n, _SLICE_ROWS):
+            yield _draw(rng, proposal, min(_SLICE_ROWS, n - start))
 
 
 def _worker_count() -> int:
@@ -191,23 +194,21 @@ def _worker_count() -> int:
 
 
 def _run_hits(exprs, cfg: SamplerConfig, proposal: str, run) -> list:
-    """Hits of every expression in a run of ``(c, n)`` chunks, each drawn slice by slice.
+    """Hits of every expression in a run of ``(c, n)`` chunks, slice by slice.
 
     Per slice each base mask a conjunct needs is evaluated once, and every
     expression is counted as the AND of those cached masks.
     """
     import numpy as np
     hits = [0] * len(exprs)
-    for c, n in run:
-        rng = _chunk_rng(cfg, c)
-        for start in range(0, n, _SLICE_ROWS):
-            columns = _columns(_draw(rng, proposal, min(_SLICE_ROWS, n - start)))
-            masks = {}
-            for i, expr in enumerate(exprs):
-                for tag in expr.conjuncts - masks.keys():
-                    masks[tag] = _PREDICATES[tag](columns)
-                hits[i] += int(np.count_nonzero(functools.reduce(
-                    operator.and_, (masks[tag] for tag in expr.conjuncts))))
+    for lam in _slices(cfg, proposal, run):
+        columns = _columns(lam)
+        masks = {}
+        for i, expr in enumerate(exprs):
+            for tag in expr.conjuncts - masks.keys():
+                masks[tag] = _PREDICATES[tag](columns)
+            hits[i] += int(np.count_nonzero(functools.reduce(
+                operator.and_, (masks[tag] for tag in expr.conjuncts))))
     return hits
 
 
@@ -312,46 +313,38 @@ def _accepted_chunks(expr: RegionExpr, cfg: SamplerConfig) -> Iterator[np.ndarra
     """Accepted proposals as (k, 3) arrays, slice by slice, cfg.samples rows in all.
 
     Chunk ``c`` holds the same ``cfg.chunk_size`` proposals as in any
-    stream, but it is drawn in slices, the first as long as the rows still
-    missing and each next one twice the last, so a request that needs few
-    rows draws few.  numpy fills k rows and then m rows as it fills k + m,
-    so the rows are those of whole chunks.  Raises ValueError once
-    ``cfg.samples * _PROPOSALS_PER_ROW`` proposals give too few rows.
+    stream, read through ``_slices``, so few rows take few slices.  Raises
+    ValueError once ``cfg.samples * _PROPOSALS_PER_ROW`` proposals (the
+    last slice cut to that budget) give too few rows.
     """
     proposal = "tetrahedron" if RegionId.CPT in expr.conjuncts else "cube"
     missing = cfg.samples
     budget = cfg.samples * _PROPOSALS_PER_ROW
     proposed = accepted = 0
     warned = False
-    for c in itertools.count():
-        rng = _chunk_rng(cfg, c)
-        left, n = cfg.chunk_size, missing
-        while left:
-            n = min(n, left, budget - proposed)
-            lam = _draw(rng, proposal, n)
-            rows = lam[region_mask(expr, lam)]
-            left -= n
-            proposed += n
-            accepted += len(rows)
-            # fewer than 1 / floor proposals cannot show a rate below the floor
-            if (not warned and proposed * _ACCEPTANCE_FLOOR >= 1
-                    and accepted < _ACCEPTANCE_FLOOR * proposed):
-                warnings.warn(
-                    f"acceptance rate {accepted}/{proposed} below {_ACCEPTANCE_FLOOR}"
-                    f" while sampling {expr}",
-                    stacklevel=3,
-                )
-                warned = True
-            yield rows[:missing]
-            missing -= len(rows)
-            if missing <= 0:
-                return
-            if proposed >= budget:
-                raise ValueError(
-                    f"rejection sampling of {expr} accepted {accepted} of {proposed}"
-                    f" proposals, fewer than the {cfg.samples} rows asked for"
-                )
-            n *= 2
+    for lam in _slices(cfg, proposal, ((c, cfg.chunk_size) for c in itertools.count())):
+        lam = lam[:budget - proposed]
+        rows = lam[region_mask(expr, lam)]
+        proposed += len(lam)
+        accepted += len(rows)
+        # fewer than 1 / floor proposals cannot show a rate below the floor
+        if (not warned and proposed * _ACCEPTANCE_FLOOR >= 1
+                and accepted < _ACCEPTANCE_FLOOR * proposed):
+            warnings.warn(
+                f"acceptance rate {accepted}/{proposed} below {_ACCEPTANCE_FLOOR}"
+                f" while sampling {expr}",
+                stacklevel=3,
+            )
+            warned = True
+        yield rows[:missing]
+        missing -= len(rows)
+        if missing <= 0:
+            return
+        if proposed >= budget:
+            raise ValueError(
+                f"rejection sampling of {expr} accepted {accepted} of {proposed}"
+                f" proposals, fewer than the {cfg.samples} rows asked for"
+            )
 
 
 def _sample_array(expr: RegionExpr, cfg: SamplerConfig) -> np.ndarray:

@@ -31,7 +31,6 @@ from paulivol import (
     region_volume,
 )
 from paulivol.cli import build_table
-from paulivol.mc_volume import _lambda_columns
 
 F = Fraction
 
@@ -148,7 +147,9 @@ def _plain_fr(expr, seed, n):
     rng = np.random.default_rng(seed)
     p = rng.dirichlet(np.ones(4), size=n)
     w = 2.0 / np.sqrt(p.prod(axis=1))
-    return float((w * region_mask(expr, _lambda_columns(p))).mean() / 6.0)
+    p0, p1, p2, p3 = p.T
+    lam = np.stack([p0 + p1 - p2 - p3, p0 - p1 + p2 - p3, p0 - p1 - p2 + p3], axis=1)
+    return float((w * region_mask(expr, lam)).mean() / 6.0)
 
 
 def test_criterion_5_fisher_rao():

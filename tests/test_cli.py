@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from paulivol import FR_TOTAL, RegionExpr, contains, EigenvalueTriple
@@ -364,11 +364,13 @@ def _main(argv):
         ({"duration": 1, "rates": [-1000, -1000, -1000]}, "eigenvalues overflow"),
         ({"duration": 1, "rates": [math.inf, 0, 0]}, "must be finite"),
         ({"duration": math.nan, "rates": [1, 0, 0]}, "must be positive"),
+        ([{"duration": 1e308, "rates": [1, 0, 0]}] * 2, "durations sum past the largest float"),
     ],
 )
 @pytest.mark.parametrize("when", [("--t", "1.0"), ("--steps", "11")])
 def test_evolve_rejects_bad_schedule_with_exit_2(tmp_path, segment, message, when):
-    path = _write_schedule(tmp_path, [segment])
+    # a list stands for a whole schedule, a dict for its one segment
+    path = _write_schedule(tmp_path, segment if isinstance(segment, list) else [segment])
     code, out, err = _main(["evolve", "--schedule", path, *when])
     assert code == 2
     assert out == ""
@@ -433,7 +435,7 @@ def test_sample_exits_2_when_rejection_gives_up(monkeypatch):
     monkeypatch.setattr(mc_volume, "region_mask", lambda expr, lam: np.zeros(len(lam), bool))
     code, out, err = _main(["sample", "--region", "CPT,EBC", "-n", "2", "--seed", "3"])
     assert (code, out) == (2, "")
-    assert err == ("warning: acceptance rate 0/16382 below 0.0001 while sampling CPT,EBC\n"
+    assert err == ("warning: acceptance rate 0/16384 below 0.0001 while sampling CPT,EBC\n"
                    "error: rejection sampling of CPT,EBC accepted 0 of 20000 proposals,"
                    " fewer than the 2 rows asked for\n")
 
@@ -509,7 +511,7 @@ _json = st.recursive(
     max_leaves=8,
 )
 _segment = st.fixed_dictionaries({
-    "duration": st.floats(0.01, 10.0) | st.integers(1, 10),
+    "duration": st.floats(0.0, exclude_min=True, allow_infinity=False) | st.integers(1, 10),
     "rates": st.lists(st.floats(-50.0, 50.0) | st.integers(-2000, 2000), min_size=3, max_size=3),
 })
 
@@ -544,6 +546,9 @@ def _schedule(draw):
     ),
     fmt=st.sampled_from(["json", "csv", "text"]),
 )
+# durations that sum, or step times that run, past the largest float
+@example(doc=[{"duration": 1e308, "rates": [1, 0, 0]}] * 2, when=("--steps", "3"), fmt="json")
+@example(doc=[{"duration": 1e308, "rates": [1, 0, 0]}], when=("--steps", "50"), fmt="json")
 def test_evolve_fuzzed_schedules_exit_0_or_2(tmp_path_factory, doc, when, fmt):
     path = tmp_path_factory.getbasetemp() / "fuzzed-schedule.json"
     path.write_text(json.dumps(doc))
@@ -553,6 +558,7 @@ def test_evolve_fuzzed_schedules_exit_0_or_2(tmp_path_factory, doc, when, fmt):
     if code == 0:
         assert err == "" and out
         if fmt == "json":
-            jsonschema.validate(json.loads(out), _schema("output.schema.json"))
+            written = json.loads(out, parse_constant=_no_constant)
+            jsonschema.validate(written, _schema("output.schema.json"))
     else:
         assert out == "" and err

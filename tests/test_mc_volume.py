@@ -34,7 +34,6 @@ from paulivol.mc_volume import (
     _chunk_rng,
     _draw,
     _hit_counts,
-    _lambda_columns,
     _sample_array,
 )
 
@@ -231,13 +230,12 @@ def drawn(monkeypatch):
     return sizes
 
 
-def test_rejection_draws_few_rows_in_growing_slices(drawn):
-    # 5 rows of EBC,TLG (1/48 of the cube) take a few hundred proposals,
-    # not a chunk of 2^22
+def test_rejection_draws_few_rows_in_one_slice(drawn):
+    # 5 rows of EBC,TLG (1/48 of the cube) take a few hundred proposals, so
+    # one slice of 2^14 rows serves them, not a chunk of 2^22
     cfg = _cfg(5, seed=8, chunk_size=MAX_CHUNK_SIZE)
     assert len(_sample_array(RegionExpr.parse("EBC,TLG"), cfg)) == 5
-    assert drawn == [5 * 2**i for i in range(len(drawn))]
-    assert sum(drawn) < 5000
+    assert drawn == [_SLICE_ROWS]
 
 
 def test_rejection_gives_up_after_its_proposal_budget(monkeypatch, drawn):
@@ -275,18 +273,24 @@ _budgets = dict(
 )
 
 
+def _reference_lambda(p):
+    """The eigenvalue triples of (n, 4) weight rows, stacked from whole columns."""
+    p0, p1, p2, p3 = p.T
+    return np.stack([p0 + p1 - p2 - p3, p0 - p1 + p2 - p3, p0 - p1 - p2 + p3], axis=1)
+
+
 def _reference_fisher_rao(rng, n):
     # the stream squares, halves, sums and forms the triples in place
     z = rng.standard_normal(size=(n, 4))
     g = 0.5 * z * z
-    return _lambda_columns(g / g.sum(axis=1, keepdims=True))
+    return _reference_lambda(g / g.sum(axis=1, keepdims=True))
 
 
 # Each proposal drawn as one whole chunk, with no in-place arithmetic.
 _REFERENCE_DRAWS = {
     "cube": lambda rng, n: rng.uniform(-1.0, 1.0, size=(n, 3)),
     "fisher-rao": _reference_fisher_rao,
-    "tetrahedron": lambda rng, n: _lambda_columns(rng.dirichlet(np.ones(4), size=n)),
+    "tetrahedron": lambda rng, n: _reference_lambda(rng.dirichlet(np.ones(4), size=n)),
 }
 
 
