@@ -10,7 +10,7 @@ Choi-Jamiolkowski state of a map and its spectrum.
 from __future__ import annotations
 
 import math
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError, dataclass, fields
 
 __all__ = [
     "EigenvalueTriple",
@@ -55,6 +55,18 @@ def _frozen(cls):
     return cls
 
 
+def _slot_setters(cls) -> tuple:
+    """The ``__set__`` of each field's slot descriptor on ``cls``, in field order.
+
+    A frozen class stores its fields through these, which skips the name
+    lookup ``object.__setattr__`` makes on every call.  Take them from the
+    class the decorators return: ``dataclass(slots=True)`` builds a new
+    class, and a descriptor of the one before raises TypeError on its
+    instances.
+    """
+    return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
+
+
 @_frozen
 @dataclass(frozen=True, slots=True)
 class EigenvalueTriple:
@@ -74,14 +86,17 @@ class EigenvalueTriple:
             for name, v in (("l1", l1), ("l2", l2), ("l3", l3)):
                 if not math.isfinite(v):
                     raise ValueError(f"eigenvalue {name} must be finite, got {v!r}")
-        object.__setattr__(self, "l1", float(l1))
-        object.__setattr__(self, "l2", float(l2))
-        object.__setattr__(self, "l3", float(l3))
+        _set_l1(self, float(l1))
+        _set_l2(self, float(l2))
+        _set_l3(self, float(l3))
 
     def __iter__(self):
         yield self.l1
         yield self.l2
         yield self.l3
+
+
+_set_l1, _set_l2, _set_l3 = _slot_setters(EigenvalueTriple)
 
 
 @_frozen
@@ -105,10 +120,10 @@ class ProbabilityVector:
                 if not math.isfinite(v):
                     raise ValueError(f"weight {name} must be finite, got {v!r}")
         p0, p1, p2, p3 = float(p0), float(p1), float(p2), float(p3)
-        object.__setattr__(self, "p0", p0)
-        object.__setattr__(self, "p1", p1)
-        object.__setattr__(self, "p2", p2)
-        object.__setattr__(self, "p3", p3)
+        _set_p0(self, p0)
+        _set_p1(self, p1)
+        _set_p2(self, p2)
+        _set_p3(self, p3)
         total = p0 + p1 + p2 + p3
         if abs(total - 1.0) > _ATOL and _beyond_rounding(total, p0, p1, p2, p3):
             raise ValueError(f"weights must sum to 1 within {_ATOL}, got sum {total!r}")
@@ -118,6 +133,9 @@ class ProbabilityVector:
         yield self.p1
         yield self.p2
         yield self.p3
+
+
+_set_p0, _set_p1, _set_p2, _set_p3 = _slot_setters(ProbabilityVector)
 
 
 @_frozen
@@ -135,7 +153,7 @@ class ChoiMatrix:
     blocks: tuple
 
     def __init__(self, l: EigenvalueTriple):
-        object.__setattr__(self, "blocks", _choi_entries(l))
+        _set_blocks(self, _choi_entries(l))
 
     @property
     def entries(self) -> np.ndarray:
@@ -155,6 +173,9 @@ class ChoiMatrix:
         """
         import numpy as np
         return np.array(_block_spectrum(*self.blocks))
+
+
+(_set_blocks,) = _slot_setters(ChoiMatrix)
 
 
 def p_to_lambda(p: ProbabilityVector) -> EigenvalueTriple:

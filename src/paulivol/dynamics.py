@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .channel import EigenvalueTriple, _frozen
+from .channel import EigenvalueTriple, _frozen, _slot_setters
 from .regions import _region_records
 
 __all__ = [
@@ -212,6 +212,14 @@ class TrajectoryPoint:
     t: float
     eigenvalues: EigenvalueTriple
     regions: dict
+
+    def __init__(self, t, eigenvalues, regions):
+        _set_t(self, t)
+        _set_eigenvalues(self, eigenvalues)
+        _set_regions(self, regions)
+
+
+_set_t, _set_eigenvalues, _set_regions = _slot_setters(TrajectoryPoint)
 
 
 def classify_trajectory(schedule: RateSchedule, steps: int) -> list:

@@ -16,12 +16,13 @@ each chunk with ``_chunk_rng`` and draws it with ``_draw`` in
 whole chunk, so no reader holds a whole chunk and a thread's working
 set stays near 1 MB for any chunk size.  A counting pass counts whole
 chunks on one thread per usable CPU, at most two runs of chunks per
-thread in flight; the hits are integers summed in chunk order, so the
-result does not depend on the number of threads.  Counting evaluates
-each base region mask once per slice and counts every expression as an
-AND of those cached masks, so any number of conjunctions (all the rows
-of the reference table, say) cost one pass over the stream.  The
-rejection sampler reads the same slices on the calling thread.
+thread in flight, or on the calling thread when chunks are short; the
+hits are integers summed in chunk order, so the result does not depend
+on the number of threads.  Counting evaluates each base region mask
+once per slice and counts every expression as an AND of those cached
+masks, so any number of conjunctions (all the rows of the reference
+table, say) cost one pass over the stream.  The rejection sampler reads
+the same slices on the calling thread.
 """
 
 from __future__ import annotations
@@ -56,6 +57,12 @@ MAX_CHUNK_SIZE = 2**22
 # Rows any reader draws at a time: a Fisher-Rao slice of (n, 4) normals
 # is 0.5 MB.
 _SLICE_ROWS = 2**14
+# Shortest chunk a counting pass hands to its threads.  Shorter chunks are
+# counted on the calling thread: seeding a chunk and masking a short slice
+# hold the interpreter lock, so threads only contend for it.  On 2 vCPUs two
+# threads overtook the calling thread between 2^11 and 2^12 rows for
+# Fisher-Rao proposals and near 2^13 for cube ones.
+_THREADED_CHUNK_ROWS = 2**12
 # Largest sample budget a config accepts.  The estimators stream, so this
 # bounds run time (a 10**10 table takes minutes), not memory.
 MAX_SAMPLES = 10**10
@@ -215,13 +222,16 @@ def _run_hits(exprs, cfg: SamplerConfig, proposal: str, run) -> list:
 def _hit_counts(exprs, cfg: SamplerConfig, proposal: str = "cube") -> list:
     """Hits of every expression on one pass over the seeded stream.
 
-    Chunks are counted on ``_worker_count()`` threads in runs of at least
-    ``_SLICE_ROWS`` rows (one chunk, unless chunks are shorter), at most
-    two runs per thread in flight, and their hits summed here in chunk
-    order.  An error in a chunk is raised here as it was raised there,
-    once the runs still queued are cancelled and the running ones have
-    ended.
+    Chunks shorter than ``_THREADED_CHUNK_ROWS`` are counted here, on the
+    calling thread.  Longer ones are counted on ``_worker_count()`` threads
+    in runs of at least ``_SLICE_ROWS`` rows (one chunk, unless chunks are
+    shorter), at most two runs per thread in flight, and their hits summed
+    here in chunk order.  An error in a chunk is raised here as it was
+    raised there, once the runs still queued are cancelled and the running
+    ones have ended.
     """
+    if cfg.chunk_size < _THREADED_CHUNK_ROWS:
+        return _run_hits(exprs, cfg, proposal, cfg.chunks())
     from concurrent.futures import ThreadPoolExecutor
     workers = _worker_count()
     chunks = cfg.chunks()

@@ -14,12 +14,14 @@ from paulivol import (
     ProbabilityVector,
     RateSchedule,
     RateTriple,
+    TrajectoryPoint,
     classify_trajectory,
     choi_matrix,
     choi_spectrum,
     lambda_to_p,
     p_to_lambda,
 )
+from paulivol.channel import _ATOL, _beyond_rounding, _choi_entries
 
 _SIGMA = [
     np.eye(2, dtype=complex),
@@ -401,3 +403,115 @@ def test_finite_weights_never_fail_the_sum_or_trace_check(l):
         assert list(p) == weights
     else:
         assert p_error == "eigenvalues are too large for finite Pauli weights"
+
+
+# The four constructors as they stored their fields before: through
+# object.__setattr__, each check and message as in the library.
+def _stored(cls, **fields):
+    value = object.__new__(cls)
+    for name, x in fields.items():
+        object.__setattr__(value, name, x)
+    return value
+
+
+def _reference_triple(l1, l2, l3):
+    if not (math.isfinite(l1) and math.isfinite(l2) and math.isfinite(l3)):
+        for name, v in (("l1", l1), ("l2", l2), ("l3", l3)):
+            if not math.isfinite(v):
+                raise ValueError(f"eigenvalue {name} must be finite, got {v!r}")
+    return _stored(EigenvalueTriple, l1=float(l1), l2=float(l2), l3=float(l3))
+
+
+def _reference_weights(p0, p1, p2, p3):
+    if not (math.isfinite(p0) and math.isfinite(p1) and math.isfinite(p2) and math.isfinite(p3)):
+        for name, v in (("p0", p0), ("p1", p1), ("p2", p2), ("p3", p3)):
+            if not math.isfinite(v):
+                raise ValueError(f"weight {name} must be finite, got {v!r}")
+    p0, p1, p2, p3 = float(p0), float(p1), float(p2), float(p3)
+    value = _stored(ProbabilityVector, p0=p0, p1=p1, p2=p2, p3=p3)
+    total = p0 + p1 + p2 + p3
+    if abs(total - 1.0) > _ATOL and _beyond_rounding(total, p0, p1, p2, p3):
+        raise ValueError(f"weights must sum to 1 within {_ATOL}, got sum {total!r}")
+    return value
+
+
+_REFERENCE = {
+    EigenvalueTriple: _reference_triple,
+    ProbabilityVector: _reference_weights,
+    ChoiMatrix: lambda l: _stored(ChoiMatrix, blocks=_choi_entries(l)),
+    TrajectoryPoint: lambda t, eigenvalues, regions: _stored(
+        TrajectoryPoint, t=t, eigenvalues=eigenvalues, regions=regions),
+}
+
+
+def _built(make, *args):
+    """``make(*args)`` and None, or None and the type and message it raised."""
+    try:
+        return make(*args), None
+    except Exception as exc:
+        return None, (type(exc), str(exc))
+
+
+def _bits(x):
+    """A float by its bits (so -0.0 is not 0.0), a tuple entry by entry, else the object."""
+    if type(x) is float:
+        return x.hex()
+    if type(x) is tuple:
+        return tuple(map(_bits, x))
+    return (type(x), id(x))
+
+
+def _behaviour(value):
+    """What fields, eq, hash, repr and a pickle round trip make of a built value."""
+    cls = type(value)
+    twin = pickle.loads(pickle.dumps(value))
+    return {
+        "fields": [_bits(getattr(value, f.name)) for f in dataclasses.fields(cls)],
+        "repr": repr(value),
+        "hash": None if cls.__hash__ is object.__hash__ else _built(hash, value),
+        "twin": (type(twin), repr(twin), twin == value, twin != value),
+    }
+
+
+_number = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-2**1100, 2**1100),  # beyond float range too
+    st.booleans(),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+    st.sampled_from([math.inf, -math.inf, math.nan, np.float64("-inf"), np.float64("nan")]),
+    st.just("0.5"),
+)
+_small = st.floats(-4.0, 4.0) | st.integers(-3, 3) | st.floats(-4.0, 4.0).map(np.float64) | st.just(-0.0)
+# weights whose float sum is 1 or misses it by rounding only, so most build
+_summing = st.tuples(_small, _small, _small).map(lambda p: (1.0 - p[0] - p[1] - p[2], *p))
+_triple = st.builds(EigenvalueTriple, _magnitude, _magnitude, _magnitude)
+_CONSTRUCTOR_ARGS = {
+    EigenvalueTriple: st.tuples(_number, _number, _number),
+    ProbabilityVector: st.tuples(_number, _number, _number, _number) | _summing,
+    ChoiMatrix: st.tuples(_triple | _number),
+    TrajectoryPoint: st.tuples(
+        _number, _triple | _number,
+        st.dictionaries(st.sampled_from(["PT", "CPT", "EBC"]), st.booleans()) | _number),
+}
+
+
+@pytest.mark.parametrize("cls", list(_CONSTRUCTOR_ARGS), ids=lambda cls: cls.__name__)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_constructors_store_what_object_setattr_stored(cls, data):
+    args = data.draw(_CONSTRUCTOR_ARGS[cls], label="args")
+    value, error = _built(cls, *args)
+    reference, reference_error = _built(_REFERENCE[cls], *args)
+    assert error == reference_error
+    if value is None:
+        return
+    assert type(value) is cls
+    assert _behaviour(value) == _behaviour(reference)
+    assert (value == reference) is (cls.__eq__ is not object.__eq__)
+    if cls in (EigenvalueTriple, ProbabilityVector):
+        assert all(type(x) is float for x in value)
+    for name in [f.name for f in dataclasses.fields(cls)] + ["other"]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, name, 0.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(value, name)

@@ -339,3 +339,59 @@ def test_repeated_halfspaces_change_nothing(rows, with_cube, data):
     assert got == _outcome(_first_occurrences(messy))
     if not isinstance(got, str):
         assert got == enumerate_vertices(base)
+
+
+def _qhull(system):
+    """Euclidean volume and vertices of a system by scipy's floating-point qhull.
+
+    The interior point is the Chebyshev centre from ``linprog``; the volume
+    and vertices are None when the system is empty or flat (radius 0).
+    """
+    import numpy as np
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    spatial = pytest.importorskip("scipy.spatial")
+    a = np.array([[float(hs.a1), float(hs.a2), float(hs.a3)] for hs in system])
+    b = np.array([float(hs.b) for hs in system])
+    # maximise r subject to a x + r |a| <= b, r >= 0
+    lp = linprog([0, 0, 0, -1], A_ub=np.column_stack([a, np.linalg.norm(a, axis=1)]),
+                 b_ub=b, bounds=[(None, None)] * 3 + [(0, None)], method="highs")
+    if lp.status == 2 or lp.x[3] < 1e-9:  # infeasible, or no interior
+        return None, None
+    cut = spatial.HalfspaceIntersection(np.column_stack([a, -b]), lp.x[:3])
+    return spatial.ConvexHull(cut.intersections).volume, cut.intersections
+
+
+def _matched(points, others, tol=1e-9):
+    """Whether every point lies within ``tol`` of one of ``others``.
+
+    qhull lists a vertex where four or more planes meet once per simplex,
+    so the sets are compared up to repeats; a tolerance rather than decimal
+    rounding, because vertices such as 1/128 sit on a rounding boundary.
+    """
+    return all(min(max(abs(p - q) for p, q in zip(point, other)) for other in others) <= tol
+               for point in points)
+
+
+# Integer half-spaces that often cut the cube (b >= 0 keeps its centre).
+_int_row = st.tuples(*[st.integers(-4, 4)] * 3, st.integers(-2, 6)).filter(lambda t: any(t[:3]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(_int_row, min_size=1, max_size=6))
+def test_volume_and_vertices_match_qhull(rows):
+    system = halfspace_description(RegionExpr.parse("PT"))[0] + [HalfSpace(*t) for t in rows]
+    poly = build_polytope(system)
+    volume, vertices = _qhull(system)
+    if volume is None:
+        assert poly.euclidean_volume() == 0
+        return
+    assert float(poly.euclidean_volume()) == pytest.approx(volume, rel=1e-9, abs=0)
+    exact = [tuple(map(float, v)) for v in poly.vertices]
+    assert _matched(vertices.tolist(), exact) and _matched(exact, vertices.tolist())
+
+
+@pytest.mark.parametrize("name", [n for n, want in PINNED.items() if not isinstance(want, str)])
+def test_region_volume_matches_qhull(name):
+    expr = RegionExpr.parse(name)
+    volumes = [_qhull(system)[0] or 0.0 for system in halfspace_description(expr)]
+    assert float(region_volume(expr)) == pytest.approx(sum(volumes) / 8, rel=1e-9, abs=0)

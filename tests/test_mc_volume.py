@@ -1,3 +1,4 @@
+import concurrent.futures
 import itertools
 import math
 import sys
@@ -31,6 +32,7 @@ from paulivol.mc_volume import (
     MAX_CHUNK_SIZE,
     MAX_SAMPLES,
     _SLICE_ROWS,
+    _THREADED_CHUNK_ROWS,
     _chunk_rng,
     _draw,
     _hit_counts,
@@ -341,6 +343,24 @@ def test_hit_counts_of_many_slices_and_runs_do_not_depend_on_threads(
             assert _hit_counts(_TABLE_EXPRS, cfg, proposal) == want
     finally:
         sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("chunk_size, pools", [
+    (7, 0),
+    (_THREADED_CHUNK_ROWS - 1, 0),
+    (_THREADED_CHUNK_ROWS, 1),  # runs of four chunks
+])
+def test_chunks_shorter_than_the_cut_are_counted_on_the_calling_thread(
+        monkeypatch, chunk_size, pools):
+    samples = 5 * _THREADED_CHUNK_ROWS + 3
+    want = _reference_hits(_TABLE_EXPRS, samples, chunk_size, 13)
+    made = []
+    pool = concurrent.futures.ThreadPoolExecutor
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                        lambda workers: made.append(workers) or pool(workers))
+    monkeypatch.setattr(mc_volume, "_worker_count", lambda: 2)
+    assert _hit_counts(_TABLE_EXPRS, SamplerConfig(samples, 13, chunk_size)) == want
+    assert made == [2] * pools
 
 
 @settings(max_examples=40, deadline=None)
