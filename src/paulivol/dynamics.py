@@ -173,16 +173,18 @@ def rates_for_target(l: EigenvalueTriple, t_star: float) -> RateTriple:
     Gamma_a = (mu_b + mu_c - mu_a)/2 for {a, b, c} = {1, 2, 3}; constant
     rates gamma_a = Gamma_a / t_star realize that, so
     evolve([(t_star, rates)], t_star) returns the target up to rounding.
-    Rejects targets with any eigenvalue <= 0.
+    Rejects targets with any eigenvalue <= 0, and a t_star that is not
+    positive and finite or so small that a rate overflows.
     """
-    if not t_star > 0.0:
-        raise ValueError(f"t_star must be positive, got {t_star!r}")
+    if not (t_star > 0.0 and math.isfinite(t_star)):
+        raise ValueError(f"t_star must be positive and finite, got {t_star!r}")
     m1, m2, m3 = _mu(l)
-    return RateTriple(
-        0.5 * (m2 + m3 - m1) / t_star,
-        0.5 * (m1 + m3 - m2) / t_star,
-        0.5 * (m1 + m2 - m3) / t_star,
-    )
+    rates = (0.5 * (m2 + m3 - m1) / t_star,
+             0.5 * (m1 + m3 - m2) / t_star,
+             0.5 * (m1 + m2 - m3) / t_star)
+    if not all(map(math.isfinite, rates)):
+        raise ValueError(f"t_star={t_star!r} is too small: the rates overflow")
+    return RateTriple(*rates)
 
 
 def is_semigroup_reachable(l: EigenvalueTriple) -> bool:

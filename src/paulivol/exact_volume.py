@@ -1,14 +1,18 @@
 """Exact polytope volumes for the polytopal regions.
 
-Vertex enumeration is brute force over all triples of boundary planes.
-Inside the engine every quantity is an exact Python integer: each
-half-space is its primitive integer row ``(a1, a2, a3, b)`` and each
-vertex a homogeneous integer row ``(x, y, z, d)``, so vertices, facets,
-and volumes carry no rounding at all.  :class:`fractions.Fraction`
-appears only where values leave the engine: the vertices of a
-:class:`Polytope`, its volumes, and the mesh document.  The systems
-involved are tiny (at most a couple dozen half-spaces), which keeps the
-cubic enumeration instant and removes any need for pivoting machinery.
+Vertex enumeration is one pass over pairs of boundary planes.  Each
+pair's cross product, dotted once with every half-space normal, gives
+both the pair's recession test and the determinant of every plane triple
+the pair belongs to, so a triple's vertex costs one integer combination
+of cross products already at hand.  Inside the engine every quantity is
+an exact Python integer: each half-space is its primitive integer row
+``(a1, a2, a3, b)`` and each vertex a homogeneous integer row
+``(x, y, z, d)``, so vertices, facets, and volumes carry no rounding at
+all.  :class:`fractions.Fraction` appears only where values leave the
+engine: the vertices of a :class:`Polytope`, its volumes, and the mesh
+document.  The systems involved are tiny (at most a couple dozen
+half-spaces), which keeps the cubic pass instant and removes any need
+for pivoting machinery.
 
 Volumes are reported in the Hilbert-Schmidt normalization, which gives
 the positivity cube max_a |lambda_a| <= 1 unit volume: one eighth of
@@ -46,7 +50,7 @@ class UnboundedPolytopeError(ValueError):
     """
 
 
-# _dot, _cross and _det3 read only the first three entries, so a
+# _dot and _cross read only the first three entries, so a
 # half-space row (a1, a2, a3, b) serves as its own normal.
 
 
@@ -62,72 +66,6 @@ def _cross(u, v):
     )
 
 
-def _det3(r0, r1, r2):
-    return _dot(r0, _cross(r1, r2))
-
-
-def _rank(rows) -> int:
-    """Rank of a list of integer 3-vectors by fraction-free elimination."""
-    work = [list(r) for r in rows]
-    rank = 0
-    for col in range(3):
-        pivot = next((i for i in range(rank, len(work)) if work[i][col] != 0), None)
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        p = work[rank]
-        for i in range(rank + 1, len(work)):
-            f = work[i][col]
-            if f != 0:
-                work[i] = [p[col] * x - f * y for x, y in zip(work[i], p)]
-        rank += 1
-    return rank
-
-
-def _check_bounded(halfspaces, rows) -> None:
-    if _rank([r[:3] for r in rows]) < 3:
-        raise UnboundedPolytopeError(
-            "normals span fewer than three dimensions; the system is unbounded"
-        )
-    # With full-rank normals the recession cone is pointed, so it is
-    # nonzero exactly when it has an extreme ray, and every extreme ray
-    # lies on two of the cone's boundary planes: d ~ +-(a_i x a_j).
-    for (i, ri), (j, rj) in itertools.combinations(enumerate(rows), 2):
-        d = _cross(ri, rj)
-        if d == (0, 0, 0):
-            continue
-        for sign in (1, -1):
-            if all(sign * _dot(r, d) <= 0 for r in rows):
-                # Report the ray in the caller's own coefficients; each row
-                # is a positive multiple of its half-space, so it is the
-                # same ray.
-                cand = _cross(halfspaces[i].normal, halfspaces[j].normal)
-                cand = tuple(sign * x for x in cand)
-                raise UnboundedPolytopeError(
-                    f"recession direction ({cand[0]}, {cand[1]}, {cand[2]});"
-                    " the system is unbounded"
-                )
-
-
-def _solve_triple(r0, r1, r2):
-    """Meeting point of three boundary planes by integer Cramer, or None.
-
-    A vertex is a homogeneous integer row ``(x, y, z, d)`` standing for
-    the point ``(x/d, y/d, z/d)``, with ``d > 0`` and the row divided by
-    its gcd, so that each point has exactly one row.
-    """
-    d = _det3(r0, r1, r2)
-    if d == 0:
-        return None
-    b = (r0[3], r1[3], r2[3])
-    c0, c1, c2 = (r0[0], r1[0], r2[0]), (r0[1], r1[1], r2[1]), (r0[2], r1[2], r2[2])
-    x, y, z = _det3(b, c1, c2), _det3(c0, b, c2), _det3(c0, c1, b)
-    if d < 0:
-        x, y, z, d = -x, -y, -z, -d
-    g = math.gcd(x, y, z, d)
-    return (x // g, y // g, z // g, d // g)
-
-
 def enumerate_vertices(halfspaces) -> list:
     """All vertices of a bounded half-space system, exactly.
 
@@ -140,17 +78,57 @@ def enumerate_vertices(halfspaces) -> list:
     """
     halfspaces = list(halfspaces)
     rows = [hs.canonical() for hs in halfspaces]
-    _check_bounded(halfspaces, rows)
+    # ending[j][k] is a_k x a_j; when pair (i, j) is reached it holds every
+    # k < i, as pairs come in lexicographic order.
+    ending = [[] for _ in rows]
+    full_rank = False
     tried = set()
     vertices = []
-    for r0, r1, r2 in itertools.combinations(rows, 3):
-        v = _solve_triple(r0, r1, r2)
-        if v is None or v in tried:
+    for (i, ri), (j, rj) in itertools.combinations(enumerate(rows), 2):
+        x0, x1, x2 = cross = _cross(ri, rj)
+        ending[j].append(cross)
+        if cross == (0, 0, 0):
             continue
-        tried.add(v)
-        x, y, z, d = v
-        if all(a1 * x + a2 * y + a3 * z <= b * d for a1, a2, a3, b in rows):
-            vertices.append((Fraction(x, d), Fraction(y, d), Fraction(z, d)))
+        # dots[k] is det(r_k, r_i, r_j): the recession test and every
+        # vertex solve on this pair of planes read it.
+        dots = [a1 * x0 + a2 * x1 + a3 * x2 for a1, a2, a3, _b in rows]
+        # With full-rank normals the recession cone is pointed, so it is
+        # nonzero exactly when it has an extreme ray, and every extreme ray
+        # lies on two of the cone's boundary planes: d ~ +-(a_i x a_j).  If
+        # the normals span only a plane, d is normal to it and all dots are 0.
+        if max(dots) <= 0 or min(dots) >= 0:
+            # Report the ray in the caller's own coefficients; each row is a
+            # positive multiple of its half-space, so it is the same ray.
+            sign = 1 if max(dots) <= 0 else -1
+            ray = [sign * c for c in _cross(halfspaces[i].normal, halfspaces[j].normal)]
+            raise UnboundedPolytopeError(
+                f"recession direction ({ray[0]}, {ray[1]}, {ray[2]}); the system is unbounded"
+            )
+        full_rank = True
+        # Planes k < i < j meet at (b_k X_ij - b_i X_kj + b_j X_ki) / dots[k],
+        # X_pq = a_p x a_q.  A vertex is a homogeneous integer row
+        # (x, y, z, d) standing for (x/d, y/d, z/d), with d > 0 and the row
+        # divided by its gcd, so that each point has exactly one row.
+        bi, bj = ri[3], rj[3]
+        for rk, d, (p0, p1, p2), (q0, q1, q2) in zip(rows, dots, ending[j], ending[i]):
+            if d == 0:
+                continue
+            bk = rk[3]
+            x = bk * x0 - bi * p0 + bj * q0
+            y = bk * x1 - bi * p1 + bj * q1
+            z = bk * x2 - bi * p2 + bj * q2
+            g = math.gcd(x, y, z, d) if d > 0 else -math.gcd(x, y, z, d)
+            v = (x // g, y // g, z // g, d // g)
+            if v in tried:
+                continue
+            tried.add(v)
+            x, y, z, d = v
+            if all(a1 * x + a2 * y + a3 * z <= b * d for a1, a2, a3, b in rows):
+                vertices.append((Fraction(x, d), Fraction(y, d), Fraction(z, d)))
+    if not full_rank:  # every cross product is zero
+        raise UnboundedPolytopeError(
+            "normals span fewer than three dimensions; the system is unbounded"
+        )
     return sorted(vertices)
 
 
@@ -227,7 +205,7 @@ class Polytope:
         for _hs_index, cycle in self.facets:
             anchor = centred[cycle[0]]
             for i in range(1, len(cycle) - 1):
-                total += _det3(anchor, centred[cycle[i]], centred[cycle[i + 1]])
+                total += _dot(anchor, _cross(centred[cycle[i]], centred[cycle[i + 1]]))
         return Fraction(abs(total), 6 * (k * scale) ** 3)
 
 

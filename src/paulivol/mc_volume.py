@@ -91,6 +91,10 @@ class SamplerConfig:
     chunk_size: int = DEFAULT_CHUNK_SIZE
 
     def __post_init__(self):
+        for name in ("samples", "seed", "chunk_size"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise TypeError(f"{name} must be an int, got {value!r}")
         if self.samples < 1:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
         if self.chunk_size < 1:

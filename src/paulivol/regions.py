@@ -212,6 +212,16 @@ def region_mask(expr: RegionExpr, lam: np.ndarray) -> np.ndarray:
 # --- exact half-space descriptions ------------------------------------------
 
 
+def _coefficient(name, value) -> Fraction:
+    """``value`` as an exact Fraction; inf, nan and bad text are rejected by name."""
+    try:
+        return Fraction(value)
+    except (ValueError, OverflowError):
+        raise ValueError(
+            f"half-space coefficient {name} must be a finite number, got {value!r}"
+        ) from None
+
+
 @dataclass(frozen=True)
 class HalfSpace:
     """Rational constraint a1*l1 + a2*l2 + a3*l3 <= b.
@@ -226,7 +236,7 @@ class HalfSpace:
     b: Fraction
 
     def __init__(self, a1, a2, a3, b):
-        a1, a2, a3, b = Fraction(a1), Fraction(a2), Fraction(a3), Fraction(b)
+        a1, a2, a3, b = map(_coefficient, ("a1", "a2", "a3", "b"), (a1, a2, a3, b))
         if a1 == 0 and a2 == 0 and a3 == 0:
             raise ValueError("half-space normal must be nonzero")
         object.__setattr__(self, "a1", a1)
@@ -260,58 +270,26 @@ def _dedupe(halfspaces) -> list:
     return list(first.values())
 
 
-def _pt_system() -> list:
-    out = []
-    for axis in range(3):
-        for sign in (1, -1):
-            a = [0, 0, 0]
-            a[axis] = sign
-            out.append(HalfSpace(a[0], a[1], a[2], 1))
-    return out
+def _orthant(s1, s2, s3) -> list:
+    """The orthant where each s_a * l_a >= 0."""
+    return [HalfSpace(-s1, 0, 0, 0), HalfSpace(0, -s2, 0, 0), HalfSpace(0, 0, -s3, 0)]
 
 
-def _cpt_system() -> list:
+# Each tag's convex pieces, built once.  Half-spaces are frozen, so every
+# description shares them.
+_SYSTEMS = {
+    RegionId.PT: [[HalfSpace(*(sign if k == axis else 0 for k in range(3)), 1)
+                   for axis in range(3) for sign in (1, -1)]],
     # Nonnegativity of the four Pauli weights.
-    return [
-        HalfSpace(-1, -1, -1, 1),
-        HalfSpace(-1, 1, 1, 1),
-        HalfSpace(1, -1, 1, 1),
-        HalfSpace(1, 1, -1, 1),
-    ]
-
-
-def _ebc_system() -> list:
-    return [
-        HalfSpace(s1, s2, s3, 1)
-        for s1 in (1, -1)
-        for s2 in (1, -1)
-        for s3 in (1, -1)
-    ]
-
-
-def _tlg_system() -> list:
-    return [HalfSpace(-1, 0, 0, 0), HalfSpace(0, -1, 0, 0), HalfSpace(0, 0, -1, 0)]
-
-
-def _pdiv_orthants() -> list:
+    RegionId.CPT: [[HalfSpace(-1, -1, -1, 1), HalfSpace(-1, 1, 1, 1),
+                    HalfSpace(1, -1, 1, 1), HalfSpace(1, 1, -1, 1)]],
+    RegionId.EBC: [[HalfSpace(s1, s2, s3, 1)
+                    for s1 in (1, -1) for s2 in (1, -1) for s3 in (1, -1)]],
+    RegionId.TLG: [_orthant(1, 1, 1)],
     # The even-sign orthants: the eigenvalue product is >= 0 exactly on
     # their union, overlapping only on the coordinate planes.
-    pieces = []
-    for signs in ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)):
-        pieces.append([
-            HalfSpace(-signs[0], 0, 0, 0),
-            HalfSpace(0, -signs[1], 0, 0),
-            HalfSpace(0, 0, -signs[2], 0),
-        ])
-    return pieces
-
-
-_SYSTEMS = {
-    RegionId.PT: lambda: [_pt_system()],
-    RegionId.CPT: lambda: [_cpt_system()],
-    RegionId.EBC: lambda: [_ebc_system()],
-    RegionId.TLG: lambda: [_tlg_system()],
-    RegionId.PDIV: _pdiv_orthants,
+    RegionId.PDIV: [_orthant(*signs)
+                    for signs in ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))],
 }
 
 
@@ -331,5 +309,5 @@ def halfspace_description(expr: RegionExpr) -> list:
     for tag in _TAG_ORDER:
         if tag not in expr.conjuncts:
             continue
-        pieces = [old + new for old in pieces for new in _SYSTEMS[tag]()]
+        pieces = [old + new for old in pieces for new in _SYSTEMS[tag]]
     return [_dedupe(system) for system in pieces]

@@ -473,6 +473,15 @@ def test_every_finite_float_literal_is_a_number_to_argparse(x, slot):
             assert out == "" and err.startswith("error: ") and "usage:" not in err, err
 
 
+@pytest.mark.parametrize("t_star, message", [
+    ("inf", "error: t_star must be positive and finite, got inf\n"),
+    ("1e-320", "error: t_star=1e-320 is too small: the rates overflow\n"),
+])
+def test_evolve_target_rejects_a_bad_t_star_with_exit_2(t_star, message):
+    code, out, err = _main(["evolve", "--target", ".5", ".5", ".5", "--t-star", t_star])
+    assert (code, out, err) == (2, "", message)
+
+
 def _no_arange(*args):
     raise AssertionError("the trajectory times were allocated")
 

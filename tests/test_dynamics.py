@@ -141,6 +141,18 @@ def test_rates_for_target_round_trip():
     assert abs(lam.l3 - target.l3) < 1e-12
 
 
+@pytest.mark.parametrize("t_star, message", [
+    (math.inf, "t_star must be positive and finite, got inf"),
+    (math.nan, "t_star must be positive and finite, got nan"),
+    (0.0, "t_star must be positive and finite, got 0.0"),
+    (1e-320, "t_star=1e-320 is too small: the rates overflow"),
+])
+def test_rates_for_target_rejects_a_bad_t_star_by_name(t_star, message):
+    with pytest.raises(ValueError) as info:
+        rates_for_target(EigenvalueTriple(0.5, 0.5, 0.5), t_star)
+    assert str(info.value) == message
+
+
 def test_rates_for_target_round_trip_random():
     rng = np.random.default_rng(23)
     worst = 0.0

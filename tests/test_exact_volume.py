@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -339,6 +340,145 @@ def test_repeated_halfspaces_change_nothing(rows, with_cube, data):
     assert got == _outcome(_first_occurrences(messy))
     if not isinstance(got, str):
         assert got == enumerate_vertices(base)
+
+
+# The engine before the one-pass rewrite, kept as a reference: a separate
+# rank test, a recession pass over plane pairs, and an integer Cramer solve
+# of every plane triple.
+
+
+def _ref_dot(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _ref_cross(u, v):
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+def _ref_det3(r0, r1, r2):
+    return _ref_dot(r0, _ref_cross(r1, r2))
+
+
+def _ref_rank(rows):
+    work = [list(r[:3]) for r in rows]
+    rank = 0
+    for col in range(3):
+        pivot = next((i for i in range(rank, len(work)) if work[i][col] != 0), None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        p = work[rank]
+        for i in range(rank + 1, len(work)):
+            f = work[i][col]
+            if f != 0:
+                work[i] = [p[col] * x - f * y for x, y in zip(work[i], p)]
+        rank += 1
+    return rank
+
+
+def _ref_check_bounded(halfspaces, rows):
+    if _ref_rank(rows) < 3:
+        raise UnboundedPolytopeError(
+            "normals span fewer than three dimensions; the system is unbounded"
+        )
+    for (i, ri), (j, rj) in itertools.combinations(enumerate(rows), 2):
+        d = _ref_cross(ri, rj)
+        if d == (0, 0, 0):
+            continue
+        for sign in (1, -1):
+            if all(sign * _ref_dot(r, d) <= 0 for r in rows):
+                cand = _ref_cross(halfspaces[i].normal, halfspaces[j].normal)
+                cand = tuple(sign * x for x in cand)
+                raise UnboundedPolytopeError(
+                    f"recession direction ({cand[0]}, {cand[1]}, {cand[2]});"
+                    " the system is unbounded"
+                )
+
+
+def _ref_solve_triple(r0, r1, r2):
+    d = _ref_det3(r0, r1, r2)
+    if d == 0:
+        return None
+    b = (r0[3], r1[3], r2[3])
+    c0, c1, c2 = (r0[0], r1[0], r2[0]), (r0[1], r1[1], r2[1]), (r0[2], r1[2], r2[2])
+    x, y, z = _ref_det3(b, c1, c2), _ref_det3(c0, b, c2), _ref_det3(c0, c1, b)
+    if d < 0:
+        x, y, z, d = -x, -y, -z, -d
+    g = math.gcd(x, y, z, d)
+    return (x // g, y // g, z // g, d // g)
+
+
+def _ref_enumerate_vertices(halfspaces):
+    halfspaces = list(halfspaces)
+    rows = [hs.canonical() for hs in halfspaces]
+    _ref_check_bounded(halfspaces, rows)
+    tried = set()
+    vertices = []
+    for r0, r1, r2 in itertools.combinations(rows, 3):
+        v = _ref_solve_triple(r0, r1, r2)
+        if v is None or v in tried:
+            continue
+        tried.add(v)
+        x, y, z, d = v
+        if all(a1 * x + a2 * y + a3 * z <= b * d for a1, a2, a3, b in rows):
+            vertices.append((F(x, d), F(y, d), F(z, d)))
+    return sorted(vertices)
+
+
+@st.composite
+def _open_systems(draw):
+    """Small rational systems without the cube, of normal rank 1, 2 or 3.
+
+    The normals are ``rank`` independent directions and small integer
+    combinations of them.  With ``closed`` a last half-space has minus the
+    sum of the normals as its own, which makes a full-rank system bounded
+    or infeasible.  Offsets lean positive, so most systems are feasible.
+    """
+    rank = draw(st.integers(1, 3))
+    direction = st.tuples(_small, _small, _small).filter(any)
+    basis = draw(st.lists(direction, min_size=rank, max_size=rank)
+                 .filter(lambda vs: _ref_rank(vs) == len(vs)))
+    mix = st.tuples(*[st.integers(-2, 2)] * rank)
+    normals = list(basis)
+    for weights in draw(st.lists(mix, max_size=5)):
+        normal = tuple(sum(w * v[axis] for w, v in zip(weights, basis)) for axis in range(3))
+        if any(normal):
+            normals.append(normal)
+    closing = tuple(-sum(c) for c in zip(*normals))
+    if draw(st.booleans()) and any(closing):
+        normals.append(closing)
+    offset = st.fractions(min_value=-1, max_value=2, max_denominator=2)
+    return [HalfSpace(*n, draw(offset)) for n in normals]
+
+
+def _ref_outcome(system):
+    try:
+        return _ref_enumerate_vertices(system)
+    except UnboundedPolytopeError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(system=_open_systems())
+def test_one_pass_engine_matches_the_per_triple_reference(system):
+    got, want = _outcome(system), _ref_outcome(system)
+    if _ref_rank([hs.canonical() for hs in system]) == 2:
+        # A rank-2 system names a recession direction, normal to every
+        # normal, where the reference only reported the rank.
+        assert got.startswith("recession direction (")
+        ray = [F(c) for c in got[len("recession direction ("):got.index(")")].split(", ")]
+        assert any(ray) and all(_ref_dot(hs.normal, ray) == 0 for hs in system)
+        assert want == "normals span fewer than three dimensions; the system is unbounded"
+    else:
+        assert got == want
+
+
+def test_low_rank_messages():
+    rank_1 = "normals span fewer than three dimensions; the system is unbounded"
+    assert _outcome([]) == rank_1
+    assert _outcome([HalfSpace(1, 0, 0, 1), HalfSpace(-2, 0, 0, 1)]) == rank_1
+    rank_2 = [HalfSpace(1, 0, 0, 1), HalfSpace(0, F(1, 2), 0, 1), HalfSpace(-1, -1, 0, 1)]
+    assert _outcome(rank_2) == "recession direction (0, 0, 1/2); the system is unbounded"
 
 
 def _qhull(system):

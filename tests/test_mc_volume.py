@@ -76,6 +76,36 @@ def test_sampler_config_rejects_samples_above_the_cap(samples, chunk_size):
     assert SamplerConfig(samples=MAX_SAMPLES, seed=0).samples == MAX_SAMPLES
 
 
+_field_values = st.one_of(
+    st.integers(-5, 2**65),
+    st.sampled_from([1, 2**64 - 1, MAX_SAMPLES, MAX_CHUNK_SIZE]),
+    st.floats(),
+    st.booleans(),
+    st.text(max_size=3),
+    st.floats().map(np.float64),
+)
+_field_ranges = {"samples": (1, MAX_SAMPLES), "seed": (0, 2**64 - 1),
+                 "chunk_size": (1, MAX_CHUNK_SIZE)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(samples=_field_values, seed=_field_values, chunk_size=_field_values)
+def test_sampler_config_accepts_only_ints_in_range(samples, seed, chunk_size):
+    # Everything is checked at the call: a config either holds three ints in
+    # range or is refused with a message that names a bad field.
+    fields = {"samples": samples, "seed": seed, "chunk_size": chunk_size}
+    bad = {name for name, value in fields.items()
+           if isinstance(value, bool) or not isinstance(value, int)
+           or not _field_ranges[name][0] <= value <= _field_ranges[name][1]}
+    try:
+        cfg = SamplerConfig(**fields)
+    except (TypeError, ValueError) as exc:
+        assert str(exc).split()[0] in bad, str(exc)
+    else:
+        assert not bad
+        assert all(type(getattr(cfg, name)) is int for name in fields)
+
+
 def test_volume_estimate_validation():
     VolumeEstimate(0.5, 0.01, 100, "mc-hs", 0)
     with pytest.raises(ValueError):

@@ -212,6 +212,23 @@ def test_halfspace_rejects_a_zero_normal():
         HalfSpace(0, 0, 0, 1)
 
 
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan"), "nan", "1/0x"])
+@pytest.mark.parametrize("slot, name", enumerate(["a1", "a2", "a3", "b"]))
+def test_halfspace_rejects_a_non_finite_coefficient_by_name(bad, slot, name):
+    coeffs = [1, 0, 0, 1]
+    coeffs[slot] = bad
+    with pytest.raises(ValueError, match=f"^half-space coefficient {name} must be a finite"):
+        HalfSpace(*coeffs)
+
+
+def test_halfspace_description_returns_fresh_lists():
+    first = halfspace_description(RegionExpr.parse("PT,PDIV"))
+    for system in first:
+        system.clear()
+    again = halfspace_description(RegionExpr.parse("PT,PDIV"))
+    assert [len(system) for system in again] == [9, 9, 9, 9]
+
+
 def test_halfspace_description_structure():
     assert len(halfspace_description(RegionExpr.parse("CPT"))[0]) == 4
     assert len(halfspace_description(RegionExpr.parse("PT"))[0]) == 6
