@@ -18,6 +18,8 @@ exactly so that targets with some Gamma_a < 0 stay reachable.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -176,6 +178,8 @@ def rates_for_target(l: EigenvalueTriple, t_star: float) -> RateTriple:
     Rejects targets with any eigenvalue <= 0, and a t_star that is not
     positive and finite or so small that a rate overflows.
     """
+    if not isinstance(t_star, numbers.Real):
+        raise TypeError(f"t_star must be a real number, got {t_star!r}")
     if not (t_star > 0.0 and math.isfinite(t_star)):
         raise ValueError(f"t_star must be positive and finite, got {t_star!r}")
     m1, m2, m3 = _mu(l)
@@ -235,6 +239,10 @@ def classify_trajectory(schedule: RateSchedule, steps: int) -> list:
     exactly the float operations :func:`integrate_rates` and :func:`evolve`
     apply to its time, so every point equals ``evolve`` at that time.
     """
+    try:
+        steps = operator.index(steps)
+    except TypeError:
+        raise TypeError(f"steps must be an int, got {steps!r}") from None
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
     if steps > MAX_STEPS:

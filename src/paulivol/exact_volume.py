@@ -17,6 +17,14 @@ for pivoting machinery.
 Volumes are reported in the Hilbert-Schmidt normalization, which gives
 the positivity cube max_a |lambda_a| <= 1 unit volume: one eighth of
 the Euclidean volume in eigenvalue space.
+
+:func:`region_volume` enumerates the irredundant conjunction: the regions
+nest as closed sets (EBC in CPT in PT, TLG in PDIV), so a conjunct that
+another conjunct implies changes neither the set nor its volume, only
+the work, which is cubic in the half-space count.  Dropping it turns
+``PT,CPT,EBC,TLG,PDIV`` into the one system of ``EBC,TLG`` instead of
+four PDIV orthant pieces.  :func:`mesh_document` enumerates the full
+description, as its JSON lists every half-space of each piece.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .regions import RegionExpr, _dedupe, halfspace_description
+from .regions import RegionExpr, _dedupe, _irredundant, halfspace_description
 
 __all__ = [
     "UnboundedPolytopeError",
@@ -228,7 +236,7 @@ def build_polytope(halfspaces) -> Polytope:
 def region_volume(expr: RegionExpr) -> Fraction:
     """Exact Hilbert-Schmidt volume of a polytopal region conjunction."""
     total = Fraction(0)
-    for system in halfspace_description(expr):
+    for system in halfspace_description(_irredundant(expr)):
         total += build_polytope(system).euclidean_volume()
     return total * HS_SCALE
 

@@ -19,6 +19,10 @@ only abs, + - *, parenthesized comparisons and &.  On an
 Carlo engine all call it through one table.
 Every region except ``CPDIV`` is a finite union of convex polytopes;
 ``halfspace_description`` emits that union for the exact volume engine.
+The regions nest as closed sets, EBC in CPT in PT and TLG in PDIV; the
+private ``_IMPLIED`` table records these inclusions, so that
+``_irredundant`` can drop the conjuncts another conjunct already implies
+before exact volumes are enumerated.
 """
 
 from __future__ import annotations
@@ -87,6 +91,8 @@ class RegionExpr:
     @classmethod
     def parse(cls, text: str) -> "RegionExpr":
         """Parse a comma-separated tag list such as ``"CPT,EBC"``."""
+        if not isinstance(text, str):
+            raise TypeError(f"text must be a string of comma-separated tags, got {text!r}")
         tags = []
         for part in text.split(","):
             name = part.strip().upper()
@@ -213,11 +219,14 @@ def region_mask(expr: RegionExpr, lam: np.ndarray) -> np.ndarray:
 
 
 def _coefficient(name, value) -> Fraction:
-    """``value`` as an exact Fraction; inf, nan and bad text are rejected by name."""
+    """``value`` as an exact Fraction; inf, nan, bad text and non-numbers are
+    rejected by name, non-numbers with TypeError.
+    """
     try:
         return Fraction(value)
-    except (ValueError, OverflowError):
-        raise ValueError(
+    except (TypeError, ValueError, OverflowError) as exc:
+        error = TypeError if isinstance(exc, TypeError) else ValueError
+        raise error(
             f"half-space coefficient {name} must be a finite number, got {value!r}"
         ) from None
 
@@ -291,6 +300,21 @@ _SYSTEMS = {
     RegionId.PDIV: [_orthant(*signs)
                     for signs in ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))],
 }
+
+
+# Closed-set inclusions: each tag's region lies inside every region listed
+# for it, so a conjunction holding both equals one without the larger.
+_IMPLIED = {
+    RegionId.EBC: {RegionId.CPT, RegionId.PT},
+    RegionId.CPT: {RegionId.PT},
+    RegionId.TLG: {RegionId.PDIV},
+}
+
+
+def _irredundant(expr: RegionExpr) -> RegionExpr:
+    """The same region, less every conjunct that another conjunct implies."""
+    implied = set().union(*(_IMPLIED.get(tag, ()) for tag in expr.conjuncts))
+    return RegionExpr(expr.conjuncts - implied)
 
 
 def halfspace_description(expr: RegionExpr) -> list:

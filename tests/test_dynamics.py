@@ -153,6 +153,13 @@ def test_rates_for_target_rejects_a_bad_t_star_by_name(t_star, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("t_star", ["1", None, [1.0], 1j])
+def test_rates_for_target_rejects_a_non_number_t_star_by_name(t_star):
+    with pytest.raises(TypeError) as info:
+        rates_for_target(EigenvalueTriple(0.5, 0.5, 0.5), t_star)
+    assert str(info.value) == f"t_star must be a real number, got {t_star!r}"
+
+
 def test_rates_for_target_round_trip_random():
     rng = np.random.default_rng(23)
     worst = 0.0
@@ -300,6 +307,20 @@ def test_trajectory_times_stay_within_the_schedule(durations, steps):
 def test_classify_trajectory_step_validation():
     with pytest.raises(ValueError):
         classify_trajectory(_depolarizing(1.0, 1.0), steps=1)
+
+
+@pytest.mark.parametrize("steps", [2.5, 3.0, "3", None])
+def test_classify_trajectory_rejects_a_non_integer_steps_by_name(steps, monkeypatch):
+    # The check comes before any array is built.
+    monkeypatch.setattr(np, "arange", None)
+    with pytest.raises(TypeError) as info:
+        classify_trajectory(_depolarizing(1.0, 1.0), steps)
+    assert str(info.value) == f"steps must be an int, got {steps!r}"
+
+
+def test_classify_trajectory_takes_numpy_integer_steps():
+    schedule = _depolarizing(1.0, 1.0)
+    assert classify_trajectory(schedule, np.int64(4)) == classify_trajectory(schedule, 4)
 
 
 def test_schedule_from_json():

@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 
 from paulivol import (
     HalfSpace,
+    NonPolytopalRegionError,
     RegionExpr,
+    RegionId,
     UnboundedPolytopeError,
     build_polytope,
     enumerate_vertices,
@@ -19,6 +21,8 @@ from paulivol import (
     mesh_document,
     region_volume,
 )
+from paulivol.exact_volume import HS_SCALE
+from paulivol.regions import _IMPLIED, _irredundant
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -238,6 +242,68 @@ def test_all_conjunctions_pinned(name):
     assert region_volume(expr) == volume
     text = json.dumps(mesh_document(expr), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _rows(system):
+    return {hs.canonical() for hs in system}
+
+
+def test_implied_tags_contain_the_tags_that_imply_them():
+    """Every ``_IMPLIED`` entry, proved in exact arithmetic."""
+    pdiv_pieces = halfspace_description(RegionExpr.parse("PDIV"))
+    for tag, implied in _IMPLIED.items():
+        (system,) = halfspace_description(RegionExpr([tag]))
+        if tag is RegionId.TLG:
+            # TLG is unbounded, so it has no vertex list: its system is
+            # PDIV's (1, 1, 1) orthant piece itself.
+            assert implied == {RegionId.PDIV}
+            assert _rows(system) == _rows(pdiv_pieces[0]) == {
+                (-1, 0, 0, 0), (0, -1, 0, 0), (0, 0, -1, 0)}
+            continue
+        # A bounded convex set lies in a convex one when all its vertices do.
+        vertices = build_polytope(system).vertices
+        assert vertices
+        for other in implied:
+            (outer,) = halfspace_description(RegionExpr([other]))
+            for hs in outer:
+                a1, a2, a3, b = hs.canonical()
+                for x, y, z in vertices:
+                    assert a1 * x + a2 * y + a3 * z <= b, (tag, other, hs, (x, y, z))
+
+
+def _full_volume(expr):
+    """HS volume summed over the full description, or the error it raises."""
+    try:
+        systems = halfspace_description(expr)
+        return sum(build_polytope(s).euclidean_volume() for s in systems) * HS_SCALE
+    except UnboundedPolytopeError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name", list(PINNED))
+def test_region_volume_equals_the_full_description(name):
+    expr = RegionExpr.parse(name)
+    try:
+        got = region_volume(expr)
+    except UnboundedPolytopeError as exc:
+        got = type(exc), str(exc)
+    assert got == _full_volume(expr)
+
+
+def test_irredundant_drops_only_implied_conjuncts():
+    assert str(_irredundant(RegionExpr.parse("PT,CPT,EBC,TLG,PDIV"))) == "EBC,TLG"
+    assert str(_irredundant(RegionExpr.parse("PT,CPT,PDIV"))) == "CPT,PDIV"
+    assert str(_irredundant(RegionExpr.parse("TLG,PDIV"))) == "TLG"
+    assert str(_irredundant(RegionExpr.parse("PT,PDIV"))) == "PT,PDIV"
+
+
+@pytest.mark.parametrize("r", range(5))
+def test_every_cpdiv_conjunction_still_raises(r):
+    for tags in itertools.combinations(["PT", "CPT", "EBC", "TLG", "PDIV"], r):
+        expr = RegionExpr([*tags, "CPDIV"])
+        assert RegionId.CPDIV in _irredundant(expr)
+        with pytest.raises(NonPolytopalRegionError):
+            region_volume(expr)
 
 
 def _det(m):

@@ -221,6 +221,22 @@ def test_halfspace_rejects_a_non_finite_coefficient_by_name(bad, slot, name):
         HalfSpace(*coeffs)
 
 
+@pytest.mark.parametrize("bad", [None, [1], object()])
+@pytest.mark.parametrize("slot, name", enumerate(["a1", "a2", "a3", "b"]))
+def test_halfspace_rejects_a_non_number_by_name(bad, slot, name):
+    coeffs = [1, 0, 0, 1]
+    coeffs[slot] = bad
+    with pytest.raises(TypeError) as info:
+        HalfSpace(*coeffs)
+    assert str(info.value) == f"half-space coefficient {name} must be a finite number, got {bad!r}"
+
+
+@pytest.mark.parametrize("bad", [5, None, ["CPT"], b"CPT"])
+def test_parse_rejects_a_non_string_by_name(bad):
+    with pytest.raises(TypeError, match="^text must be a string"):
+        RegionExpr.parse(bad)
+
+
 def test_halfspace_description_returns_fresh_lists():
     first = halfspace_description(RegionExpr.parse("PT,PDIV"))
     for system in first:
