@@ -37,6 +37,19 @@ def _beyond_rounding(total: float, *terms: float) -> bool:
     return abs(total - 1.0) > sum(2.0**-49 * abs(x) for x in terms)
 
 
+def _check_finite(what: str, names: tuple, values: tuple) -> None:
+    """Name the first of ``values`` that is not a finite real number: a
+    non-number with TypeError, inf or nan with ValueError.
+    """
+    for name, v in zip(names, values):
+        try:
+            finite = math.isfinite(v)
+        except TypeError:
+            raise TypeError(f"{what} {name} must be a real number, got {v!r}") from None
+        if not finite:
+            raise ValueError(f"{what} {name} must be finite, got {v!r}")
+
+
 def _frozen(cls):
     """Make assigning or deleting any attribute of ``cls`` raise FrozenInstanceError.
 
@@ -82,10 +95,12 @@ class EigenvalueTriple:
     l3: float
 
     def __init__(self, l1, l2, l3):
-        if not (math.isfinite(l1) and math.isfinite(l2) and math.isfinite(l3)):
-            for name, v in (("l1", l1), ("l2", l2), ("l3", l3)):
-                if not math.isfinite(v):
-                    raise ValueError(f"eigenvalue {name} must be finite, got {v!r}")
+        try:
+            finite = math.isfinite(l1) and math.isfinite(l2) and math.isfinite(l3)
+        except TypeError:
+            finite = False
+        if not finite:
+            _check_finite("eigenvalue", ("l1", "l2", "l3"), (l1, l2, l3))
         _set_l1(self, float(l1))
         _set_l2(self, float(l2))
         _set_l3(self, float(l3))
@@ -115,10 +130,13 @@ class ProbabilityVector:
     p3: float
 
     def __init__(self, p0, p1, p2, p3):
-        if not (math.isfinite(p0) and math.isfinite(p1) and math.isfinite(p2) and math.isfinite(p3)):
-            for name, v in (("p0", p0), ("p1", p1), ("p2", p2), ("p3", p3)):
-                if not math.isfinite(v):
-                    raise ValueError(f"weight {name} must be finite, got {v!r}")
+        try:
+            finite = (math.isfinite(p0) and math.isfinite(p1) and math.isfinite(p2)
+                      and math.isfinite(p3))
+        except TypeError:
+            finite = False
+        if not finite:
+            _check_finite("weight", ("p0", "p1", "p2", "p3"), (p0, p1, p2, p3))
         p0, p1, p2, p3 = float(p0), float(p1), float(p2), float(p3)
         _set_p0(self, p0)
         _set_p1(self, p1)

@@ -23,7 +23,7 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .channel import EigenvalueTriple, _frozen, _slot_setters
+from .channel import EigenvalueTriple, _check_finite, _frozen, _slot_setters
 from .regions import _region_records
 
 __all__ = [
@@ -48,11 +48,9 @@ class RateTriple:
     g3: float
 
     def __post_init__(self):
+        _check_finite("rate", ("g1", "g2", "g3"), (self.g1, self.g2, self.g3))
         for name in ("g1", "g2", "g3"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ValueError(f"rate {name} must be finite, got {v!r}")
-            object.__setattr__(self, name, float(v))
+            object.__setattr__(self, name, float(getattr(self, name)))
 
     def __iter__(self):
         yield self.g1
@@ -69,7 +67,11 @@ class RateSchedule:
     def __init__(self, segments: Iterable[tuple]):
         parsed = []
         for duration, rates in segments:
-            duration = float(duration)
+            try:
+                duration = float(duration)
+            except (TypeError, ValueError) as exc:
+                error = TypeError if isinstance(exc, TypeError) else ValueError
+                raise error(f"segment duration must be a number, got {duration!r}") from None
             if not math.isfinite(duration) or duration <= 0.0:
                 raise ValueError(f"segment duration must be positive, got {duration!r}")
             if not isinstance(rates, RateTriple):
@@ -121,7 +123,11 @@ def schedule_from_json(obj) -> RateSchedule:
 
 def integrate_rates(schedule: RateSchedule, t: float) -> tuple:
     """Rate integrals (Gamma_1, Gamma_2, Gamma_3) over [0, t], exactly segment by segment."""
-    if not 0.0 <= t <= schedule.total_duration:
+    try:
+        inside = 0.0 <= t <= schedule.total_duration
+    except TypeError:
+        raise TypeError(f"time t must be a real number, got {t!r}") from None
+    if not inside:
         raise ValueError(
             f"time {t!r} outside the schedule range [0, {schedule.total_duration}]"
         )

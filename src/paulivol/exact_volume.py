@@ -151,40 +151,19 @@ def _integer_points(vertices):
     return points, scale
 
 
-def _centred(points, indices):
-    """``k * (p - centroid)`` for the k points named, still integers."""
-    k = len(indices)
-    sx = sum(points[i][0] for i in indices)
-    sy = sum(points[i][1] for i in indices)
-    sz = sum(points[i][2] for i in indices)
-    return {
-        i: (k * points[i][0] - sx, k * points[i][1] - sy, k * points[i][2] - sz)
-        for i in indices
-    }
-
-
 def _cycle_order(indices, points, normal) -> tuple:
-    """Sort facet vertices counterclockwise around the outward normal.
+    """Sort facet vertices counterclockwise around the outward normal, from the first.
 
-    Facet vertices are extreme points, so no two point the same way from
-    the facet centroid and the comparator never ties.
+    Seen from the first vertex p0, the others lie in an open half-plane and no
+    three are collinear, so ``normal . ((p_i - p0) x (p_j - p0))`` orders them strictly.
     """
-    dirs = _centred(points, indices)
-    ref = dirs[indices[0]]
-
-    def half(u) -> int:
-        s = _dot(normal, _cross(ref, u))
-        if s != 0:
-            return 0 if s > 0 else 1
-        return 0 if _dot(ref, u) > 0 else 1
+    p0 = points[indices[0]]
+    dirs = {i: tuple(c - c0 for c, c0 in zip(points[i], p0)) for i in indices[1:]}
 
     def cmp(i, j) -> int:
-        hi, hj = half(dirs[i]), half(dirs[j])
-        if hi != hj:
-            return -1 if hi < hj else 1
         return -1 if _dot(normal, _cross(dirs[i], dirs[j])) > 0 else 1
 
-    return tuple(sorted(indices, key=functools.cmp_to_key(cmp)))
+    return (indices[0], *sorted(indices[1:], key=functools.cmp_to_key(cmp)))
 
 
 @dataclass(frozen=True)
@@ -192,7 +171,7 @@ class Polytope:
     """Bounded intersection of half-spaces with its exact geometry.
 
     ``facets`` pairs the index of the supporting half-space with the
-    vertex cycle, counterclockwise as seen from outside.
+    vertex cycle, counterclockwise as seen from outside from its smallest index.
     """
 
     halfspaces: tuple
@@ -200,21 +179,17 @@ class Polytope:
     facets: tuple
 
     def euclidean_volume(self) -> Fraction:
-        # A flat vertex set gives zero determinants; an empty one has no
-        # centroid to scale about.
-        if not self.facets:
-            return Fraction(0)
+        # Fan each facet from its first vertex and each triangle from the
+        # origin: by the divergence theorem the signed tetrahedra of the
+        # outward cycles, over points scaled by L, sum to 6 * L**3 * V.  A
+        # flat piece has two facets of opposite orientation, which cancel.
         points, scale = _integer_points(self.vertices)
-        # Points scaled by k * L about the centroid: every determinant
-        # grows by (k * L)**3, which the final division takes back.
-        k = len(points)
-        centred = _centred(points, range(k))
         total = 0
         for _hs_index, cycle in self.facets:
-            anchor = centred[cycle[0]]
-            for i in range(1, len(cycle) - 1):
-                total += _dot(anchor, _cross(centred[cycle[i]], centred[cycle[i + 1]]))
-        return Fraction(abs(total), 6 * (k * scale) ** 3)
+            anchor = points[cycle[0]]
+            for i, j in zip(cycle[1:], cycle[2:]):
+                total += _dot(anchor, _cross(points[i], points[j]))
+        return Fraction(abs(total), 6 * scale**3)
 
 
 def build_polytope(halfspaces) -> Polytope:

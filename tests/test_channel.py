@@ -216,11 +216,21 @@ def test_value_object_messages_name_the_first_bad_field(make, message):
     assert str(info.value) == message
 
 
-def test_value_objects_reject_non_numbers_with_type_error():
-    with pytest.raises(TypeError):
-        EigenvalueTriple(0.0, "x", math.nan)
-    with pytest.raises(TypeError):
-        ProbabilityVector(1.0, None, 0.0, 0.0)
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: EigenvalueTriple("a", 0, 0), "eigenvalue l1 must be a real number, got 'a'"),
+        (lambda: EigenvalueTriple(0.0, "x", math.nan), "eigenvalue l2 must be a real number, got 'x'"),
+        (lambda: EigenvalueTriple(0.0, 0.0, 1j), "eigenvalue l3 must be a real number, got 1j"),
+        (lambda: ProbabilityVector("a", 0, 0, 1), "weight p0 must be a real number, got 'a'"),
+        (lambda: ProbabilityVector(1.0, None, 0.0, 0.0), "weight p1 must be a real number, got None"),
+        (lambda: ProbabilityVector(1.0, 0.0, 0.0, [0.0]), "weight p3 must be a real number, got [0.0]"),
+    ],
+)
+def test_value_objects_reject_non_numbers_with_type_error(make, message):
+    with pytest.raises(TypeError) as info:
+        make()
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize(
@@ -406,7 +416,8 @@ def test_finite_weights_never_fail_the_sum_or_trace_check(l):
 
 
 # The four constructors as they stored their fields before: through
-# object.__setattr__, each check and message as in the library.
+# object.__setattr__, each check and message as in the library, which
+# names a non-number with TypeError.
 def _stored(cls, **fields):
     value = object.__new__(cls)
     for name, x in fields.items():
@@ -414,19 +425,23 @@ def _stored(cls, **fields):
     return value
 
 
+def _reference_check(what, named):
+    for name, v in named:
+        try:
+            finite = math.isfinite(v)
+        except TypeError:
+            raise TypeError(f"{what} {name} must be a real number, got {v!r}") from None
+        if not finite:
+            raise ValueError(f"{what} {name} must be finite, got {v!r}")
+
+
 def _reference_triple(l1, l2, l3):
-    if not (math.isfinite(l1) and math.isfinite(l2) and math.isfinite(l3)):
-        for name, v in (("l1", l1), ("l2", l2), ("l3", l3)):
-            if not math.isfinite(v):
-                raise ValueError(f"eigenvalue {name} must be finite, got {v!r}")
+    _reference_check("eigenvalue", (("l1", l1), ("l2", l2), ("l3", l3)))
     return _stored(EigenvalueTriple, l1=float(l1), l2=float(l2), l3=float(l3))
 
 
 def _reference_weights(p0, p1, p2, p3):
-    if not (math.isfinite(p0) and math.isfinite(p1) and math.isfinite(p2) and math.isfinite(p3)):
-        for name, v in (("p0", p0), ("p1", p1), ("p2", p2), ("p3", p3)):
-            if not math.isfinite(v):
-                raise ValueError(f"weight {name} must be finite, got {v!r}")
+    _reference_check("weight", (("p0", p0), ("p1", p1), ("p2", p2), ("p3", p3)))
     p0, p1, p2, p3 = float(p0), float(p1), float(p2), float(p3)
     value = _stored(ProbabilityVector, p0=p0, p1=p1, p2=p2, p3=p3)
     total = p0 + p1 + p2 + p3

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -571,3 +572,105 @@ def test_evolve_fuzzed_schedules_exit_0_or_2(tmp_path_factory, doc, when, fmt):
             jsonschema.validate(written, _schema("output.schema.json"))
     else:
         assert out == "" and err
+
+
+# --- random argvs for every subcommand, in process ----------------------------
+
+
+def _tokens(*choices):
+    return st.sampled_from(choices).map(lambda token: [token])
+
+
+def _mostly(valid, *invalid):
+    """Tokens from ``valid``, or about one time in eight one of ``invalid``."""
+    return st.integers(0, 7).flatmap(lambda k: valid if k else _tokens(*invalid))
+
+
+def _counts(top):
+    """Counts small enough to keep every run short, or text a count cannot be."""
+    return _mostly(st.integers(1, top).map(lambda n: [str(n)]), "0", "-2", "x", "1e3", "")
+
+
+_number = _mostly(st.floats(-2.0, 2.0).map(lambda x: [repr(x)]) | _tokens("0", "-1e-3", "3"),
+                  "1e400", "nan", "-inf", "x", "")
+# times, arrival times and targets the good schedule mostly accepts
+_positive = _mostly(st.floats(0.0, 1.5, exclude_min=True).map(lambda x: [repr(x)]),
+                    "0", "-1e-3", "2", "1e400", "nan", "x", "")
+_region = _mostly(_tokens("PT", "CPT", "EBC", "TLG", "PDIV", "CPDIV", "EBC,TLG", "CPT,PDIV",
+                          "PT,CPT,EBC,TLG,PDIV", "TLG,CPDIV"), "ebc", "CPT,,EBC", "XYZ", "")
+_sampler = {"--seed": _mostly(_tokens("0", "7"), "-1", "x"),
+            "--chunk-size": _mostly(_tokens("1", "7", "4096"), "0", "-3", "x")}
+# Each subcommand's options and their values.  --region is always given, as
+# is --samples: its default of 10**6 would make one example take 0.1 s.
+_OPTIONS = {
+    "classify": {},
+    "volume": {"--samples": _counts(300), "--region": _region,
+               "--method": _mostly(_tokens("exact", "mc", "fr"), "qmc"), **_sampler},
+    "table": {"--samples": _counts(300), **_sampler},
+    "mesh": {"--region": _region},
+    "sample": {"--region": _region, "-n": _counts(12), **_sampler},
+    "evolve": {"--schedule": _tokens("GOOD", "GOOD", "BAD", "MISSING"), "--t": _positive,
+               "--steps": _counts(40), "--t-star": _positive,
+               "--target": st.lists(_positive, min_size=3, max_size=3).map(lambda v: sum(v, []))},
+}
+_STDERR_LINE = re.compile(r"(?:error: |warning: |usage: |paulivol(?: \w+)?: error: | )")
+_VALIDATORS = {
+    name: jsonschema.validators.validator_for(schema)(schema)
+    for name, schema in (("output", _schema("output.schema.json")),
+                         ("mesh", _schema("mesh.schema.json")))
+}
+
+
+@st.composite
+def _argvs(draw):
+    """An argv of one subcommand: some of its options and a format, at times
+    with a token dropped or a stray one added, or written to ``--out``.
+
+    The files a schedule or ``--out`` names are placeholders: GOOD, BAD,
+    MISSING and OUT.
+    """
+    command = draw(st.sampled_from(list(_OPTIONS)))
+    argv = [command]
+    if command == "classify":
+        argv += sum(draw(st.lists(_number, min_size=3, max_size=3)), [])
+    for option, values in _OPTIONS[command].items():
+        if option in ("--samples", "--region") or draw(st.booleans()):
+            argv += [option, *draw(values)]
+    formats = ("json", "json", "csv", "text", "xml")
+    argv += draw(st.sampled_from([[], *(["--format", f] for f in formats)]))
+    damage = draw(st.sampled_from([None, None, None, None, "drop", "--bogus", "stray", "--out"]))
+    if damage == "drop":
+        del argv[draw(st.integers(0, len(argv) - 1))]
+    elif damage == "--out":
+        argv += ["--out", "OUT"]
+    elif damage:
+        argv.insert(draw(st.integers(1, len(argv))), damage)
+    return argv
+
+
+def _format_of(argv):
+    formats = [value for option, value in zip(argv, argv[1:]) if option == "--format"]
+    return formats[-1] if formats else ("json" if argv[0] == "mesh" else None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=_argvs())
+def test_random_argvs_keep_the_exit_code_contract(tmp_path_factory, argv):
+    base = tmp_path_factory.getbasetemp()
+    files = {name: base / f"fuzz-{name.lower()}" for name in ("GOOD", "BAD", "MISSING", "OUT")}
+    files["GOOD"].write_text('[{"duration": 1, "rates": [0.5, 0.2, 0.1]},'
+                             ' {"duration": 0.5, "rates": [-0.2, 0.3, 0]}]')
+    files["BAD"].write_text('[{"duration": 1')
+    argv = [str(files[token]) if token in files else token for token in argv]
+    code, out, err = _main(argv)
+    assert code in (0, 1, 2), err
+    assert "Traceback" not in out + err
+    for line in err.splitlines():
+        assert _STDERR_LINE.match(line), line
+    if code != 0:
+        assert out == ""
+    elif "--out" not in argv:
+        assert out
+        if _format_of(argv) == "json":
+            doc = json.loads(out, parse_constant=_no_constant)
+            _VALIDATORS["mesh" if argv[0] == "mesh" else "output"].validate(doc)

@@ -388,3 +388,39 @@ def test_rate_schedule_validation():
         RateSchedule([(0.0, (1, 1, 1))])
     with pytest.raises(ValueError):
         RateSchedule([(math.inf, (1, 1, 1))])
+
+
+@pytest.mark.parametrize(
+    "make, error, message",
+    [
+        (lambda: RateTriple(None, 0, 0), TypeError, "rate g1 must be a real number, got None"),
+        (lambda: RateTriple(0, "1", 0), TypeError, "rate g2 must be a real number, got '1'"),
+        (lambda: RateSchedule([(None, (1, 1, 1))]), TypeError,
+         "segment duration must be a number, got None"),
+        (lambda: RateSchedule([("x", (1, 1, 1))]), ValueError,
+         "segment duration must be a number, got 'x'"),
+        (lambda: RateSchedule([(1.0, (1, None, 1))]), TypeError,
+         "rate g2 must be a real number, got None"),
+        (lambda: evolve(_depolarizing(1.0, 2.0), "1"), TypeError,
+         "time t must be a real number, got '1'"),
+        (lambda: integrate_rates(_depolarizing(1.0, 2.0), None), TypeError,
+         "time t must be a real number, got None"),
+    ],
+)
+def test_rates_schedules_and_times_name_a_non_number(make, error, message):
+    with pytest.raises(error) as info:
+        make()
+    assert str(info.value) == message
+
+
+def test_numbers_accepted_before_the_naming_checks_still_are():
+    # float() reads a numeric string, and any time that compares with floats
+    # and adds nothing to the integrals, such as Decimal 0, is read as before.
+    from decimal import Decimal
+    from fractions import Fraction
+
+    schedule = RateSchedule([("1.5", (1, 0, Fraction(1, 2)))])
+    assert schedule.segments == ((1.5, RateTriple(1.0, 0.0, 0.5)),)
+    assert integrate_rates(schedule, Decimal(0)) == (0.0, 0.0, 0.0)
+    assert integrate_rates(schedule, Fraction(1, 2)) == (0.5, 0.0, 0.25)
+    assert evolve(schedule, np.float64(1.5)) == evolve(schedule, 1.5)

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import json
@@ -130,7 +131,7 @@ def test_degenerate_piece_has_zero_volume():
 
 def test_flat_polygon_has_zero_volume():
     # The cube cut to the plane l3 = 0 is a square: its two facets are the
-    # plane's two sides, and their determinants about the centroid vanish.
+    # plane's two sides, with opposite orientation, so their fans cancel.
     system = halfspace_description(RegionExpr.parse("PT"))[0]
     poly = build_polytope(system + [HalfSpace(0, 0, 1, 0), HalfSpace(0, 0, -1, 0)])
     assert len(poly.vertices) == 4
@@ -601,3 +602,110 @@ def test_region_volume_matches_qhull(name):
     expr = RegionExpr.parse(name)
     volumes = [_qhull(system)[0] or 0.0 for system in halfspace_description(expr)]
     assert float(region_volume(expr)) == pytest.approx(sum(volumes) / 8, rel=1e-9, abs=0)
+
+
+# Facet ordering and volume before the fan rewrite, kept as a reference:
+# every point moved to its centroid (scaled by the point count k to stay
+# integer) and sorted by a two-key half-plane comparator.
+
+
+def _ref_integer_points(vertices):
+    scale = math.lcm(*(c.denominator for v in vertices for c in v))
+    return [tuple(c.numerator * (scale // c.denominator) for c in v) for v in vertices], scale
+
+
+def _ref_centred(points, indices):
+    k = len(indices)
+    sx = sum(points[i][0] for i in indices)
+    sy = sum(points[i][1] for i in indices)
+    sz = sum(points[i][2] for i in indices)
+    return {
+        i: (k * points[i][0] - sx, k * points[i][1] - sy, k * points[i][2] - sz)
+        for i in indices
+    }
+
+
+def _ref_cycle_order(indices, points, normal):
+    dirs = _ref_centred(points, indices)
+    ref = dirs[indices[0]]
+
+    def half(u):
+        s = _ref_dot(normal, _ref_cross(ref, u))
+        if s != 0:
+            return 0 if s > 0 else 1
+        return 0 if _ref_dot(ref, u) > 0 else 1
+
+    def cmp(i, j):
+        hi, hj = half(dirs[i]), half(dirs[j])
+        if hi != hj:
+            return -1 if hi < hj else 1
+        return -1 if _ref_dot(normal, _ref_cross(dirs[i], dirs[j])) > 0 else 1
+
+    return tuple(sorted(indices, key=functools.cmp_to_key(cmp)))
+
+
+def _ref_facets(poly):
+    """The facets of ``poly``'s half-spaces and vertices, by the reference order."""
+    points, scale = _ref_integer_points(poly.vertices)
+    facets = []
+    for hs_index, hs in enumerate(poly.halfspaces):
+        row = hs.canonical()
+        tight = [i for i, p in enumerate(points) if _ref_dot(row, p) == row[3] * scale]
+        if len(tight) >= 3:
+            facets.append((hs_index, _ref_cycle_order(tight, points, row)))
+    return tuple(facets)
+
+
+def _ref_euclidean_volume(poly):
+    if not poly.facets:
+        return F(0)
+    points, scale = _ref_integer_points(poly.vertices)
+    k = len(points)
+    centred = _ref_centred(points, range(k))
+    total = 0
+    for _hs_index, cycle in poly.facets:
+        anchor = centred[cycle[0]]
+        for i in range(1, len(cycle) - 1):
+            total += _ref_dot(anchor, _ref_cross(centred[cycle[i]], centred[cycle[i + 1]]))
+    return F(abs(total), 6 * (k * scale) ** 3)
+
+
+@st.composite
+def _cube_cuts(draw):
+    """The PT cube cut by integer half-spaces, in any order.
+
+    A drawn row can come with its opposite, which makes a flat slab, or
+    with its opposite moved past it, which makes the system infeasible.
+    """
+    rows = [HalfSpace(*t) for t in draw(st.lists(_int_row, min_size=1, max_size=5))]
+    hs = rows[0]
+    kind = draw(st.sampled_from(["solid", "flat", "infeasible"]))
+    if kind != "solid":
+        rows.append(HalfSpace(-hs.a1, -hs.a2, -hs.a3, -hs.b - (kind == "infeasible")))
+    cube = halfspace_description(RegionExpr.parse("PT"))[0]
+    return draw(st.permutations(cube + rows))
+
+
+@settings(max_examples=150, deadline=None)
+@given(system=_cube_cuts())
+def test_fan_geometry_matches_the_centroid_reference(system):
+    poly = build_polytope(system)
+    assert poly.facets == _ref_facets(poly)
+    assert poly.euclidean_volume() == _ref_euclidean_volume(poly)
+
+
+def _minus(u, v):
+    return tuple(a - b for a, b in zip(u, v))
+
+
+@settings(max_examples=150, deadline=None)
+@given(system=_cube_cuts())
+def test_cycles_start_at_their_smallest_vertex_and_turn_counterclockwise(system):
+    poly = build_polytope(system)
+    for hs_index, (first, *rest) in poly.facets:
+        assert first < min(rest)
+        normal = poly.halfspaces[hs_index].normal
+        p0 = poly.vertices[first]
+        for i, j in zip(rest, rest[1:]):
+            edges = _minus(poly.vertices[i], p0), _minus(poly.vertices[j], p0)
+            assert _ref_dot(normal, _ref_cross(*edges)) > 0
