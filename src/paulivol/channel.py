@@ -39,13 +39,16 @@ def _beyond_rounding(total: float, *terms: float) -> bool:
 
 def _check_finite(what: str, names: tuple, values: tuple) -> None:
     """Name the first of ``values`` that is not a finite real number: a
-    non-number with TypeError, inf or nan with ValueError.
+    non-number with TypeError; inf, nan or an int beyond float range with
+    ValueError.
     """
     for name, v in zip(names, values):
         try:
             finite = math.isfinite(v)
         except TypeError:
             raise TypeError(f"{what} {name} must be a real number, got {v!r}") from None
+        except OverflowError:
+            raise ValueError(f"{what} {name} is out of float range") from None
         if not finite:
             raise ValueError(f"{what} {name} must be finite, got {v!r}")
 
@@ -97,7 +100,7 @@ class EigenvalueTriple:
     def __init__(self, l1, l2, l3):
         try:
             finite = math.isfinite(l1) and math.isfinite(l2) and math.isfinite(l3)
-        except TypeError:
+        except (TypeError, OverflowError):
             finite = False
         if not finite:
             _check_finite("eigenvalue", ("l1", "l2", "l3"), (l1, l2, l3))
@@ -133,7 +136,7 @@ class ProbabilityVector:
         try:
             finite = (math.isfinite(p0) and math.isfinite(p1) and math.isfinite(p2)
                       and math.isfinite(p3))
-        except TypeError:
+        except (TypeError, OverflowError):
             finite = False
         if not finite:
             _check_finite("weight", ("p0", "p1", "p2", "p3"), (p0, p1, p2, p3))

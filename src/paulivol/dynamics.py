@@ -66,16 +66,31 @@ class RateSchedule:
 
     def __init__(self, segments: Iterable[tuple]):
         parsed = []
-        for duration, rates in segments:
+        for i, segment in enumerate(segments):
+            try:
+                duration, rates = segment
+            except (TypeError, ValueError) as exc:
+                error = TypeError if isinstance(exc, TypeError) else ValueError
+                raise error(
+                    f"segment {i} must be a (duration, rates) pair, got {segment!r}"
+                ) from None
             try:
                 duration = float(duration)
             except (TypeError, ValueError) as exc:
                 error = TypeError if isinstance(exc, TypeError) else ValueError
                 raise error(f"segment duration must be a number, got {duration!r}") from None
+            except OverflowError:
+                raise ValueError(f"segment {i} duration is out of float range") from None
             if not math.isfinite(duration) or duration <= 0.0:
                 raise ValueError(f"segment duration must be positive, got {duration!r}")
             if not isinstance(rates, RateTriple):
-                rates = RateTriple(*rates)
+                try:
+                    g1, g2, g3 = rates
+                except (TypeError, ValueError):
+                    raise TypeError(
+                        f"segment {i} rates must be three numbers, got {rates!r}"
+                    ) from None
+                rates = RateTriple(g1, g2, g3)
             parsed.append((duration, rates))
         if not parsed:
             raise ValueError("schedule needs at least one segment")

@@ -23,8 +23,11 @@ nest as closed sets (EBC in CPT in PT, TLG in PDIV), so a conjunct that
 another conjunct implies changes neither the set nor its volume, only
 the work, which is cubic in the half-space count.  Dropping it turns
 ``PT,CPT,EBC,TLG,PDIV`` into the one system of ``EBC,TLG`` instead of
-four PDIV orthant pieces.  :func:`mesh_document` enumerates the full
-description, as its JSON lists every half-space of each piece.
+four PDIV orthant pieces.  Each of the nine bounded irredundant
+conjunctions is computed once per process and memoised (errors are not),
+as its piece count times the volume of its first piece: the PDIV pieces
+are congruent.  :func:`mesh_document` enumerates the full description,
+as its JSON lists every half-space of each piece.
 """
 
 from __future__ import annotations
@@ -210,10 +213,18 @@ def build_polytope(halfspaces) -> Polytope:
 
 def region_volume(expr: RegionExpr) -> Fraction:
     """Exact Hilbert-Schmidt volume of a polytopal region conjunction."""
-    total = Fraction(0)
-    for system in halfspace_description(_irredundant(expr)):
-        total += build_polytope(system).euclidean_volume()
-    return total * HS_SCALE
+    return _volume(_irredundant(expr))
+
+
+@functools.cache
+def _volume(expr: RegionExpr) -> Fraction:
+    # Only PDIV has several pieces, its even-sign orthants, and an irredundant
+    # expression holding PDIV holds no TLG.  The double sign flips
+    # (l1, l2, l3) -> (l1, -l2, -l3), (-l1, l2, -l3), (-l1, -l2, l3) map PT,
+    # CPT and EBC onto themselves and the first orthant onto each of the
+    # others, so every piece is congruent to the first.
+    pieces = halfspace_description(expr)
+    return len(pieces) * build_polytope(pieces[0]).euclidean_volume() * HS_SCALE
 
 
 def mesh_document(expr: RegionExpr) -> dict:

@@ -205,6 +205,8 @@ _CHOI_FINITE = "Choi matrix entries must be finite"
         (lambda: ProbabilityVector(2.0, 0.0, math.inf, math.nan), "weight p2 must be finite, got inf"),
         (lambda: ProbabilityVector(0.0, 0.0, 0.0, -math.inf), "weight p3 must be finite, got -inf"),
         (lambda: ProbabilityVector(0.5, 0.5, 0.5, 0.5), "weights must sum to 1 within 1e-12, got sum 2.0"),
+        (lambda: EigenvalueTriple(2**1100, 0, 0), "eigenvalue l1 is out of float range"),
+        (lambda: ProbabilityVector(1, 0, 0, -2**1100), "weight p3 is out of float range"),
         (lambda: choi_matrix(EigenvalueTriple(1e308, 1e308, 0.0)), _CHOI_FINITE),  # l1 + l2 overflows
         (lambda: lambda_to_p(EigenvalueTriple(1e308, 1e308, 1e308)),
          "eigenvalues are too large for finite Pauli weights"),  # p0 overflows
@@ -417,7 +419,8 @@ def test_finite_weights_never_fail_the_sum_or_trace_check(l):
 
 # The four constructors as they stored their fields before: through
 # object.__setattr__, each check and message as in the library, which
-# names a non-number with TypeError.
+# names a non-number with TypeError and an int beyond float range with
+# ValueError.
 def _stored(cls, **fields):
     value = object.__new__(cls)
     for name, x in fields.items():
@@ -431,6 +434,8 @@ def _reference_check(what, named):
             finite = math.isfinite(v)
         except TypeError:
             raise TypeError(f"{what} {name} must be a real number, got {v!r}") from None
+        except OverflowError:
+            raise ValueError(f"{what} {name} is out of float range") from None
         if not finite:
             raise ValueError(f"{what} {name} must be finite, got {v!r}")
 

@@ -401,6 +401,17 @@ def test_rate_schedule_validation():
          "segment duration must be a number, got 'x'"),
         (lambda: RateSchedule([(1.0, (1, None, 1))]), TypeError,
          "rate g2 must be a real number, got None"),
+        (lambda: RateTriple(0, -2**1100, 0), ValueError, "rate g2 is out of float range"),
+        (lambda: RateSchedule([(1.0, (1, 1, 1)), (2**1100, (1, 1, 1))]), ValueError,
+         "segment 1 duration is out of float range"),
+        (lambda: RateSchedule([(1.0,)]), ValueError,
+         "segment 0 must be a (duration, rates) pair, got (1.0,)"),
+        (lambda: RateSchedule([(1.0, (1, 1, 1)), 5]), TypeError,
+         "segment 1 must be a (duration, rates) pair, got 5"),
+        (lambda: RateSchedule([(1.0, (1, 1))]), TypeError,
+         "segment 0 rates must be three numbers, got (1, 1)"),
+        (lambda: RateSchedule([(1.0, 5)]), TypeError,
+         "segment 0 rates must be three numbers, got 5"),
         (lambda: evolve(_depolarizing(1.0, 2.0), "1"), TypeError,
          "time t must be a real number, got '1'"),
         (lambda: integrate_rates(_depolarizing(1.0, 2.0), None), TypeError,

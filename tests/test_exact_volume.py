@@ -291,6 +291,67 @@ def test_region_volume_equals_the_full_description(name):
     assert got == _full_volume(expr)
 
 
+# The Pauli-unitary double sign flips, each keeping one axis and negating
+# the other two; with the identity they form a group.  A flip is its own
+# inverse, so it maps the half-space a.x <= b onto (flip a).x <= b.
+_FLIPS = [(1, -1, -1), (-1, 1, -1), (-1, -1, 1)]
+
+
+def _flipped(rows, signs):
+    return {(a1 * signs[0], a2 * signs[1], a3 * signs[2], b) for a1, a2, a3, b in rows}
+
+
+def test_double_sign_flips_make_every_piece_congruent_to_the_first():
+    """The argument behind counting PDIV's pieces as copies of the first, in exact rows."""
+    for tag in ("PT", "CPT", "EBC"):
+        (system,) = halfspace_description(RegionExpr([tag]))
+        for signs in _FLIPS:
+            assert _flipped(_rows(system), signs) == _rows(system), (tag, signs)
+    pdiv = {frozenset(_rows(piece)) for piece in halfspace_description(RegionExpr(["PDIV"]))}
+    assert len(pdiv) == 4
+    for signs in _FLIPS:
+        assert {frozenset(_flipped(piece, signs)) for piece in pdiv} == pdiv
+    for name in PINNED:
+        first, *rest = map(_rows, halfspace_description(_irredundant(RegionExpr.parse(name))))
+        for piece in rest:
+            assert any(_flipped(first, signs) == piece for signs in _FLIPS), name
+
+
+def test_each_irredundant_volume_is_built_once(monkeypatch):
+    from paulivol import exact_volume
+
+    calls = []
+
+    def counted(system):
+        calls.append(system)
+        return build_polytope(system)
+
+    exact_volume._volume.cache_clear()
+    monkeypatch.setattr(exact_volume, "build_polytope", counted)
+
+    def sweep(names):
+        for name in names:
+            want = PINNED[name]
+            if isinstance(want, str):
+                with pytest.raises(UnboundedPolytopeError) as info:
+                    region_volume(RegionExpr.parse(name))
+                assert str(info.value) == want
+            else:
+                assert region_volume(RegionExpr.parse(name)) == want[0]
+
+    # Nine bounded irredundant conjunctions, and TLG (reached from TLG and
+    # TLG,PDIV) and PDIV, which raise and so are never memoised.
+    sweep(PINNED)
+    assert len(calls) == 12
+    bounded = [name for name, want in PINNED.items() if not isinstance(want, str)]
+    sweep(bounded)
+    assert len(calls) == 12
+    for expected in (13, 14):
+        sweep(["TLG"])
+        assert len(calls) == expected
+    exact_volume._volume.cache_clear()
+
+
 def test_irredundant_drops_only_implied_conjuncts():
     assert str(_irredundant(RegionExpr.parse("PT,CPT,EBC,TLG,PDIV"))) == "EBC,TLG"
     assert str(_irredundant(RegionExpr.parse("PT,CPT,PDIV"))) == "CPT,PDIV"
