@@ -18,13 +18,12 @@ exactly so that targets with some Gamma_a < 0 stay reachable.
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .channel import EigenvalueTriple, _check_finite, _frozen, _slot_setters
-from .regions import _region_records
+from .regions import _LABELS, _TAG_ORDER, RegionExpr, region_mask
 
 __all__ = [
     "RateTriple",
@@ -146,16 +145,27 @@ def integrate_rates(schedule: RateSchedule, t: float) -> tuple:
         raise ValueError(
             f"time {t!r} outside the schedule range [0, {schedule.total_duration}]"
         )
+    return _integrals(schedule.segments, float(t))
+
+
+def _integrals(segments, t) -> tuple:
+    """Rate integrals over [0, t] for a float t, or elementwise for a float64 array.
+
+    Arithmetic operators only, so the one loop serves both.  Each segment
+    adds ``rate * dt``, where dt is min(remaining, duration) while time
+    remains and 0 once it is spent; ``remaining`` then stops falling, as
+    on durations that sum near the largest float it would reach -inf, and
+    -inf * False is nan.
+    """
     G1 = G2 = G3 = 0.0
     remaining = t
-    for duration, rates in schedule.segments:
-        if remaining <= 0.0:
-            break
-        dt = min(remaining, duration)
-        G1 += rates.g1 * dt
-        G2 += rates.g2 * dt
-        G3 += rates.g3 * dt
-        remaining -= duration
+    for duration, rates in segments:
+        dt = (remaining * ((0.0 < remaining) & (remaining <= duration))
+              + duration * (remaining > duration))
+        G1 = G1 + rates.g1 * dt
+        G2 = G2 + rates.g2 * dt
+        G3 = G3 + rates.g3 * dt
+        remaining = remaining - duration * (remaining > 0.0)
     return G1, G2, G3
 
 
@@ -199,14 +209,19 @@ def rates_for_target(l: EigenvalueTriple, t_star: float) -> RateTriple:
     Rejects targets with any eigenvalue <= 0, and a t_star that is not
     positive and finite or so small that a rate overflows.
     """
-    if not isinstance(t_star, numbers.Real):
-        raise TypeError(f"t_star must be a real number, got {t_star!r}")
-    if not (t_star > 0.0 and math.isfinite(t_star)):
+    try:
+        finite = math.isfinite(t_star)
+    except TypeError:
+        raise TypeError(f"t_star must be a real number, got {t_star!r}") from None
+    except OverflowError:
+        raise ValueError("t_star is out of float range") from None
+    if not (finite and t_star > 0.0):
         raise ValueError(f"t_star must be positive and finite, got {t_star!r}")
+    t = float(t_star)
     m1, m2, m3 = _mu(l)
-    rates = (0.5 * (m2 + m3 - m1) / t_star,
-             0.5 * (m1 + m3 - m2) / t_star,
-             0.5 * (m1 + m2 - m3) / t_star)
+    rates = (0.5 * (m2 + m3 - m1) / t,
+             0.5 * (m1 + m3 - m2) / t,
+             0.5 * (m1 + m2 - m3) / t)
     if not all(map(math.isfinite, rates)):
         raise ValueError(f"t_star={t_star!r} is too small: the rates overflow")
     return RateTriple(*rates)
@@ -256,9 +271,9 @@ def classify_trajectory(schedule: RateSchedule, steps: int) -> list:
     the schedule's total duration inclusive; the last time is that
     duration exactly, which ``total * i / (steps - 1)`` can miss by one
     ulp either way.
-    All steps are integrated at once, as arrays: each element takes
-    exactly the float operations :func:`integrate_rates` and :func:`evolve`
-    apply to its time, so every point equals ``evolve`` at that time.
+    All steps run :func:`evolve`'s own integral at once, as one array of
+    times, and the six regions are read one ``region_mask`` at a time, so
+    every point equals ``evolve`` and the scalar predicates at its time.
     """
     try:
         steps = operator.index(steps)
@@ -274,18 +289,14 @@ def classify_trajectory(schedule: RateSchedule, steps: int) -> list:
     import numpy as np
     times = np.arange(steps) * total / (steps - 1)
     times[-1] = total
-    remaining = times.copy()
-    G = np.zeros((steps, 3))
     # Python floats overflow to inf and nan without a warning; so do these.
     with np.errstate(over="ignore", invalid="ignore"):
-        for duration, rates in schedule.segments:
-            # min(remaining, duration) while time remains; 0 adds nothing once it is spent
-            dt = np.clip(remaining, 0.0, duration)
-            G += dt[:, None] * (rates.g1, rates.g2, rates.g3)
-            remaining -= duration
-        # exponents -(G2 + G3), -(G1 + G3), -(G1 + G2); math.exp, as evolve takes them
-        exponents = -(G[:, [1, 0, 0]] + G[:, [2, 2, 1]])
+        G1, G2, G3 = _integrals(schedule.segments, times)
+        exponents = (-(G2 + G3), -(G1 + G3), -(G1 + G2))
     ts = times.tolist()
-    lams = [_eigenvalues(t, *x) for t, x in zip(ts, exponents.tolist())]
-    records = _region_records([(lam.l1, lam.l2, lam.l3) for lam in lams])
-    return [TrajectoryPoint(t, lam, r) for t, lam, r in zip(ts, lams, records)]
+    # math.exp, as evolve applies it to each step's exponents
+    lams = [_eigenvalues(t, *x) for t, x in zip(ts, zip(*(e.tolist() for e in exponents)))]
+    lam = np.array([(l.l1, l.l2, l.l3) for l in lams])
+    records = [dict(zip(_LABELS, flags)) for flags in
+               zip(*(region_mask(RegionExpr([tag]), lam).tolist() for tag in _TAG_ORDER))]
+    return [TrajectoryPoint(t, l, r) for t, l, r in zip(ts, lams, records)]

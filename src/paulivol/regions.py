@@ -186,26 +186,11 @@ def _region_record(l) -> dict:
     return {tag.value: predicate(l) for tag, predicate in _PREDICATES.items()}
 
 
-def _region_records(lam) -> list:
-    """Six-region membership of each (l1, l2, l3) row, one dict per row.
-
-    The keys are the tag names in display order and the values Python
-    bools, equal to the scalar predicates on the row.  Products that
-    overflow to inf, or to nan through inf * 0, compare as they do in
-    Python floats, without a warning.
-    """
-    import numpy as np
-    lam = np.asarray(lam, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        record = _region_record(_columns(lam))
-    return [dict(zip(record, flags)) for flags in zip(*(m.tolist() for m in record.values()))]
-
-
 def region_mask(expr: RegionExpr, lam: np.ndarray) -> np.ndarray:
     """Vectorized membership for an (n, 3) array of eigenvalue triples.
 
-    Products that overflow compare as in :func:`_region_records`, without
-    a warning.
+    Products that overflow to inf, or to nan through inf * 0, compare as
+    they do in Python floats, without a warning.
     """
     import numpy as np
     lam = np.asarray(lam, dtype=float)

@@ -1,5 +1,8 @@
 import math
+import sys
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,6 +26,7 @@ from paulivol import (
     rates_for_target,
     schedule_from_json,
 )
+from paulivol.dynamics import _integrals
 
 
 def _depolarizing(g, duration):
@@ -131,6 +135,81 @@ def test_integrate_rates_range_check():
     assert integrate_rates(schedule, 1.0) == (1.0, 1.0, 1.0)
 
 
+def _reference_integrate_rates(schedule, t):
+    """The scalar loop integrate_rates ran before it shared one with arrays."""
+    G1 = G2 = G3 = 0.0
+    remaining = t
+    for duration, rates in schedule.segments:
+        if remaining <= 0.0:
+            break
+        dt = min(remaining, duration)
+        G1 += rates.g1 * dt
+        G2 += rates.g2 * dt
+        G3 += rates.g3 * dt
+        remaining -= duration
+    return G1, G2, G3
+
+
+def _reference_integrals(segments, times):
+    """The numpy loop classify_trajectory ran before it called _integrals."""
+    remaining = times.copy()
+    G = np.zeros((len(times), 3))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for duration, rates in segments:
+            dt = np.clip(remaining, 0.0, duration)
+            G += dt[:, None] * (rates.g1, rates.g2, rates.g3)
+            remaining -= duration
+    return G[:, 0], G[:, 1], G[:, 2]
+
+
+_MAX = sys.float_info.max
+_edge_rate = st.sampled_from([_MAX, -_MAX, 1e300, -1e300, 0.0, -0.0, 5e-324, -5e-324])
+_any_rate = _edge_rate | st.floats(-3.0, 3.0) | st.floats(-_MAX, _MAX)
+_duration = (st.sampled_from([5e-324, 1e-300]) | st.floats(1e-3, 10.0)
+             | st.integers(1, 12).map(lambda k: _MAX / k))
+
+
+@st.composite
+def _schedules_and_times(draw):
+    segments = draw(st.lists(st.tuples(_duration, st.tuples(_any_rate, _any_rate, _any_rate)),
+                             min_size=1, max_size=7))
+    try:
+        schedule = RateSchedule(segments)
+    except ValueError:  # the durations sum past the largest float
+        schedule = RateSchedule(segments[:1])
+    total = schedule.total_duration
+    durations = [d for d, _r in schedule.segments]
+    ends = [math.fsum(durations[:i]) for i in range(1, len(durations) + 1)]
+    candidates = [0.0, -0.0, total, *ends, *(math.nextafter(e, 0.0) for e in ends)]
+    times = draw(st.lists(st.sampled_from(candidates) | st.floats(0.0, total), min_size=1))
+    return schedule.segments, [t for t in times if t <= total]
+
+
+def _bits(values):
+    return [float(x).hex() for x in values]
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=_schedules_and_times())
+# Durations that sum near the largest float: an array whose spent time ran on
+# to -inf would add -inf * False = nan, and evolve(s, 0.0) would fail.
+@example(case=([(d, (1, 2, 3)) for d in (
+    2.996155224770525e307, 2.996155224770549e307, 2.996155224770525e307,
+    2.9961552247705164e307, 2.9961552247706905e307, 2.996155224770351e307, 1.0)], [0.0]))
+@pytest.mark.filterwarnings("error")
+def test_one_integral_matches_both_reference_loops(case):
+    segments, times = case
+    schedule = RateSchedule(segments)
+    for t in times:
+        got = integrate_rates(schedule, t)
+        assert _bits(got) == _bits(_reference_integrate_rates(schedule, t))
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _integrals(schedule.segments, np.array(times, dtype=float))
+    want = _reference_integrals(schedule.segments, np.array(times, dtype=float))
+    for g, w in zip(got, want):
+        assert _bits(g) == _bits(w)
+
+
 def test_rates_for_target_round_trip():
     target = EigenvalueTriple(0.9, 0.8, 0.95)
     t_star = 2.0
@@ -146,6 +225,10 @@ def test_rates_for_target_round_trip():
     (math.nan, "t_star must be positive and finite, got nan"),
     (0.0, "t_star must be positive and finite, got 0.0"),
     (1e-320, "t_star=1e-320 is too small: the rates overflow"),
+    (10**400, "t_star is out of float range"),
+    (-10**400, "t_star is out of float range"),
+    (Decimal("-1"), "t_star must be positive and finite, got Decimal('-1')"),
+    (Decimal("Infinity"), "t_star must be positive and finite, got Decimal('Infinity')"),
 ])
 def test_rates_for_target_rejects_a_bad_t_star_by_name(t_star, message):
     with pytest.raises(ValueError) as info:
@@ -425,13 +508,19 @@ def test_rates_schedules_and_times_name_a_non_number(make, error, message):
 
 
 def test_numbers_accepted_before_the_naming_checks_still_are():
-    # float() reads a numeric string, and any time that compares with floats
-    # and adds nothing to the integrals, such as Decimal 0, is read as before.
-    from decimal import Decimal
-    from fractions import Fraction
-
+    # float() reads a numeric string, and any time or t_star that compares
+    # with floats is read as its float.
     schedule = RateSchedule([("1.5", (1, 0, Fraction(1, 2)))])
     assert schedule.segments == ((1.5, RateTriple(1.0, 0.0, 0.5)),)
     assert integrate_rates(schedule, Decimal(0)) == (0.0, 0.0, 0.0)
     assert integrate_rates(schedule, Fraction(1, 2)) == (0.5, 0.0, 0.25)
     assert evolve(schedule, np.float64(1.5)) == evolve(schedule, 1.5)
+    assert evolve(schedule, Decimal("0.5")) == evolve(schedule, 0.5)
+    assert evolve(schedule, Fraction(1, 3)) == evolve(schedule, 1 / 3)
+    t = np.array(0.5)
+    assert evolve(schedule, t) == evolve(schedule, 0.5)
+    assert t == 0.5  # the caller's array is left as it was
+    assert all(type(g) is float for g in integrate_rates(schedule, Decimal("0.5")))
+    target = EigenvalueTriple(0.9, 0.8, 0.95)
+    for t_star in (Decimal(2), Fraction(2), np.float32(2.0), np.array(2.0)):
+        assert rates_for_target(target, t_star) == rates_for_target(target, 2.0)

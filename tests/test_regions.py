@@ -20,7 +20,6 @@ from paulivol import (
     lambda_to_p,
     region_mask,
 )
-from paulivol.regions import _region_records
 
 
 def _t(l1, l2, l3):
@@ -181,7 +180,6 @@ def test_scalar_and_vector_predicates_agree(rows, tags):
     expr = RegionExpr(tags)
     with np.errstate(over="ignore", invalid="ignore"):
         want_masks = _reference_masks(lam)
-    records = _region_records(lam)
     masks = {label: region_mask(RegionExpr([label]), lam) for label in _LABELS}
     conjunction = region_mask(expr, lam)
     for label in _LABELS:
@@ -197,9 +195,6 @@ def test_scalar_and_vector_predicates_agree(rows, tags):
         assert got == want
         assert {label: contains(RegionExpr([label]), l) for label in _LABELS} == want
         assert contains(expr, l) == all(want[t] for t in tags)
-        assert list(records[i]) == list(_LABELS)
-        assert all(type(flag) is bool for flag in records[i].values())
-        assert records[i] == want
 
 
 def test_region_mask_shape_check():
