@@ -138,14 +138,16 @@ def schedule_from_json(obj) -> RateSchedule:
 def integrate_rates(schedule: RateSchedule, t: float) -> tuple:
     """Rate integrals (Gamma_1, Gamma_2, Gamma_3) over [0, t], exactly segment by segment."""
     try:
+        # an array of times fails here: its truth (ValueError) or float() (TypeError)
         inside = 0.0 <= t <= schedule.total_duration
-    except TypeError:
+        value = float(t) if inside else None
+    except (TypeError, ValueError):
         raise TypeError(f"time t must be a real number, got {t!r}") from None
     if not inside:
         raise ValueError(
             f"time {t!r} outside the schedule range [0, {schedule.total_duration}]"
         )
-    return _integrals(schedule.segments, float(t))
+    return _integrals(schedule.segments, value)
 
 
 def _integrals(segments, t) -> tuple:

@@ -38,7 +38,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .regions import RegionExpr, _dedupe, _irredundant, halfspace_description
+from .regions import RegionExpr, _UnsupportedError, _dedupe, _irredundant, halfspace_description
 
 __all__ = [
     "UnboundedPolytopeError",
@@ -53,7 +53,7 @@ __all__ = [
 HS_SCALE = Fraction(1, 8)
 
 
-class UnboundedPolytopeError(ValueError):
+class UnboundedPolytopeError(_UnsupportedError):
     """Raised when a half-space system has a recession direction.
 
     The check assumes the system is feasible; every region conjunction

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .channel import EigenvalueTriple
-from .regions import _PREDICATES, RegionExpr, RegionId, _columns, region_mask
+from .regions import _PREDICATES, RegionExpr, RegionId, _UnsupportedError, _columns, region_mask
 
 __all__ = [
     "SamplerConfig",
@@ -78,7 +78,7 @@ _ACCEPTANCE_FLOOR = 1e-4
 _PROPOSALS_PER_ROW = round(1 / _ACCEPTANCE_FLOOR)
 
 
-class FisherRaoDomainError(ValueError):
+class FisherRaoDomainError(_UnsupportedError):
     """Raised for Fisher-Rao requests outside the channel tetrahedron."""
 
 

@@ -55,7 +55,11 @@ __all__ = [
 ]
 
 
-class NonPolytopalRegionError(ValueError):
+class _UnsupportedError(ValueError):
+    """An unsupported method/region combination; the CLI exits 1 on it."""
+
+
+class NonPolytopalRegionError(_UnsupportedError):
     """Raised when a half-space description is requested for CPDIV."""
 
 

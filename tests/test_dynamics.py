@@ -499,6 +499,11 @@ def test_rate_schedule_validation():
          "time t must be a real number, got '1'"),
         (lambda: integrate_rates(_depolarizing(1.0, 2.0), None), TypeError,
          "time t must be a real number, got None"),
+        # an array of times is not a time, with one element or more
+        (lambda: evolve(_depolarizing(1.0, 2.0), np.array([0.5])), TypeError,
+         "time t must be a real number, got array([0.5])"),
+        (lambda: integrate_rates(_depolarizing(1.0, 2.0), np.array([0.2, 0.5])), TypeError,
+         "time t must be a real number, got array([0.2, 0.5])"),
     ],
 )
 def test_rates_schedules_and_times_name_a_non_number(make, error, message):

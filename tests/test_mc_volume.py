@@ -207,6 +207,23 @@ def test_fr_volume_subregion_is_smaller():
     assert sub.std_error > 0
 
 
+# Dirichlet(1/2) weights are the squared coordinates of a uniform point on
+# the 3-sphere, so Fisher-Rao volumes of these regions have closed forms.
+# CPT,EBC keeps every weight at most 1/2, and each weight is Beta(1/2, 3/2)
+# with P(p > 1/2) = 1/2 - 1/pi, so its fraction of FR_TOTAL is 4/pi - 1;
+# the CPT,TLG (5/24) and CPT,PDIV (5/6) fractions come from quadrature over
+# Hopf coordinates to 1e-15.  A Dirichlet(0.51) sampler moves the CPT,EBC
+# fraction by about 12 standard errors here.
+@pytest.mark.parametrize("region, value", [
+    ("CPT,EBC", 8 * math.pi - 2 * math.pi**2),
+    ("CPT,TLG", 5 * math.pi**2 / 12),
+    ("CPT,PDIV", 5 * math.pi**2 / 3),
+])
+def test_fr_volume_matches_the_closed_forms(region, value):
+    est = fr_volume_mc(RegionExpr.parse(region), _cfg(10**6, seed=0))
+    assert abs(est.value - value) < 5 * est.std_error
+
+
 def test_fr_volume_stable_under_rechunking():
     a = fr_volume_mc(RegionExpr.parse("CPT,TLG"), _cfg(10**5, seed=3, chunk_size=2**16))
     b = fr_volume_mc(RegionExpr.parse("CPT,TLG"), _cfg(10**5, seed=3, chunk_size=2**15))

@@ -1,12 +1,15 @@
-"""Start-up cost: importing paulivol and the per-triple commands load no numpy.
+"""Start-up cost: each step loads only the package modules it runs, and no numpy.
 
-numpy is imported inside the functions that build or read an array, so
-``import paulivol``, ``import paulivol.cli``, every command that only does
-exact arithmetic, ``classify`` and ``evolve --t`` start without it.  The
-thread pool of the Monte Carlo counting passes is imported the same way,
-so none of these steps, nor ``evolve --steps``, loads concurrent.futures.
-pytest's own process already has numpy loaded, so the check runs in a
-fresh interpreter.
+``import paulivol`` loads no submodule: the package binds its public names
+on the first read of one.  The CLI imports ``channel`` and ``regions``,
+which every command uses, and each command imports the rest of what it
+runs.  numpy is imported inside the functions that build or read an array,
+so ``import paulivol``, ``import paulivol.cli``, every command that only
+does exact arithmetic, ``classify`` and ``evolve --t`` start without it.
+The thread pool of the Monte Carlo counting passes is imported the same
+way, so none of these steps, nor ``evolve --steps``, loads
+concurrent.futures.  pytest's own process already has numpy and the
+package loaded, so each step runs in a fresh interpreter.
 """
 
 import ast
@@ -16,43 +19,60 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 
-# Each step runs in the same fresh interpreter, in order; after each one
-# the script records its exit code and whether numpy and the thread pool
-# of the counting passes (concurrent.futures) have been imported.
+# One step in a fresh interpreter: argv[1] is "import paulivol", "import
+# paulivol.cli", or a JSON CLI argv in which FILE stands for argv[2].  The
+# script prints the step's exit code, stdout, the paulivol submodules it
+# loaded, and whether numpy and concurrent.futures have been imported.
 _SCRIPT = r"""
 import contextlib, io, json, sys
 
-report = []
-
-def step(name, fn):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+step, path = sys.argv[1:]
+out = io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    if step.startswith("import "):
+        __import__(step[len("import "):])
+        code = 0
+    else:
+        from paulivol.cli import main
         try:
-            code = fn()
+            code = main([path if a == "FILE" else a for a in json.loads(step)])
         except SystemExit as exc:
             code = exc.code
-    report.append({"step": name, "exit": code, "numpy": "numpy" in sys.modules,
-                   "futures": "concurrent.futures" in sys.modules, "stdout": out.getvalue()})
-
-step("import paulivol", lambda: __import__("paulivol") and 0)
-step("import paulivol.cli", lambda: __import__("paulivol.cli") and 0)
-from paulivol.cli import main
-for argv in (
-    ["--version"],
-    ["volume", "--region", "PT,CPT,EBC,TLG,PDIV", "--format", "json"],
-    ["mesh", "--region", "PT,CPT,EBC,PDIV"],
-    ["volume", "--region", "TLG"],
-    ["volume", "--region", "CPDIV"],
-    ["classify", "0.5", "0.5", "0.5"],
-    ["evolve", "--schedule", "FILE", "--t", "0.5"],
-    ["evolve", "--schedule", "FILE", "--steps", "3"],
-):
-    step(" ".join(argv), lambda: main([sys.argv[1] if a == "FILE" else a for a in argv]))
-print(json.dumps(report))
+print(json.dumps({"exit": code, "stdout": out.getvalue(),
+                  "modules": sorted(m[len("paulivol."):] for m in sys.modules
+                                    if m.startswith("paulivol.")),
+                  "numpy": "numpy" in sys.modules,
+                  "futures": "concurrent.futures" in sys.modules}))
 """
+
+_CLI = ["channel", "cli", "regions"]
+_EXACT = sorted(_CLI + ["exact_volume"])
+_DYNAMICS = sorted(_CLI + ["dynamics"])
+_SAMPLER = sorted(_CLI + ["mc_volume"])
+# the one step that runs a counting pass, on the thread pool at the default chunk size
+_COUNTING = "volume --region CPT,TLG --method fr --samples 1000"
+
+# step -> (exit code, paulivol submodules loaded, numpy loaded)
+_STEPS = {
+    "import paulivol": (0, [], False),
+    "import paulivol.cli": (0, _CLI, False),
+    "--version": (0, _CLI, False),
+    "classify 0.5 0.5 0.5": (0, _CLI, False),
+    "volume --region PT,CPT,EBC,TLG,PDIV --format json": (0, _EXACT, False),
+    "mesh --region PT,CPT,EBC,PDIV": (0, _EXACT, False),
+    "volume --region TLG": (1, _EXACT, False),
+    "volume --region CPDIV": (1, _EXACT, False),
+    "volume --region PT --method fr": (1, _SAMPLER, False),
+    "evolve --schedule FILE --t 0.5": (0, _DYNAMICS, False),
+    # a trajectory is evaluated as arrays, and imports numpy to do it
+    "evolve --schedule FILE --steps 3": (0, _DYNAMICS, True),
+    _COUNTING: (0, _SAMPLER, True),
+}
 
 _CLASSIFY_TEXT = """\
 lambda = (0.5, 0.5, 0.5)
@@ -70,34 +90,38 @@ CPDIV: true
 _EVOLVE_TEXT = "t=0.5 lambda=(0.818731, 0.818731, 0.818731) in [PT,CPT,TLG,PDIV,CPDIV]\n"
 
 
-def test_exact_commands_start_without_numpy(tmp_path):
-    schedule = tmp_path / "schedule.json"
+@pytest.fixture(scope="module")
+def report(tmp_path_factory):
+    schedule = tmp_path_factory.mktemp("startup") / "schedule.json"
     schedule.write_text(json.dumps([{"duration": 1.0, "rates": [0.2, 0.2, 0.2]}]))
+    return {name: _fresh(_SCRIPT, name if name.startswith("import ") else json.dumps(name.split()),
+                         str(schedule))
+            for name in _STEPS}
+
+
+def _fresh(script, *argv):
+    """The JSON that ``script`` prints when run with ``argv`` in a fresh interpreter."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", _SCRIPT, str(schedule)], capture_output=True,
-                          text=True, env=env, check=True)
-    report = {r["step"]: r for r in json.loads(proc.stdout)}
-    expected = {
-        "import paulivol": 0,
-        "import paulivol.cli": 0,
-        "--version": 0,
-        "volume --region PT,CPT,EBC,TLG,PDIV --format json": 0,
-        "mesh --region PT,CPT,EBC,PDIV": 0,
-        "volume --region TLG": 1,
-        "volume --region CPDIV": 1,
-        "classify 0.5 0.5 0.5": 0,
-        "evolve --schedule FILE --t 0.5": 0,
-    }
-    for name, code in expected.items():
-        assert (report[name]["exit"], report[name]["numpy"]) == (code, False), name
+    proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True,
+                          env=env, check=True)
+    return json.loads(proc.stdout)
+
+
+def test_each_step_loads_only_the_modules_it_runs(report):
+    for name, (code, modules, numpy) in _STEPS.items():
+        step = report[name]
+        assert (step["exit"], step["modules"], step["numpy"]) == (code, modules, numpy), name
+
+
+def test_only_a_counting_pass_loads_the_thread_pool(report):
     for name, step in report.items():
-        assert not step["futures"], name
+        assert step["futures"] == (name == _COUNTING), name
+
+
+def test_the_lazily_loaded_commands_print_the_same_text(report):
     assert report["classify 0.5 0.5 0.5"]["stdout"] == _CLASSIFY_TEXT
     assert report["evolve --schedule FILE --t 0.5"]["stdout"] == _EVOLVE_TEXT
-    # a trajectory is evaluated as arrays, and imports numpy to do it
-    trajectory = report["evolve --schedule FILE --steps 3"]
-    assert (trajectory["exit"], trajectory["numpy"]) == (0, True)
 
 
 def test_no_module_imports_numpy_at_module_level():
@@ -110,3 +134,72 @@ def test_no_module_imports_numpy_at_module_level():
             else:
                 continue
             assert not any(n.split(".")[0] == "numpy" for n in names), path.name
+
+
+# The package's __all__, in order: __version__, then each module's list in
+# the order channel, regions, exact_volume, mc_volume, dynamics.
+_ALL = [
+    "__version__", "EigenvalueTriple", "ProbabilityVector", "ChoiMatrix", "p_to_lambda",
+    "lambda_to_p", "choi_matrix", "choi_spectrum", "RegionId", "RegionExpr", "HalfSpace",
+    "NonPolytopalRegionError", "is_positive", "is_cp", "is_ebc", "is_tlg", "is_p_divisible",
+    "is_cp_divisible", "contains", "region_mask", "halfspace_description",
+    "UnboundedPolytopeError", "Polytope", "enumerate_vertices", "build_polytope",
+    "region_volume", "mesh_document", "SamplerConfig", "VolumeEstimate", "FR_TOTAL",
+    "FisherRaoDomainError", "hs_volume_mc", "ratio_mc", "fr_volume_mc", "sample_region",
+    "RateTriple", "RateSchedule", "TrajectoryPoint", "schedule_from_json", "integrate_rates",
+    "evolve", "rates_for_target", "is_semigroup_reachable", "classify_trajectory",
+]
+
+# A fresh ``import paulivol``, then argv[1], the first read of the package
+# namespace; the script prints what the namespace holds after it.
+_NAMESPACE_SCRIPT = r"""
+import json, sys
+import paulivol
+
+first = {
+    "a name": lambda: paulivol.evolve,
+    "a module": lambda: paulivol.mc_volume,
+    "__all__": lambda: paulivol.__all__,
+    "import *": lambda: exec("from paulivol import *", {}),
+    "dir": lambda: dir(paulivol),
+    "an unknown name": lambda: hasattr(paulivol, "nope"),
+}[sys.argv[1]]
+held = set(vars(paulivol))
+first()
+bound = [name for name in paulivol.__all__ if name not in vars(paulivol)]
+star = {}
+exec("from paulivol import *", star)
+modules = ("channel", "regions", "exact_volume", "mc_volume", "dynamics")
+try:
+    paulivol.nope
+except AttributeError as exc:
+    error = str(exc)
+print(json.dumps({
+    "held": sorted(held),
+    "unbound": bound,
+    "all": paulivol.__all__,
+    "dir": dir(paulivol),
+    "star": sorted(set(star) - {"__builtins__"}),
+    "other": [f"{m}.{n}" for m in modules for n in getattr(paulivol, m).__all__
+              if getattr(paulivol, n) is not getattr(getattr(paulivol, m), n)],
+    "hasattr": hasattr(paulivol, "nope"),
+    "error": error,
+}))
+"""
+
+
+@pytest.mark.parametrize("first", ["a name", "a module", "__all__", "import *", "dir",
+                                   "an unknown name"])
+def test_the_first_read_binds_every_public_name_once(first):
+    ns = _fresh(_NAMESPACE_SCRIPT, first)
+    # before it the package holds __version__, and no other public name or module
+    modules = {"channel", "regions", "exact_volume", "mc_volume", "dynamics"}
+    assert "__version__" in ns["held"]
+    assert not set(ns["held"]) & {*_ALL[1:], "__all__", *modules}
+    assert ns["unbound"] == []
+    assert ns["all"] == _ALL
+    assert set(_ALL) <= set(ns["dir"]) and ns["dir"] == sorted(ns["dir"])
+    assert ns["star"] == sorted(_ALL)
+    assert ns["other"] == []
+    assert ns["hasattr"] is False
+    assert ns["error"] == "module 'paulivol' has no attribute 'nope'"
