@@ -8,12 +8,15 @@ document ``--format json`` writes; one renderer per format turns that
 document into text, and ``main`` writes it.
 
 The module imports ``channel`` and ``regions``, which every command uses;
-each command imports the rest of what it runs when it runs, so an exact
-``volume`` subprocess takes about 62 ms instead of 70 ms (bytecode off).
+each command imports the rest of what it runs when it runs.  ``main`` is
+the one CLI implementation; ``paulivol.__main__.run`` is the process entry
+that calls it and ends the process without interpreter teardown.  Every
+stream a run writes is flushed or closed before ``main`` returns.
 
 Exit codes: 0 on success, 1 for method/region combinations that are
 unsupported (exact or mesh on a non-polytopal or unbounded region,
-Fisher-Rao outside the channel tetrahedron), 2 for malformed input.
+Fisher-Rao outside the channel tetrahedron), 2 for malformed input or
+output that cannot be written (an ``--out`` file or stdout).
 """
 
 from __future__ import annotations
@@ -483,16 +486,16 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.out is not None:
-        try:
+    try:
+        if args.out is not None:
             Path(args.out).write_text(text)
-        except OSError as exc:
-            print(f"error: cannot write output file: {exc}", file=sys.stderr)
-            return 2
-    else:
-        sys.stdout.write(text)
+        else:
+            # flushed here, so a full disk or a closed pipe is an error line
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as exc:
+        target = "output" if args.out is None else "output file"
+        print(f"error: cannot write {target}: {exc}", file=sys.stderr)
+        return 2
     return 0
 
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from decimal import Decimal
 from typing import Iterable, Mapping
 
 from .channel import EigenvalueTriple, _check_finite, _frozen, _slot_setters
@@ -138,12 +139,17 @@ def schedule_from_json(obj) -> RateSchedule:
 def integrate_rates(schedule: RateSchedule, t: float) -> tuple:
     """Rate integrals (Gamma_1, Gamma_2, Gamma_3) over [0, t], exactly segment by segment."""
     try:
-        # an array of times fails here: its truth (ValueError) or float() (TypeError)
-        inside = 0.0 <= t <= schedule.total_duration
-        value = float(t) if inside else None
+        # read before the range check: a non-number, text, or an array of times
+        # with one element or more is a TypeError here
+        value = float(t) if math.isfinite(t) else math.nan
+    except OverflowError:  # an int beyond float range
+        value = math.nan
     except (TypeError, ValueError):
-        raise TypeError(f"time t must be a real number, got {t!r}") from None
-    if not inside:
+        # the one number float() refuses is a signalling Decimal NaN
+        if not (isinstance(t, Decimal) and t.is_snan()):
+            raise TypeError(f"time t must be a real number, got {t!r}") from None
+        value = math.nan
+    if not 0.0 <= value <= schedule.total_duration:
         raise ValueError(
             f"time {t!r} outside the schedule range [0, {schedule.total_duration}]"
         )

@@ -504,6 +504,23 @@ def test_rate_schedule_validation():
          "time t must be a real number, got array([0.5])"),
         (lambda: integrate_rates(_depolarizing(1.0, 2.0), np.array([0.2, 0.5])), TypeError,
          "time t must be a real number, got array([0.2, 0.5])"),
+        # the time is read before the range check, so an array outside the range
+        # is named as an array too
+        (lambda: evolve(_depolarizing(1.0, 2.0), np.array([5.0])), TypeError,
+         "time t must be a real number, got array([5.])"),
+        (lambda: evolve(_depolarizing(1.0, 2.0), np.array([-1.0, 5.0])), TypeError,
+         "time t must be a real number, got array([-1.,  5.])"),
+        # a Decimal NaN is a number outside every range, as a float NaN is
+        (lambda: evolve(_depolarizing(1.0, 2.0), math.nan), ValueError,
+         "time nan outside the schedule range [0, 2.0]"),
+        (lambda: evolve(_depolarizing(1.0, 2.0), Decimal("NaN")), ValueError,
+         "time Decimal('NaN') outside the schedule range [0, 2.0]"),
+        (lambda: evolve(_depolarizing(1.0, 2.0), Decimal("sNaN")), ValueError,
+         "time Decimal('sNaN') outside the schedule range [0, 2.0]"),
+        (lambda: integrate_rates(_depolarizing(1.0, 2.0), Decimal("-Infinity")), ValueError,
+         "time Decimal('-Infinity') outside the schedule range [0, 2.0]"),
+        (lambda: integrate_rates(_depolarizing(1.0, 2.0), 10**400), ValueError,
+         f"time {10**400!r} outside the schedule range [0, 2.0]"),
     ],
 )
 def test_rates_schedules_and_times_name_a_non_number(make, error, message):
