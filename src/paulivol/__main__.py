@@ -1,8 +1,9 @@
 """``python -m paulivol`` and the ``paulivol`` script: one CLI run per process.
 
 ``run`` turns the cyclic garbage collector off before the CLI or numpy is
-imported, runs ``cli.main``, flushes stdout and stderr, and ends the
-process with ``os._exit``: no module teardown, final collection or freeing
+imported, runs ``cli.main``, flushes stdout and stderr (a stream closed
+before the run is None, and is skipped), and ends the process with
+``os._exit``: no module teardown, final collection or freeing
 of the run's rows takes place.  A run makes no reference cycles that grow
 with its size (``tests/test_entry.py`` checks each command at two sizes), so
 the collector would only walk live objects.  argparse's own exits
@@ -24,7 +25,8 @@ def run():
     # failed write stays buffered, and flushing it again fails the same way
     for stream in (sys.stdout, sys.stderr):
         try:
-            stream.flush()
+            if stream is not None:
+                stream.flush()
         except OSError:
             pass
     os._exit(code)

@@ -7,24 +7,26 @@ Subcommands: ``classify`` a triple, ``volume`` of a region expression
 document ``--format json`` writes; one renderer per format turns that
 document into text, and ``main`` writes it.
 
-The module imports ``channel`` and ``regions``, which every command uses;
-each command imports the rest of what it runs when it runs.  ``main`` is
-the one CLI implementation; ``paulivol.__main__.run`` is the process entry
-that calls it and ends the process without interpreter teardown.  Every
-stream a run writes is flushed or closed before ``main`` returns.
+The module imports ``regions``, which parses every command's region and
+classifies ``classify``'s triple; each command imports the rest of what it
+runs when it runs, down to ``channel`` and the ``json`` and ``csv``
+writers.  ``main`` is the one CLI implementation; ``paulivol.__main__.run``
+is the process entry that calls it and ends the process without
+interpreter teardown.  Every stream a run writes is flushed or closed
+before ``main`` returns.
 
 Exit codes: 0 on success, 1 for method/region combinations that are
 unsupported (exact or mesh on a non-polytopal or unbounded region,
 Fisher-Rao outside the channel tetrahedron), 2 for malformed input or
-output that cannot be written (an ``--out`` file or stdout).
+output that cannot be written (an ``--out`` file or stdout, ``--help``
+and ``--version`` included).  A stream closed before the run is None:
+stdout then cannot be written, and error lines go nowhere.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import math
 import re
 import sys
@@ -34,11 +36,24 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .channel import EigenvalueTriple, choi_spectrum, lambda_to_p
 from .regions import _LABELS as _REGION_LABELS
 from .regions import RegionExpr, _UnsupportedError, _region_record
 
 __all__ = ["main", "build_parser"]
+
+
+def _report(line: str) -> None:
+    # a closed stderr (2>&-) is None, and print(file=None) would write to stdout
+    if sys.stderr is not None:
+        print(line, file=sys.stderr)
+
+
+def _write_stdout(text: str) -> None:
+    # flushed here, so a full disk or a closed pipe is an OSError for the caller
+    if sys.stdout is None:  # closed before the run (>&-)
+        raise OSError("stdout is closed")
+    sys.stdout.write(text)
+    sys.stdout.flush()
 
 
 def _document(command: str, inputs: dict, results: dict) -> dict:
@@ -58,12 +73,14 @@ def _tuple_text(values, spec: str) -> str:
 
 
 def _json_text(doc: dict) -> str:
+    import json
     # the one place a Fraction becomes [numerator, denominator]; NaN and inf are not JSON
     return json.dumps(doc, indent=2, allow_nan=False, default=_rat) + "\n"
 
 
 def _csv_text(header: list, rows: list) -> str:
     # csv writes None as an empty field, floats with repr and fractions with str
+    import csv
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -93,6 +110,7 @@ def _spliced_json(doc: dict, key: str, row_text) -> str:
 
 
 def cmd_classify(args) -> dict:
+    from .channel import EigenvalueTriple, choi_spectrum, lambda_to_p
     lam = EigenvalueTriple(args.l1, args.l2, args.l3)
     results = {"regions": _region_record(lam), "p": list(lambda_to_p(lam)),
                "choi_spectrum": choi_spectrum(lam)}
@@ -296,6 +314,7 @@ def cmd_evolve(args) -> dict:
         return _evolve_target(args)
     if args.schedule is None:
         raise ValueError("evolve needs either --schedule or --target")
+    import json
     try:
         text = Path(args.schedule).read_text()
     except OSError as exc:
@@ -352,6 +371,7 @@ def _trajectory_text(doc: dict) -> str:
 
 
 def _evolve_target(args) -> dict:
+    from .channel import EigenvalueTriple
     from .dynamics import RateSchedule, evolve, is_semigroup_reachable, rates_for_target
     target = EigenvalueTriple(*args.target)
     rates = rates_for_target(target, args.t_star)
@@ -409,11 +429,35 @@ _NEGATIVE_NUMBER = re.compile(
 
 
 class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser that reads ``-1e-3`` as a number; subparsers inherit it."""
+    """An ArgumentParser that reads ``-1e-3`` as a number; subparsers inherit it.
+
+    ``--help`` and ``--version`` that cannot be written to stdout exit 2 with
+    one ``error:`` line, where argparse would lose the text without one, and
+    a usage error with stderr closed writes nothing, where argparse would
+    write the usage to stdout.
+    """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = _NEGATIVE_NUMBER
+
+    def _print_message(self, message, file=None):
+        # argparse passes stdout for --help and --version and ignores a failed write
+        if not message or file is not sys.stdout:
+            return super()._print_message(message, file)
+        try:
+            _write_stdout(message)
+        except OSError as exc:
+            # the text stays in stdout's buffer, and the interpreter's final
+            # flush would fail on it again (exit 120): give the stream up
+            sys.stdout = None
+            _report(f"error: cannot write output: {exc}")
+            sys.exit(2)
+
+    def error(self, message):
+        if sys.stderr is None:
+            sys.exit(2)
+        super().error(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -478,24 +522,21 @@ def main(argv=None) -> int:
             finally:
                 # each message once, and before the error line if compute fails
                 for message in dict.fromkeys(str(w.message) for w in caught):
-                    print(f"warning: {message}", file=sys.stderr)
+                    _report(f"warning: {message}")
         text = args.render[args.format](doc)
     except _UnsupportedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _report(f"error: {exc}")
         return 1
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _report(f"error: {exc}")
         return 2
     try:
         if args.out is not None:
             Path(args.out).write_text(text)
         else:
-            # flushed here, so a full disk or a closed pipe is an error line
-            sys.stdout.write(text)
-            sys.stdout.flush()
+            _write_stdout(text)
     except OSError as exc:
         target = "output" if args.out is None else "output file"
-        print(f"error: cannot write {target}: {exc}", file=sys.stderr)
+        _report(f"error: cannot write {target}: {exc}")
         return 2
     return 0
-

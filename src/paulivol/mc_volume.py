@@ -36,7 +36,6 @@ import warnings
 from dataclasses import dataclass
 from typing import Iterator
 
-from .channel import EigenvalueTriple
 from .regions import _PREDICATES, RegionExpr, RegionId, _UnsupportedError, _columns, region_mask
 
 __all__ = [
@@ -380,5 +379,6 @@ def sample_region(expr: RegionExpr, cfg: SamplerConfig) -> Iterator[EigenvalueTr
     Warns once if the observed acceptance rate drops below 1e-4, and
     raises ValueError once 10**4 proposals per requested row are spent.
     """
+    from .channel import EigenvalueTriple
     for rows in _accepted_chunks(expr, cfg):
         yield from map(EigenvalueTriple, *rows.T.tolist())

@@ -36,8 +36,6 @@ from fractions import Fraction
 from types import SimpleNamespace
 from typing import Iterable
 
-from .channel import EigenvalueTriple
-
 __all__ = [
     "RegionId",
     "RegionExpr",

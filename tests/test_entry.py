@@ -4,8 +4,9 @@
 ``cli.main``, flushes stdout and stderr and ends with ``os._exit``.  These
 tests pin that the script and ``-m`` run the same callable, that argparse's
 own exits keep their codes and text, that stdout which cannot be written is
-an ``error:`` line with exit 2, and that a run with the collector off
-leaves no more garbage at a large size than at a small one.
+an ``error:`` line with exit 2 (``--help`` and ``--version`` included), that
+a stream closed before the run keeps the exit codes, and that a run with the
+collector off leaves no more garbage at a large size than at a small one.
 """
 
 import ast
@@ -121,6 +122,8 @@ def test_run_lets_an_exception_from_main_leave_the_normal_way(monkeypatch):
 # classify's text stays in stdout's buffer until main flushes it; sample's
 # 60 KB is written through on the first write
 _OUTPUTS = [["classify", "0.5", "0.5", "0.5"], ["sample", "--region", "CPT", "-n", "1000"]]
+# argparse writes these, and exits without returning to main
+_ARGPARSE_OUTPUTS = [["--help"], ["--version"], ["classify", "--help"]]
 
 
 def _assert_one_error_line(code, err):
@@ -130,10 +133,18 @@ def _assert_one_error_line(code, err):
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-@pytest.mark.parametrize("argv", _OUTPUTS)
-def test_a_full_stdout_exits_2_with_one_error_line(argv):
+@pytest.mark.parametrize("unbuffered", [True, False])
+@pytest.mark.parametrize("argv", _OUTPUTS + _ARGPARSE_OUTPUTS)
+def test_a_full_stdout_exits_2_with_one_error_line(argv, unbuffered):
+    # buffered, argparse's text would stay in stdout's buffer for the
+    # interpreter's final flush to fail on
+    env = _env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     with open("/dev/full", "w") as full:
-        proc = _module(*argv, stdout=full, stderr=subprocess.PIPE, text=True)
+        proc = subprocess.run([sys.executable, "-m", "paulivol", *argv], env=env, stdout=full,
+                              stderr=subprocess.PIPE, text=True)
     _assert_one_error_line(proc.returncode, proc.stderr)
     assert "[Errno 28]" in proc.stderr
 
@@ -147,6 +158,43 @@ def test_a_pipe_closed_early_exits_2_with_one_error_line(argv):
     proc.stderr.close()
     _assert_one_error_line(proc.wait(), err)
     assert "[Errno 32]" in err
+
+
+# --- a stream closed before the run ----------------------------------------------
+
+# Closes the file descriptor argv[1], then runs python -m paulivol argv[2:] in
+# its place, as a shell's >&- or 2>&- does; Python then sets that stream to None.
+_CLOSED = ("import os, sys; os.close(int(sys.argv[1]));"
+           " os.execv(sys.executable, [sys.executable, '-m', 'paulivol', *sys.argv[2:]])")
+
+
+def _closed(fd, *argv):
+    """(exit code, the other stream's text) of a run with ``fd`` closed."""
+    other = {"stdout": subprocess.PIPE} if fd == 2 else {"stderr": subprocess.PIPE}
+    proc = subprocess.run([sys.executable, "-c", _CLOSED, str(fd), *argv], env=_env(),
+                          text=True, **other)
+    return proc.returncode, proc.stdout if fd == 2 else proc.stderr
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["volume", "--region", "FOO"], 2),
+    (["volume", "--region", "TLG"], 1),
+    (["classify"], 2),  # argparse's usage error
+    (["classify", "0.5", "0.5", "0.5"], 0),
+])
+def test_a_closed_stderr_keeps_the_exit_code_and_writes_no_error_to_stdout(argv, code,
+                                                                           monkeypatch):
+    # an error line has nowhere to go; stdout holds only what a run with stderr has there
+    closed = _closed(2, *argv)
+    assert closed == _in_process(argv, monkeypatch)[:2]
+    assert closed[0] == code
+
+
+@pytest.mark.parametrize("argv", _OUTPUTS + _ARGPARSE_OUTPUTS)
+def test_a_closed_stdout_exits_2_with_one_error_line(argv):
+    code, err = _closed(1, *argv)
+    _assert_one_error_line(code, err)
+    assert err == "error: cannot write output: stdout is closed\n"
 
 
 # --- the collector off ---------------------------------------------------------

@@ -1,15 +1,17 @@
-"""Start-up cost: each step loads only the package modules it runs, and no numpy.
+"""Start-up cost: each step loads only the modules it runs, and no numpy.
 
 ``import paulivol`` loads no submodule: the package binds its public names
-on the first read of one.  The CLI imports ``channel`` and ``regions``,
-which every command uses, and each command imports the rest of what it
-runs.  numpy is imported inside the functions that build or read an array,
-so ``import paulivol``, ``import paulivol.cli``, every command that only
-does exact arithmetic, ``classify`` and ``evolve --t`` start without it.
-The thread pool of the Monte Carlo counting passes is imported the same
-way, so none of these steps, nor ``evolve --steps``, loads
-concurrent.futures.  pytest's own process already has numpy and the
-package loaded, so each step runs in a fresh interpreter.
+on the first read of one.  The CLI imports ``regions``, which parses every
+command's region or classifies its triple, and each command imports the
+rest of what it runs: ``channel`` only where a triple is built, the
+``json`` and ``csv`` writers only where a format writes them (and ``json``
+where a schedule file is read).  numpy is imported inside the functions
+that build or read an array, so ``import paulivol``, ``import
+paulivol.cli``, every command that only does exact arithmetic,
+``classify`` and ``evolve --t`` start without it.  The thread pool of the
+Monte Carlo counting passes is imported the same way, so only the steps
+that count loads concurrent.futures.  pytest's own process already has
+numpy and the package loaded, so each step runs in a fresh interpreter.
 """
 
 import ast
@@ -25,11 +27,13 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 
 # One step in a fresh interpreter: argv[1] is "import paulivol", "import
-# paulivol.cli", or a JSON CLI argv in which FILE stands for argv[2].  The
-# script prints the step's exit code, stdout, the paulivol submodules it
-# loaded, and whether numpy and concurrent.futures have been imported.
+# paulivol.cli", or a CLI argv split at spaces, in which FILE stands for
+# argv[2].  The script prints the step's exit code, stdout, the paulivol
+# submodules it loaded, which of the json and csv writers it loaded (it
+# imports json itself only after the step), and whether numpy and
+# concurrent.futures have been imported.
 _SCRIPT = r"""
-import contextlib, io, json, sys
+import contextlib, io, sys
 
 step, path = sys.argv[1:]
 out = io.StringIO()
@@ -40,38 +44,51 @@ with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
     else:
         from paulivol.cli import main
         try:
-            code = main([path if a == "FILE" else a for a in json.loads(step)])
+            code = main([path if a == "FILE" else a for a in step.split()])
         except SystemExit as exc:
             code = exc.code
+writers = [m for m in ("json", "csv") if m in sys.modules]
+import json
 print(json.dumps({"exit": code, "stdout": out.getvalue(),
                   "modules": sorted(m[len("paulivol."):] for m in sys.modules
                                     if m.startswith("paulivol.")),
+                  "writers": writers,
                   "numpy": "numpy" in sys.modules,
                   "futures": "concurrent.futures" in sys.modules}))
 """
 
-_CLI = ["channel", "cli", "regions"]
+_CLI = ["cli", "regions"]
+_CLASSIFY = sorted(_CLI + ["channel"])
 _EXACT = sorted(_CLI + ["exact_volume"])
-_DYNAMICS = sorted(_CLI + ["dynamics"])
+# dynamics builds triples, so it imports channel
+_DYNAMICS = sorted(_CLI + ["channel", "dynamics"])
 _SAMPLER = sorted(_CLI + ["mc_volume"])
-# the one step that runs a counting pass, on the thread pool at the default chunk size
-_COUNTING = "volume --region CPT,TLG --method fr --samples 1000"
+_TABLE = sorted(_CLI + ["exact_volume", "mc_volume"])
+# the steps that run a counting pass, on the thread pool at the default chunk size
+_COUNTING = {"volume --region CPT,TLG --method fr --samples 1000", "table --samples 1000"}
 
-# step -> (exit code, paulivol submodules loaded, numpy loaded)
+# step -> (exit code, paulivol submodules loaded, json and csv writers loaded,
+# numpy loaded)
 _STEPS = {
-    "import paulivol": (0, [], False),
-    "import paulivol.cli": (0, _CLI, False),
-    "--version": (0, _CLI, False),
-    "classify 0.5 0.5 0.5": (0, _CLI, False),
-    "volume --region PT,CPT,EBC,TLG,PDIV --format json": (0, _EXACT, False),
-    "mesh --region PT,CPT,EBC,PDIV": (0, _EXACT, False),
-    "volume --region TLG": (1, _EXACT, False),
-    "volume --region CPDIV": (1, _EXACT, False),
-    "volume --region PT --method fr": (1, _SAMPLER, False),
-    "evolve --schedule FILE --t 0.5": (0, _DYNAMICS, False),
+    "import paulivol": (0, [], [], False),
+    "import paulivol.cli": (0, _CLI, [], False),
+    "--version": (0, _CLI, [], False),
+    "classify 0.5 0.5 0.5": (0, _CLASSIFY, [], False),
+    "classify 0.5 0.5 0.5 --format csv": (0, _CLASSIFY, ["csv"], False),
+    "volume --region PT,CPT,EBC,TLG,PDIV --format json": (0, _EXACT, ["json"], False),
+    "mesh --region PT,CPT,EBC,PDIV": (0, _EXACT, ["json"], False),
+    # an unsupported region is an error line, and writes no document
+    "volume --region TLG": (1, _EXACT, [], False),
+    "volume --region CPDIV": (1, _EXACT, [], False),
+    "volume --region PT --method fr": (1, _SAMPLER, [], False),
+    # the schedule file is JSON
+    "evolve --schedule FILE --t 0.5": (0, _DYNAMICS, ["json"], False),
     # a trajectory is evaluated as arrays, and imports numpy to do it
-    "evolve --schedule FILE --steps 3": (0, _DYNAMICS, True),
-    _COUNTING: (0, _SAMPLER, True),
+    "evolve --schedule FILE --steps 3": (0, _DYNAMICS, ["json"], True),
+    "volume --region CPT,TLG --method fr --samples 1000": (0, _SAMPLER, [], True),
+    "table --samples 1000": (0, _TABLE, [], True),
+    # sample writes its csv rows itself
+    "sample --region CPT -n 3": (0, _SAMPLER, [], True),
 }
 
 _CLASSIFY_TEXT = """\
@@ -94,9 +111,7 @@ _EVOLVE_TEXT = "t=0.5 lambda=(0.818731, 0.818731, 0.818731) in [PT,CPT,TLG,PDIV,
 def report(tmp_path_factory):
     schedule = tmp_path_factory.mktemp("startup") / "schedule.json"
     schedule.write_text(json.dumps([{"duration": 1.0, "rates": [0.2, 0.2, 0.2]}]))
-    return {name: _fresh(_SCRIPT, name if name.startswith("import ") else json.dumps(name.split()),
-                         str(schedule))
-            for name in _STEPS}
+    return {name: _fresh(_SCRIPT, name, str(schedule)) for name in _STEPS}
 
 
 def _fresh(script, *argv):
@@ -109,14 +124,14 @@ def _fresh(script, *argv):
 
 
 def test_each_step_loads_only_the_modules_it_runs(report):
-    for name, (code, modules, numpy) in _STEPS.items():
+    for name, expected in _STEPS.items():
         step = report[name]
-        assert (step["exit"], step["modules"], step["numpy"]) == (code, modules, numpy), name
+        assert (step["exit"], step["modules"], step["writers"], step["numpy"]) == expected, name
 
 
 def test_only_a_counting_pass_loads_the_thread_pool(report):
     for name, step in report.items():
-        assert step["futures"] == (name == _COUNTING), name
+        assert step["futures"] == (name in _COUNTING), name
 
 
 def test_the_lazily_loaded_commands_print_the_same_text(report):
