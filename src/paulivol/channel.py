@@ -10,7 +10,9 @@ Choi-Jamiolkowski state of a map and its spectrum.
 from __future__ import annotations
 
 import math
-from dataclasses import FrozenInstanceError, dataclass, fields
+from dataclasses import dataclass, fields
+
+from .regions import _Frozen
 
 __all__ = [
     "EigenvalueTriple",
@@ -59,15 +61,10 @@ def _frozen(cls):
     ``dataclass(frozen=True, slots=True)`` in Python 3.11 generates methods
     that still name the class from before the slots rebuild, so for a name
     that is not a field they raise TypeError from ``super()`` instead.
+    ``regions._Frozen``'s two methods refuse every write, for any class.
     """
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    cls.__setattr__ = __setattr__
-    cls.__delattr__ = __delattr__
+    cls.__setattr__ = _Frozen.__setattr__
+    cls.__delattr__ = _Frozen.__delattr__
     return cls
 
 

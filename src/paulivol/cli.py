@@ -9,11 +9,12 @@ document into text, and ``main`` writes it.
 
 The module imports ``regions``, which parses every command's region and
 classifies ``classify``'s triple; each command imports the rest of what it
-runs when it runs, down to ``channel`` and the ``json`` and ``csv``
-writers.  ``main`` is the one CLI implementation; ``paulivol.__main__.run``
-is the process entry that calls it and ends the process without
-interpreter teardown.  Every stream a run writes is flushed or closed
-before ``main`` returns.
+runs when it runs, down to ``channel``, the ``json`` and ``csv`` writers
+and ``dataclasses.asdict``, so ``--version`` and the exact commands start
+without ``dataclasses`` and the ``inspect`` it imports.  ``main`` is the
+one CLI implementation; ``paulivol.__main__.run`` is the process entry
+that calls it and ends the process without interpreter teardown.  Every
+stream a run writes is flushed or closed before ``main`` returns.
 
 Exit codes: 0 on success, 1 for method/region combinations that are
 unsupported (exact or mesh on a non-polytopal or unbounded region,
@@ -31,7 +32,6 @@ import math
 import re
 import sys
 import warnings
-from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -237,6 +237,7 @@ def build_table(cfg: SamplerConfig) -> list:
 
 
 def cmd_table(args) -> dict:
+    from dataclasses import asdict
     cfg = _sampler_config(args)
     return _document("table", asdict(cfg), {"rows": build_table(cfg), "mc_method": "mc-hs"})
 
@@ -285,6 +286,8 @@ def cmd_mesh(args) -> dict:
 
 
 def cmd_sample(args) -> dict:
+    from dataclasses import asdict
+
     from .mc_volume import _sample_array
     expr = RegionExpr.parse(args.region)
     cfg = _sampler_config(args)

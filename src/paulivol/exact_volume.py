@@ -35,10 +35,16 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .regions import RegionExpr, _UnsupportedError, _dedupe, _irredundant, halfspace_description
+from .regions import (
+    RegionExpr,
+    _Frozen,
+    _UnsupportedError,
+    _dedupe,
+    _irredundant,
+    halfspace_description,
+)
 
 __all__ = [
     "UnboundedPolytopeError",
@@ -169,17 +175,19 @@ def _cycle_order(indices, points, normal) -> tuple:
     return (indices[0], *sorted(indices[1:], key=functools.cmp_to_key(cmp)))
 
 
-@dataclass(frozen=True)
-class Polytope:
+class Polytope(_Frozen):
     """Bounded intersection of half-spaces with its exact geometry.
 
     ``facets`` pairs the index of the supporting half-space with the
     vertex cycle, counterclockwise as seen from outside from its smallest index.
     """
 
-    halfspaces: tuple
-    vertices: tuple
-    facets: tuple
+    _fields = ("halfspaces", "vertices", "facets")
+
+    def __init__(self, halfspaces: tuple, vertices: tuple, facets: tuple):
+        object.__setattr__(self, "halfspaces", halfspaces)
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "facets", facets)
 
     def euclidean_volume(self) -> Fraction:
         # Fan each facet from its first vertex and each triangle from the

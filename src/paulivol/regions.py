@@ -23,6 +23,10 @@ The regions nest as closed sets, EBC in CPT in PT and TLG in PDIV; the
 private ``_IMPLIED`` table records these inclusions, so that
 ``_irredundant`` can drop the conjuncts another conjunct already implies
 before exact volumes are enumerated.
+:class:`RegionExpr`, :class:`HalfSpace` and ``exact_volume.Polytope`` are
+frozen values on the private ``_Frozen`` base: the eq, hash, repr and
+write refusal of ``@dataclass(frozen=True)`` without importing
+``dataclasses``, so the exact commands start without it.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ import enum
 import functools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from types import SimpleNamespace
 from typing import Iterable
@@ -78,17 +81,71 @@ _TAG_ORDER = [RegionId.PT, RegionId.CPT, RegionId.EBC, RegionId.TLG, RegionId.PD
 _LABELS = tuple(tag.value for tag in _TAG_ORDER)
 
 
-@dataclass(frozen=True)
-class RegionExpr:
-    """Conjunction of region tags; membership is the AND of the predicates."""
+class _Frozen:
+    """A frozen value over the attribute names its subclass lists in ``_fields``.
 
-    conjuncts: frozenset
+    ``==``, ``hash`` and ``repr`` are those of ``@dataclass(frozen=True)``
+    over the same fields: equal only to an instance of the same class with
+    equal field tuples, the hash of that tuple, and ``Name(field=value,
+    ...)``.  Assigning or deleting any attribute raises
+    ``dataclasses.FrozenInstanceError``, imported only then, so building a
+    value loads no ``dataclasses``.  Constructors store fields with
+    ``object.__setattr__``.
+    """
+
+    def __init_subclass__(cls):
+        # ``_values(value)`` is the field tuple, read in one C call; an
+        # attrgetter of one name returns the bare value
+        get = operator.attrgetter(*cls._fields)
+        cls._values = staticmethod(get if len(cls._fields) > 1 else lambda value: (get(value),))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        values = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{self.__class__.__qualname__}({values})"
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class RegionExpr(_Frozen):
+    """Conjunction of region tags; membership is the AND of the predicates.
+
+    ``tags`` is an iterable of :class:`RegionId` members or their values;
+    :meth:`parse` reads comma-separated text.
+    """
+
+    _fields = ("conjuncts",)
 
     def __init__(self, tags: Iterable[RegionId | str]):
-        parsed = frozenset(RegionId(t) if not isinstance(t, RegionId) else t for t in tags)
+        if isinstance(tags, str):
+            raise TypeError(f"tags must be an iterable of region tags, not the string {tags!r};"
+                            " RegionExpr.parse reads comma-separated text")
+        try:
+            items = iter(tags)
+        except TypeError:
+            raise TypeError(f"tags must be an iterable of region tags, got {tags!r}") from None
+        parsed = set()
+        for tag in items:
+            try:
+                parsed.add(tag if isinstance(tag, RegionId) else RegionId(tag))
+            except ValueError:
+                raise ValueError(f"unknown region tag {tag!r}") from None
         if not parsed:
             raise ValueError("region expression needs at least one tag")
-        object.__setattr__(self, "conjuncts", parsed)
+        object.__setattr__(self, "conjuncts", frozenset(parsed))
 
     @classmethod
     def parse(cls, text: str) -> "RegionExpr":
@@ -218,18 +275,14 @@ def _coefficient(name, value) -> Fraction:
         ) from None
 
 
-@dataclass(frozen=True)
-class HalfSpace:
+class HalfSpace(_Frozen):
     """Rational constraint a1*l1 + a2*l2 + a3*l3 <= b.
 
     The primitive integer row of the constraint is computed once, at
     construction; :meth:`canonical` returns it.
     """
 
-    a1: Fraction
-    a2: Fraction
-    a3: Fraction
-    b: Fraction
+    _fields = ("a1", "a2", "a3", "b")
 
     def __init__(self, a1, a2, a3, b):
         a1, a2, a3, b = map(_coefficient, ("a1", "a2", "a3", "b"), (a1, a2, a3, b))

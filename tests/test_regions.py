@@ -232,6 +232,40 @@ def test_parse_rejects_a_non_string_by_name(bad):
         RegionExpr.parse(bad)
 
 
+@pytest.mark.parametrize("bad", ["CPT", "", RegionId.CPT], ids=["text", "empty", "member"])
+def test_region_expr_rejects_a_string_by_name(bad):
+    with pytest.raises(TypeError) as info:
+        RegionExpr(bad)
+    assert str(info.value) == (f"tags must be an iterable of region tags, not the string {bad!r};"
+                               " RegionExpr.parse reads comma-separated text")
+
+
+@pytest.mark.parametrize("bad", [None, 5, 1.5, object()])
+def test_region_expr_rejects_a_non_iterable_by_name(bad):
+    with pytest.raises(TypeError) as info:
+        RegionExpr(bad)
+    assert str(info.value) == f"tags must be an iterable of region tags, got {bad!r}"
+
+
+@pytest.mark.parametrize("tags, bad", [(["FOO"], "FOO"), ([RegionId.CPT, "cpt"], "cpt"),
+                                       (("PT", None), None), ([["CPT"]], ["CPT"])])
+def test_region_expr_names_an_unknown_tag_as_parse_does(tags, bad):
+    with pytest.raises(ValueError) as info:
+        RegionExpr(tags)
+    assert str(info.value) == f"unknown region tag {bad!r}"
+    with pytest.raises(ValueError, match="^unknown region tag 'FOO'$"):
+        RegionExpr.parse("CPT,FOO")
+
+
+def test_region_expr_takes_members_and_their_values():
+    want = frozenset({RegionId.CPT, RegionId.TLG})
+    assert RegionExpr(["CPT", RegionId.TLG]).conjuncts == want
+    assert RegionExpr(iter(["TLG", "CPT", "TLG"])).conjuncts == want
+    assert RegionExpr({"CPT": 1, "TLG": 2}).conjuncts == want
+    with pytest.raises(ValueError, match="^region expression needs at least one tag$"):
+        RegionExpr([])
+
+
 def test_halfspace_description_returns_fresh_lists():
     first = halfspace_description(RegionExpr.parse("PT,PDIV"))
     for system in first:

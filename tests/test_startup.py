@@ -10,8 +10,13 @@ that build or read an array, so ``import paulivol``, ``import
 paulivol.cli``, every command that only does exact arithmetic,
 ``classify`` and ``evolve --t`` start without it.  The thread pool of the
 Monte Carlo counting passes is imported the same way, so only the steps
-that count loads concurrent.futures.  pytest's own process already has
-numpy and the package loaded, so each step runs in a fresh interpreter.
+that count loads concurrent.futures.  ``RegionExpr``, ``HalfSpace`` and
+``Polytope`` are frozen values on ``regions._Frozen``, not dataclasses, so
+``import paulivol.cli``, ``--version`` and the exact commands load neither
+``dataclasses`` nor the ``inspect`` it imports; the steps that build a
+triple, a sampler config or a schedule load both.  pytest's own process
+already has numpy and the package loaded, so each step runs in a fresh
+interpreter.
 """
 
 import ast
@@ -30,8 +35,9 @@ SRC = ROOT / "src"
 # paulivol.cli", or a CLI argv split at spaces, in which FILE stands for
 # argv[2].  The script prints the step's exit code, stdout, the paulivol
 # submodules it loaded, which of the json and csv writers it loaded (it
-# imports json itself only after the step), and whether numpy and
-# concurrent.futures have been imported.
+# imports json itself only after the step), whether numpy and
+# concurrent.futures have been imported, and whether dataclasses and inspect
+# have.
 _SCRIPT = r"""
 import contextlib, io, sys
 
@@ -54,7 +60,8 @@ print(json.dumps({"exit": code, "stdout": out.getvalue(),
                                     if m.startswith("paulivol.")),
                   "writers": writers,
                   "numpy": "numpy" in sys.modules,
-                  "futures": "concurrent.futures" in sys.modules}))
+                  "futures": "concurrent.futures" in sys.modules,
+                  "dataclasses": ["dataclasses" in sys.modules, "inspect" in sys.modules]}))
 """
 
 _CLI = ["cli", "regions"]
@@ -66,6 +73,12 @@ _SAMPLER = sorted(_CLI + ["mc_volume"])
 _TABLE = sorted(_CLI + ["exact_volume", "mc_volume"])
 # the steps that run a counting pass, on the thread pool at the default chunk size
 _COUNTING = {"volume --region CPT,TLG --method fr --samples 1000", "table --samples 1000"}
+# the steps that build no dataclass: the CLI itself and the exact commands,
+# whose value types are regions._Frozen
+_NO_DATACLASSES = {"import paulivol", "import paulivol.cli", "--version",
+                   "volume --region PT,CPT,EBC,TLG,PDIV --format json",
+                   "mesh --region PT,CPT,EBC,PDIV", "volume --region TLG",
+                   "volume --region CPDIV"}
 
 # step -> (exit code, paulivol submodules loaded, json and csv writers loaded,
 # numpy loaded)
@@ -134,21 +147,37 @@ def test_only_a_counting_pass_loads_the_thread_pool(report):
         assert step["futures"] == (name in _COUNTING), name
 
 
+def test_only_a_step_that_builds_a_dataclass_loads_dataclasses_and_inspect(report):
+    for name, step in report.items():
+        loaded = name not in _NO_DATACLASSES
+        assert step["dataclasses"] == [loaded, loaded], name
+
+
 def test_the_lazily_loaded_commands_print_the_same_text(report):
     assert report["classify 0.5 0.5 0.5"]["stdout"] == _CLASSIFY_TEXT
     assert report["evolve --schedule FILE --t 0.5"]["stdout"] == _EVOLVE_TEXT
 
 
+def _module_level_imports(path):
+    """The top-level package of each module ``path`` imports at module level."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        yield from (n.split(".")[0] for n in names)
+
+
 def test_no_module_imports_numpy_at_module_level():
     for path in sorted((SRC / "paulivol").glob("*.py")):
-        for node in ast.parse(path.read_text()).body:
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
-            else:
-                continue
-            assert not any(n.split(".")[0] == "numpy" for n in names), path.name
+        assert "numpy" not in set(_module_level_imports(path)), path.name
+
+
+@pytest.mark.parametrize("name", ["regions.py", "exact_volume.py", "cli.py"])
+def test_the_exact_path_imports_no_dataclasses_at_module_level(name):
+    assert "dataclasses" not in set(_module_level_imports(SRC / "paulivol" / name))
 
 
 # The package's __all__, in order: __version__, then each module's list in
