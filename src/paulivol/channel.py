@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .regions import _Frozen
+from .regions import _Frozen, _check_finite
 
 __all__ = [
     "EigenvalueTriple",
@@ -37,22 +37,6 @@ def _beyond_rounding(total: float, *terms: float) -> bool:
     15u < 2**-49 of sum|x| in all, each term scaled first so it stays finite.
     """
     return abs(total - 1.0) > sum(2.0**-49 * abs(x) for x in terms)
-
-
-def _check_finite(what: str, names: tuple, values: tuple) -> None:
-    """Name the first of ``values`` that is not a finite real number: a
-    non-number with TypeError; inf, nan or an int beyond float range with
-    ValueError.
-    """
-    for name, v in zip(names, values):
-        try:
-            finite = math.isfinite(v)
-        except TypeError:
-            raise TypeError(f"{what} {name} must be a real number, got {v!r}") from None
-        except OverflowError:
-            raise ValueError(f"{what} {name} is out of float range") from None
-        if not finite:
-            raise ValueError(f"{what} {name} must be finite, got {v!r}")
 
 
 def _frozen(cls):
@@ -97,7 +81,7 @@ class EigenvalueTriple:
     def __init__(self, l1, l2, l3):
         try:
             finite = math.isfinite(l1) and math.isfinite(l2) and math.isfinite(l3)
-        except (TypeError, OverflowError):
+        except (TypeError, ValueError, OverflowError):
             finite = False
         if not finite:
             _check_finite("eigenvalue", ("l1", "l2", "l3"), (l1, l2, l3))
@@ -133,7 +117,7 @@ class ProbabilityVector:
         try:
             finite = (math.isfinite(p0) and math.isfinite(p1) and math.isfinite(p2)
                       and math.isfinite(p3))
-        except (TypeError, OverflowError):
+        except (TypeError, ValueError, OverflowError):
             finite = False
         if not finite:
             _check_finite("weight", ("p0", "p1", "p2", "p3"), (p0, p1, p2, p3))

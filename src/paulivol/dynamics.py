@@ -20,11 +20,10 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from decimal import Decimal
 from typing import Iterable, Mapping
 
-from .channel import EigenvalueTriple, _check_finite, _frozen, _slot_setters
-from .regions import _LABELS, _TAG_ORDER, RegionExpr, region_mask
+from .channel import EigenvalueTriple, _frozen, _slot_setters
+from .regions import _LABELS, _TAG_ORDER, RegionExpr, _check_finite, _real, region_mask
 
 __all__ = [
     "RateTriple",
@@ -74,14 +73,15 @@ class RateSchedule:
                 raise error(
                     f"segment {i} must be a (duration, rates) pair, got {segment!r}"
                 ) from None
-            try:
-                duration = float(duration)
-            except (TypeError, ValueError) as exc:
-                error = TypeError if isinstance(exc, TypeError) else ValueError
-                raise error(f"segment duration must be a number, got {duration!r}") from None
-            except OverflowError:
-                raise ValueError(f"segment {i} duration is out of float range") from None
-            if not math.isfinite(duration) or duration <= 0.0:
+            value = duration
+            if isinstance(duration, str):  # numeric text reads as its number
+                try:
+                    value = float(duration)
+                except ValueError:
+                    raise ValueError(
+                        f"segment {i} duration must be a number, got {duration!r}") from None
+            value = _real(f"segment {i} duration", value)
+            if not 0.0 < value < math.inf:
                 raise ValueError(f"segment duration must be positive, got {duration!r}")
             if not isinstance(rates, RateTriple):
                 try:
@@ -91,7 +91,7 @@ class RateSchedule:
                         f"segment {i} rates must be three numbers, got {rates!r}"
                     ) from None
                 rates = RateTriple(g1, g2, g3)
-            parsed.append((duration, rates))
+            parsed.append((value, rates))
         if not parsed:
             raise ValueError("schedule needs at least one segment")
         try:
@@ -104,13 +104,10 @@ class RateSchedule:
 
 
 def _json_number(value, what: str) -> float:
-    """A JSON number as a float; booleans, strings and ints beyond float range are rejected."""
+    """A JSON number as a float; any other JSON value, a boolean or a string, is a ValueError."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{what} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValueError(f"{what} is out of float range") from None
+    return _real(what, value)
 
 
 def schedule_from_json(obj) -> RateSchedule:
@@ -138,17 +135,8 @@ def schedule_from_json(obj) -> RateSchedule:
 
 def integrate_rates(schedule: RateSchedule, t: float) -> tuple:
     """Rate integrals (Gamma_1, Gamma_2, Gamma_3) over [0, t], exactly segment by segment."""
-    try:
-        # read before the range check: a non-number, text, or an array of times
-        # with one element or more is a TypeError here
-        value = float(t) if math.isfinite(t) else math.nan
-    except OverflowError:  # an int beyond float range
-        value = math.nan
-    except (TypeError, ValueError):
-        # the one number float() refuses is a signalling Decimal NaN
-        if not (isinstance(t, Decimal) and t.is_snan()):
-            raise TypeError(f"time t must be a real number, got {t!r}") from None
-        value = math.nan
+    # read before the range check, so an array of times is a TypeError even out of range
+    value = _real("time t", t)
     if not 0.0 <= value <= schedule.total_duration:
         raise ValueError(
             f"time {t!r} outside the schedule range [0, {schedule.total_duration}]"
@@ -217,15 +205,9 @@ def rates_for_target(l: EigenvalueTriple, t_star: float) -> RateTriple:
     Rejects targets with any eigenvalue <= 0, and a t_star that is not
     positive and finite or so small that a rate overflows.
     """
-    try:
-        finite = math.isfinite(t_star)
-    except TypeError:
-        raise TypeError(f"t_star must be a real number, got {t_star!r}") from None
-    except OverflowError:
-        raise ValueError("t_star is out of float range") from None
-    if not (finite and t_star > 0.0):
+    t = _real("t_star", t_star)
+    if not 0.0 < t < math.inf:
         raise ValueError(f"t_star must be positive and finite, got {t_star!r}")
-    t = float(t_star)
     m1, m2, m3 = _mu(l)
     rates = (0.5 * (m2 + m3 - m1) / t,
              0.5 * (m1 + m3 - m2) / t,

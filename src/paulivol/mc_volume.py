@@ -36,7 +36,8 @@ import warnings
 from dataclasses import dataclass
 from typing import Iterator
 
-from .regions import _PREDICATES, RegionExpr, RegionId, _UnsupportedError, _columns, region_mask
+from .regions import (_PREDICATES, RegionExpr, RegionId, _UnsupportedError, _columns, _real,
+                      region_mask)
 
 __all__ = [
     "SamplerConfig",
@@ -81,6 +82,13 @@ class FisherRaoDomainError(_UnsupportedError):
     """Raised for Fisher-Rao requests outside the channel tetrahedron."""
 
 
+def _check_ints(**fields) -> None:
+    """Name the first of ``fields`` that is not an int; a bool is not one."""
+    for name, value in fields.items():
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise TypeError(f"{name} must be an int, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SamplerConfig:
     """Sampling budget and seeding for the Monte Carlo estimators."""
@@ -90,10 +98,7 @@ class SamplerConfig:
     chunk_size: int = DEFAULT_CHUNK_SIZE
 
     def __post_init__(self):
-        for name in ("samples", "seed", "chunk_size"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise TypeError(f"{name} must be an int, got {value!r}")
+        _check_ints(samples=self.samples, seed=self.seed, chunk_size=self.chunk_size)
         if self.samples < 1:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
         if self.chunk_size < 1:
@@ -131,9 +136,10 @@ class VolumeEstimate:
     def __post_init__(self):
         if self.method not in ("mc-hs", "mc-fr"):
             raise ValueError(f"unknown method {self.method!r}")
+        _check_ints(samples=self.samples)
         if self.samples < 0:
-            raise ValueError("sample count must be >= 0")
-        if not math.isnan(self.std_error) and self.std_error < 0:
+            raise ValueError(f"samples must be >= 0, got {self.samples}")
+        if _real("std_error", self.std_error) < 0:  # nan: an undefined ratio's error
             raise ValueError("std_error must be >= 0")
 
 

@@ -35,6 +35,7 @@ import enum
 import functools
 import math
 import operator
+from decimal import Decimal  # loaded by fractions already
 from fractions import Fraction
 from types import SimpleNamespace
 from typing import Iterable
@@ -252,11 +253,37 @@ def region_mask(expr: RegionExpr, lam: np.ndarray) -> np.ndarray:
     they do in Python floats, without a warning.
     """
     import numpy as np
-    lam = np.asarray(lam, dtype=float)
+    try:
+        lam = np.asarray(lam, dtype=float)
+    except (TypeError, ValueError, OverflowError):  # the array's repr could be huge
+        raise TypeError("lam must be an (n, 3) array of real numbers") from None
     if lam.ndim != 2 or lam.shape[1] != 3:
-        raise ValueError(f"expected an (n, 3) array, got shape {lam.shape}")
+        raise ValueError(f"lam must be an (n, 3) array, got shape {lam.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
         return contains(expr, _columns(lam))
+
+
+def _real(what: str, value) -> float:
+    """The one reader of a real number: ``value`` as a float.  A non-number, text
+    included, is a TypeError and an int beyond float range a ValueError; inf and
+    nan (a signalling Decimal NaN too) are returned for the caller's range check.
+    """
+    try:
+        math.isfinite(value)  # refuses text, which float() would read
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{what} is out of float range") from None
+    except (TypeError, ValueError):
+        if isinstance(value, Decimal) and value.is_snan():
+            return math.nan
+        raise TypeError(f"{what} must be a real number, got {value!r}") from None
+
+
+def _check_finite(what: str, names: tuple, values: tuple) -> None:
+    """Name the first of ``values`` that ``_real`` refuses or reads as inf or nan."""
+    for name, v in zip(names, values):
+        if not math.isfinite(_real(f"{what} {name}", v)):
+            raise ValueError(f"{what} {name} must be finite, got {v!r}")
 
 
 # --- exact half-space descriptions ------------------------------------------

@@ -479,9 +479,9 @@ def test_rate_schedule_validation():
         (lambda: RateTriple(None, 0, 0), TypeError, "rate g1 must be a real number, got None"),
         (lambda: RateTriple(0, "1", 0), TypeError, "rate g2 must be a real number, got '1'"),
         (lambda: RateSchedule([(None, (1, 1, 1))]), TypeError,
-         "segment duration must be a number, got None"),
+         "segment 0 duration must be a real number, got None"),
         (lambda: RateSchedule([("x", (1, 1, 1))]), ValueError,
-         "segment duration must be a number, got 'x'"),
+         "segment 0 duration must be a number, got 'x'"),
         (lambda: RateSchedule([(1.0, (1, None, 1))]), TypeError,
          "rate g2 must be a real number, got None"),
         (lambda: RateTriple(0, -2**1100, 0), ValueError, "rate g2 is out of float range"),
@@ -520,7 +520,7 @@ def test_rate_schedule_validation():
         (lambda: integrate_rates(_depolarizing(1.0, 2.0), Decimal("-Infinity")), ValueError,
          "time Decimal('-Infinity') outside the schedule range [0, 2.0]"),
         (lambda: integrate_rates(_depolarizing(1.0, 2.0), 10**400), ValueError,
-         f"time {10**400!r} outside the schedule range [0, 2.0]"),
+         "time t is out of float range"),
     ],
 )
 def test_rates_schedules_and_times_name_a_non_number(make, error, message):

@@ -5,6 +5,7 @@ import sys
 import threading
 import time
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -117,6 +118,25 @@ def test_volume_estimate_validation():
     # exact volumes are Fractions, never estimates
     with pytest.raises(ValueError):
         VolumeEstimate(0.5, 0.0, 0, "exact", 0)
+
+
+@pytest.mark.parametrize(
+    "std_error, samples, error, message",
+    [
+        (10**400, 10, ValueError, "std_error is out of float range"),
+        ("0.1", 10, TypeError, "std_error must be a real number, got '0.1'"),
+        (-math.inf, 10, ValueError, "std_error must be >= 0"),
+        (0.1, Decimal("NaN"), TypeError, "samples must be an int, got Decimal('NaN')"),
+        (0.1, 10.0, TypeError, "samples must be an int, got 10.0"),
+        (0.1, True, TypeError, "samples must be an int, got True"),
+    ],
+    ids=["error beyond float range", "error text", "error -inf", "count Decimal NaN",
+         "count float", "count bool"],
+)
+def test_volume_estimate_names_a_bad_error_or_count(std_error, samples, error, message):
+    with pytest.raises(error) as info:
+        VolumeEstimate(0.5, std_error, samples, "mc-hs", 0)
+    assert str(info.value) == message
 
 
 def test_hs_volume_deterministic():

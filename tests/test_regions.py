@@ -202,6 +202,16 @@ def test_region_mask_shape_check():
         region_mask(RegionExpr([RegionId.PT]), np.zeros((4, 2)))
 
 
+@pytest.mark.parametrize("entry", [10**400, "x", 1j, np.array([0.5, 0.5])],
+                         ids=["int beyond float range", "text", "complex", "an array"])
+def test_region_mask_names_lam_for_entries_that_are_not_real(entry):
+    # one TypeError naming lam, never the array's repr, which for a large
+    # array would be a screenful
+    with pytest.raises(TypeError) as info:
+        region_mask(RegionExpr([RegionId.PT]), [[0.5, 0.5, 0.5], [entry, 0, 0]])
+    assert str(info.value) == "lam must be an (n, 3) array of real numbers"
+
+
 def test_halfspace_rejects_a_zero_normal():
     with pytest.raises(ValueError, match="normal must be nonzero"):
         HalfSpace(0, 0, 0, 1)
