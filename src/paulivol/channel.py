@@ -79,11 +79,8 @@ class EigenvalueTriple:
     l3: float
 
     def __init__(self, l1, l2, l3):
-        try:
-            finite = math.isfinite(l1) and math.isfinite(l2) and math.isfinite(l3)
-        except (TypeError, ValueError, OverflowError):
-            finite = False
-        if not finite:
+        # a float sum is finite only if every term is (an overflow takes the long way)
+        if not (type(l1) is type(l2) is type(l3) is float and math.isfinite(l1 + l2 + l3)):
             _check_finite("eigenvalue", ("l1", "l2", "l3"), (l1, l2, l3))
         _set_l1(self, float(l1))
         _set_l2(self, float(l2))
@@ -114,12 +111,9 @@ class ProbabilityVector:
     p3: float
 
     def __init__(self, p0, p1, p2, p3):
-        try:
-            finite = (math.isfinite(p0) and math.isfinite(p1) and math.isfinite(p2)
-                      and math.isfinite(p3))
-        except (TypeError, ValueError, OverflowError):
-            finite = False
-        if not finite:
+        # only exact, finite floats skip the named check, as in EigenvalueTriple
+        if not (type(p0) is type(p1) is type(p2) is type(p3) is float
+                and math.isfinite(p0 + p1 + p2 + p3)):
             _check_finite("weight", ("p0", "p1", "p2", "p3"), (p0, p1, p2, p3))
         p0, p1, p2, p3 = float(p0), float(p1), float(p2), float(p3)
         _set_p0(self, p0)

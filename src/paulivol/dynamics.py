@@ -18,12 +18,11 @@ exactly so that targets with some Gamma_a < 0 stay reachable.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .channel import EigenvalueTriple, _frozen, _slot_setters
-from .regions import _LABELS, _TAG_ORDER, RegionExpr, _check_finite, _real, region_mask
+from .regions import _LABELS, _TAG_ORDER, RegionExpr, _check_finite, _int, _real, region_mask
 
 __all__ = [
     "RateTriple",
@@ -73,14 +72,7 @@ class RateSchedule:
                 raise error(
                     f"segment {i} must be a (duration, rates) pair, got {segment!r}"
                 ) from None
-            value = duration
-            if isinstance(duration, str):  # numeric text reads as its number
-                try:
-                    value = float(duration)
-                except ValueError:
-                    raise ValueError(
-                        f"segment {i} duration must be a number, got {duration!r}") from None
-            value = _real(f"segment {i} duration", value)
+            value = _real(f"segment {i} duration", duration)
             if not 0.0 < value < math.inf:
                 raise ValueError(f"segment duration must be positive, got {duration!r}")
             if not isinstance(rates, RateTriple):
@@ -265,10 +257,7 @@ def classify_trajectory(schedule: RateSchedule, steps: int) -> list:
     times, and the six regions are read one ``region_mask`` at a time, so
     every point equals ``evolve`` and the scalar predicates at its time.
     """
-    try:
-        steps = operator.index(steps)
-    except TypeError:
-        raise TypeError(f"steps must be an int, got {steps!r}") from None
+    steps = _int("steps", steps)
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
     if steps > MAX_STEPS:

@@ -36,8 +36,8 @@ import warnings
 from dataclasses import dataclass
 from typing import Iterator
 
-from .regions import (_PREDICATES, RegionExpr, RegionId, _UnsupportedError, _columns, _real,
-                      region_mask)
+from .regions import (_PREDICATES, RegionExpr, RegionId, _UnsupportedError, _columns, _int,
+                      _real, region_mask)
 
 __all__ = [
     "SamplerConfig",
@@ -82,13 +82,6 @@ class FisherRaoDomainError(_UnsupportedError):
     """Raised for Fisher-Rao requests outside the channel tetrahedron."""
 
 
-def _check_ints(**fields) -> None:
-    """Name the first of ``fields`` that is not an int; a bool is not one."""
-    for name, value in fields.items():
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise TypeError(f"{name} must be an int, got {value!r}")
-
-
 @dataclass(frozen=True)
 class SamplerConfig:
     """Sampling budget and seeding for the Monte Carlo estimators."""
@@ -98,7 +91,8 @@ class SamplerConfig:
     chunk_size: int = DEFAULT_CHUNK_SIZE
 
     def __post_init__(self):
-        _check_ints(samples=self.samples, seed=self.seed, chunk_size=self.chunk_size)
+        for name in ("samples", "seed", "chunk_size"):
+            object.__setattr__(self, name, _int(name, getattr(self, name)))
         if self.samples < 1:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
         if self.chunk_size < 1:
@@ -136,10 +130,11 @@ class VolumeEstimate:
     def __post_init__(self):
         if self.method not in ("mc-hs", "mc-fr"):
             raise ValueError(f"unknown method {self.method!r}")
-        _check_ints(samples=self.samples)
+        for name, read in zip(("value", "std_error", "samples", "seed"), (_real, _real, _int, _int)):
+            object.__setattr__(self, name, read(name, getattr(self, name)))
         if self.samples < 0:
             raise ValueError(f"samples must be >= 0, got {self.samples}")
-        if _real("std_error", self.std_error) < 0:  # nan: an undefined ratio's error
+        if self.std_error < 0:  # nan: an undefined ratio's value and error
             raise ValueError("std_error must be >= 0")
 
 

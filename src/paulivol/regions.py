@@ -34,6 +34,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import numbers  # loaded by fractions already
 import operator
 from decimal import Decimal  # loaded by fractions already
 from fractions import Fraction
@@ -254,7 +255,12 @@ def region_mask(expr: RegionExpr, lam: np.ndarray) -> np.ndarray:
     """
     import numpy as np
     try:
-        lam = np.asarray(lam, dtype=float)
+        lam = np.asarray(lam)
+        if lam.dtype.kind == "O":  # Python objects, each read as a real number
+            lam = np.array([_real("lam", x) for x in lam.flat]).reshape(lam.shape)
+        if lam.dtype.kind not in "biuf":  # text and complex are not real numbers
+            raise TypeError
+        lam = lam.astype(float, copy=False)
     except (TypeError, ValueError, OverflowError):  # the array's repr could be huge
         raise TypeError("lam must be an (n, 3) array of real numbers") from None
     if lam.ndim != 2 or lam.shape[1] != 3:
@@ -264,11 +270,13 @@ def region_mask(expr: RegionExpr, lam: np.ndarray) -> np.ndarray:
 
 
 def _real(what: str, value) -> float:
-    """The one reader of a real number: ``value`` as a float.  A non-number, text
-    included, is a TypeError and an int beyond float range a ValueError; inf and
-    nan (a signalling Decimal NaN too) are returned for the caller's range check.
+    """The one reader of a real number: ``value`` as a float.  Text, None, a complex
+    value or any other non-number is a TypeError and an int beyond float range a
+    ValueError; inf and nan (a signalling Decimal NaN too) are left to the caller.
     """
     try:
+        if isinstance(value, numbers.Complex) and not isinstance(value, numbers.Real):
+            raise TypeError  # numpy's complex scalars would read as their real part
         math.isfinite(value)  # refuses text, which float() would read
         return float(value)
     except OverflowError:
@@ -277,6 +285,17 @@ def _real(what: str, value) -> float:
         if isinstance(value, Decimal) and value.is_snan():
             return math.nan
         raise TypeError(f"{what} must be a real number, got {value!r}") from None
+
+
+def _int(what: str, value) -> int:
+    """The one reader of a count, seed or step: ``value`` as an int.  A bool, or
+    what ``operator.index`` refuses (text, None, a float), is a TypeError."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{what} must be an int, got {value!r}") from None
 
 
 def _check_finite(what: str, names: tuple, values: tuple) -> None:
@@ -290,10 +309,12 @@ def _check_finite(what: str, names: tuple, values: tuple) -> None:
 
 
 def _coefficient(name, value) -> Fraction:
-    """``value`` as an exact Fraction; inf, nan, bad text and non-numbers are
-    rejected by name, non-numbers with TypeError.
+    """``value`` as an exact Fraction; inf and nan are rejected by name with
+    ValueError, non-numbers, text included, with TypeError.
     """
     try:
+        if isinstance(value, str):
+            raise TypeError  # Fraction() would read it
         return Fraction(value)
     except (TypeError, ValueError, OverflowError) as exc:
         error = TypeError if isinstance(exc, TypeError) else ValueError

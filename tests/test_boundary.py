@@ -4,8 +4,10 @@
 one call per number parameter; every other callable of ``paulivol.__all__``
 is in ``_TAKES_NO_NUMBER``, so a new public number parameter has to join
 the table.  Given any value, each call returns, or raises ValueError or
-TypeError with a message naming the parameter.  ``regions._real`` is the one
-reader of a real number, and the last test keeps it the only one.
+TypeError with a message naming the parameter; text, None and complex values
+are a TypeError.  ``regions._real`` is the one reader of a real number and
+``regions._int`` of a count, seed or step, and the last test keeps them the
+only ones.
 """
 
 import inspect
@@ -50,7 +52,6 @@ _NUMBER_PARAMETERS = {
                                (0.25,) * 4, "weights must sum"),
     "HalfSpace": _each(paulivol.HalfSpace, ("a1", "a2", "a3", "b"), (1, 0, 0, 1), "normal"),
     "SamplerConfig": _each(paulivol.SamplerConfig, ("samples", "seed", "chunk_size"), (10, 0, 4)),
-    # value and seed are stored as given
     "VolumeEstimate": _each(_estimate, ("value", "std_error", "samples", "seed"), (0.5, 0.1, 10, 0)),
     "RateTriple": _each(paulivol.RateTriple, ("g1", "g2", "g3"), (1.0, 0.0, 0.5)),
     "RateSchedule": [
@@ -88,6 +89,12 @@ _TAKES_NO_NUMBER = {
 }
 
 
+# The rows whose refusal of text, None and complex values is not a TypeError:
+# schedule_from_json raises ValueError, as for any JSON value that is not a
+# number, and TrajectoryPoint stores its time as given.
+_REFUSED_WITH = {"schedule_from_json": ValueError, "TrajectoryPoint": None}
+
+
 def test_every_public_callable_is_in_the_table_or_takes_no_number():
     public = {name for name in paulivol.__all__ if callable(getattr(paulivol, name))}
     assert not _NUMBER_PARAMETERS.keys() & _TAKES_NO_NUMBER
@@ -99,7 +106,8 @@ _EDGES = [
     math.nan, math.inf, -math.inf, 10**400, -10**400, True, "0.5", "x", "", None, 1j,
     Decimal("NaN"), Decimal("sNaN"), Decimal("Infinity"), Decimal("0.5"), Fraction(1, 3),
     Fraction(10**400), np.float64("nan"), np.float32(0.5), np.int64(3), np.bool_(True),
-    np.array(0.5), np.array([0.5]), np.array([0.2, 0.5]),
+    np.array(0.5), np.array([0.5]), np.array([0.2, 0.5]), np.int32(-2), np.uint64(5),
+    np.complex64(1 + 1j), np.complex128(0.5 + 2j), np.complex128(0.5), np.array([0.5 + 1j]),
 ]
 # Small ints only, as steps: classify_trajectory's cost grows with them.
 _VALUES = st.one_of(
@@ -113,8 +121,12 @@ _VALUES = st.one_of(
     st.fractions(),
     st.floats(width=32).map(np.float32),
     st.integers(-3, 40).map(np.int64),
+    st.integers(0, 40).map(np.uint16),
+    st.complex_numbers(width=64).map(np.complex64),
+    st.complex_numbers().map(np.complex128),
     st.floats().map(np.array),
     st.lists(st.floats(), min_size=1, max_size=2).map(np.array),
+    st.lists(st.complex_numbers(), min_size=1, max_size=2).map(np.array),
 )
 
 
@@ -125,27 +137,61 @@ def _with_edges(test):
 
 
 @pytest.mark.parametrize(
-    "call, phrases",
-    [(call, phrases) for rows in _NUMBER_PARAMETERS.values() for _name, call, phrases in rows],
+    "call, phrases, refused_with",
+    [(call, phrases, _REFUSED_WITH.get(callable_name, TypeError))
+     for callable_name, rows in _NUMBER_PARAMETERS.items() for _name, call, phrases in rows],
     ids=[f"{callable_name}-{name}" for callable_name, rows in _NUMBER_PARAMETERS.items()
          for name, _call, _phrases in rows],
 )
 @settings(max_examples=40, deadline=None)
 @given(value=_VALUES)
 @_with_edges
-def test_every_number_parameter_returns_or_names_itself(call, phrases, value):
+def test_every_number_parameter_returns_or_names_itself(call, phrases, refused_with, value):
+    # text, None and every complex value, numpy's complex scalars and arrays included
+    refused = isinstance(value, str) or value is None or np.iscomplexobj(value)
     try:
         call(value)
     except (TypeError, ValueError) as exc:
         assert any(phrase in str(exc) for phrase in phrases), str(exc)
+        assert not refused or refused_with in (None, type(exc)), f"{value!r}: {exc!r}"
+    else:
+        assert not refused or refused_with is None, f"{value!r} was read as a number"
 
 
-def test_one_reader_writes_the_real_number_messages():
-    # a sixth copy of the reader would write one of these messages again
-    reader = inspect.getsource(regions._real)
-    messages = ("must be a real number", "is out of float range")
-    assert all(message in reader for message in messages)
-    for path in sorted(SRC.glob("*.py")):
-        text = path.read_text().replace(reader, "")
-        for message in messages:
-            assert message not in text, f"{path.name} writes {message!r} outside regions._real"
+_NOT_REAL_LAM = "lam must be an (n, 3) array of real numbers"
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: paulivol.EigenvalueTriple(np.complex128(1 + 2j), 0, 0),
+     "eigenvalue l1 must be a real number, got np.complex128(1+2j)"),
+    (lambda: paulivol.RateTriple(np.complex64(1 + 1j), 0, 0),
+     "rate g1 must be a real number, got np.complex64(1+1j)"),
+    (lambda: paulivol.integrate_rates(_SCHEDULE, np.complex128(0.5 + 1j)),
+     "time t must be a real number, got np.complex128(0.5+1j)"),
+    (lambda: paulivol.region_mask(_PT, [[None, 0, 0]]), _NOT_REAL_LAM),
+    (lambda: paulivol.region_mask(_PT, [["0.5", 0, 0]]), _NOT_REAL_LAM),
+    (lambda: paulivol.region_mask(_PT, np.zeros((2, 3), complex)), _NOT_REAL_LAM),
+    (lambda: paulivol.HalfSpace("0.5", 0, 0, 1),
+     "half-space coefficient a1 must be a finite number, got '0.5'"),
+    (lambda: paulivol.classify_trajectory(_SCHEDULE, True), "steps must be an int, got True"),
+], ids=["triple complex128", "rates complex64", "time complex128", "lam None", "lam text",
+        "lam complex", "coefficient text", "steps bool"])
+def test_lossy_reads_are_named_type_errors(make, message):
+    # float() reads a numpy complex scalar as its real part, numpy a None entry
+    # as nan and text as its number, Fraction text, and operator.index True as 1
+    with pytest.raises(TypeError) as info:
+        make()
+    assert str(info.value) == message
+
+
+def test_one_reader_writes_each_number_message():
+    # another copy of a reader would write one of its messages again
+    for reader, messages in ((regions._real, ("must be a real number", "is out of float range")),
+                             (regions._int, ("must be an int",))):
+        source = inspect.getsource(reader)
+        assert all(message in source for message in messages)
+        for path in sorted(SRC.glob("*.py")):
+            text = path.read_text().replace(source, "")
+            for message in messages:
+                assert message not in text, \
+                    f"{path.name} writes {message!r} outside regions.{reader.__name__}"

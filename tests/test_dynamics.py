@@ -480,8 +480,8 @@ def test_rate_schedule_validation():
         (lambda: RateTriple(0, "1", 0), TypeError, "rate g2 must be a real number, got '1'"),
         (lambda: RateSchedule([(None, (1, 1, 1))]), TypeError,
          "segment 0 duration must be a real number, got None"),
-        (lambda: RateSchedule([("x", (1, 1, 1))]), ValueError,
-         "segment 0 duration must be a number, got 'x'"),
+        (lambda: RateSchedule([("x", (1, 1, 1))]), TypeError,
+         "segment 0 duration must be a real number, got 'x'"),
         (lambda: RateSchedule([(1.0, (1, None, 1))]), TypeError,
          "rate g2 must be a real number, got None"),
         (lambda: RateTriple(0, -2**1100, 0), ValueError, "rate g2 is out of float range"),
@@ -530,9 +530,8 @@ def test_rates_schedules_and_times_name_a_non_number(make, error, message):
 
 
 def test_numbers_accepted_before_the_naming_checks_still_are():
-    # float() reads a numeric string, and any time or t_star that compares
-    # with floats is read as its float.
-    schedule = RateSchedule([("1.5", (1, 0, Fraction(1, 2)))])
+    # any duration, time or t_star that compares with floats is read as its float.
+    schedule = RateSchedule([(Fraction(3, 2), (1, 0, Fraction(1, 2)))])
     assert schedule.segments == ((1.5, RateTriple(1.0, 0.0, 0.5)),)
     assert integrate_rates(schedule, Decimal(0)) == (0.0, 0.0, 0.0)
     assert integrate_rates(schedule, Fraction(1, 2)) == (0.5, 0.0, 0.25)

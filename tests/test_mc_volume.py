@@ -139,6 +139,28 @@ def test_volume_estimate_names_a_bad_error_or_count(std_error, samples, error, m
     assert str(info.value) == message
 
 
+def test_volume_estimate_reads_its_value_and_seed():
+    est = VolumeEstimate(np.float32(0.5), 0.1, np.int64(10), "mc-hs", np.uint64(3))
+    assert (est.value, est.samples, est.seed) == (0.5, 10, 3)
+    assert [type(x) for x in (est.value, est.samples, est.seed)] == [float, int, int]
+    # nan is the value of an undefined ratio
+    assert math.isnan(VolumeEstimate(math.nan, math.nan, 10, "mc-hs", 0).value)
+    with pytest.raises(TypeError, match=r"^value must be a real number, got 'x'$"):
+        VolumeEstimate("x", 0.1, 10, "mc-hs", 0)
+    with pytest.raises(TypeError, match=r"^seed must be an int, got None$"):
+        VolumeEstimate(0.5, 0.1, 10, "mc-hs", None)
+    with pytest.raises(TypeError, match=r"^seed must be an int, got 1.0$"):
+        VolumeEstimate(0.5, 0.1, 10, "mc-hs", 1.0)
+
+
+def test_sampler_config_reads_numpy_integers_as_ints():
+    cfg = SamplerConfig(np.int64(10), np.uint64(2**63), np.int32(4))
+    assert cfg == SamplerConfig(10, 2**63, 4)
+    assert [type(x) for x in (cfg.samples, cfg.seed, cfg.chunk_size)] == [int, int, int]
+    with pytest.raises(TypeError, match=r"^seed must be an int, got np.True_$"):
+        SamplerConfig(10, np.bool_(True))
+
+
 def test_hs_volume_deterministic():
     a = hs_volume_mc(RegionExpr.parse("CPT"), _cfg(10**5, seed=42))
     b = hs_volume_mc(RegionExpr.parse("CPT"), _cfg(10**5, seed=42))
@@ -234,10 +256,20 @@ def test_fr_volume_subregion_is_smaller():
 # the CPT,TLG (5/24) and CPT,PDIV (5/6) fractions come from quadrature over
 # Hopf coordinates to 1e-15.  A Dirichlet(0.51) sampler moves the CPT,EBC
 # fraction by about 12 standard errors here.
+# CPT,CPDIV is a third: in Hopf coordinates l1 = u ~ U[-1, 1], l2 = c a + s b
+# and l3 = c a - s b, with c = (1 + u)/2, s = (1 - u)/2 and a, b independent
+# arcsine variables on [-1, 1].  CPDIV is invariant under double sign flips,
+# so its share is 4 times its share of TLG.  Inside TLG it fails exactly
+# where l_b l_c > l_a for some a, three disjoint events of equal probability
+# (two would need l_c^2 > 1).  One of them is (1 + u)^2 X < (1 - u)^2 Y with
+# u ~ U[0, 1] and X, Y iid Beta(1/2, 1/2), of probability 1/6 (quadrature to
+# 1e-15), so TLG minus CPDIV is 3 (1/2)(1/2)(1/6) = 1/8 of the measure, CPDIV
+# within TLG 5/24 - 1/8 = 1/12, and CPDIV 4/12.
 @pytest.mark.parametrize("region, value", [
     ("CPT,EBC", 8 * math.pi - 2 * math.pi**2),
     ("CPT,TLG", 5 * math.pi**2 / 12),
     ("CPT,PDIV", 5 * math.pi**2 / 3),
+    ("CPT,CPDIV", 2 * math.pi**2 / 3),
 ])
 def test_fr_volume_matches_the_closed_forms(region, value):
     est = fr_volume_mc(RegionExpr.parse(region), _cfg(10**6, seed=0))

@@ -217,7 +217,7 @@ def test_halfspace_rejects_a_zero_normal():
         HalfSpace(0, 0, 0, 1)
 
 
-@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan"), "nan", "1/0x"])
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
 @pytest.mark.parametrize("slot, name", enumerate(["a1", "a2", "a3", "b"]))
 def test_halfspace_rejects_a_non_finite_coefficient_by_name(bad, slot, name):
     coeffs = [1, 0, 0, 1]
@@ -226,7 +226,7 @@ def test_halfspace_rejects_a_non_finite_coefficient_by_name(bad, slot, name):
         HalfSpace(*coeffs)
 
 
-@pytest.mark.parametrize("bad", [None, [1], object()])
+@pytest.mark.parametrize("bad", [None, [1], object(), "nan", "1/0x"])
 @pytest.mark.parametrize("slot, name", enumerate(["a1", "a2", "a3", "b"]))
 def test_halfspace_rejects_a_non_number_by_name(bad, slot, name):
     coeffs = [1, 0, 0, 1]
