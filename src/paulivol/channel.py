@@ -10,7 +10,9 @@ Choi-Jamiolkowski state of a map and its spectrum.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, fields
+from itertools import repeat
 
 from .regions import _Frozen, _check_finite
 
@@ -64,6 +66,21 @@ def _slot_setters(cls) -> tuple:
     return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
 
 
+def _build(cls, columns) -> list:
+    """Rows of ``cls`` from one sequence per field, with no Python frame per row.
+
+    Each row is allocated by ``object.__new__`` and each column stored
+    through its field's slot setter, so no ``__init__`` runs and nothing
+    is checked or converted: use it only on columns the ``__init__`` would
+    store as they are, such as finite Python floats of an EigenvalueTriple
+    read from a float64 array the caller has checked.
+    """
+    rows = list(map(object.__new__, repeat(cls, len(columns[0]))))
+    for setter, column in zip(_slot_setters(cls), columns):
+        deque(map(setter, rows, column), 0)
+    return rows
+
+
 @_frozen
 @dataclass(frozen=True, slots=True)
 class EigenvalueTriple:
@@ -79,12 +96,14 @@ class EigenvalueTriple:
     l3: float
 
     def __init__(self, l1, l2, l3):
-        # a float sum is finite only if every term is (an overflow takes the long way)
+        # a float sum is finite only if every term is (an overflow takes the long way);
+        # exact floats are stored as given, as float() would return them
         if not (type(l1) is type(l2) is type(l3) is float and math.isfinite(l1 + l2 + l3)):
             _check_finite("eigenvalue", ("l1", "l2", "l3"), (l1, l2, l3))
-        _set_l1(self, float(l1))
-        _set_l2(self, float(l2))
-        _set_l3(self, float(l3))
+            l1, l2, l3 = float(l1), float(l2), float(l3)
+        _set_l1(self, l1)
+        _set_l2(self, l2)
+        _set_l3(self, l3)
 
     def __iter__(self):
         yield self.l1
@@ -115,7 +134,7 @@ class ProbabilityVector:
         if not (type(p0) is type(p1) is type(p2) is type(p3) is float
                 and math.isfinite(p0 + p1 + p2 + p3)):
             _check_finite("weight", ("p0", "p1", "p2", "p3"), (p0, p1, p2, p3))
-        p0, p1, p2, p3 = float(p0), float(p1), float(p2), float(p3)
+            p0, p1, p2, p3 = float(p0), float(p1), float(p2), float(p3)
         _set_p0(self, p0)
         _set_p1(self, p1)
         _set_p2(self, p2)

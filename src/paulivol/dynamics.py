@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Mapping
 
-from .channel import EigenvalueTriple, _frozen, _slot_setters
+from .channel import EigenvalueTriple, _build, _frozen, _slot_setters
 from .regions import _LABELS, _TAG_ORDER, RegionExpr, _check_finite, _int, _real, region_mask
 
 __all__ = [
@@ -256,6 +257,8 @@ def classify_trajectory(schedule: RateSchedule, steps: int) -> list:
     All steps run :func:`evolve`'s own integral at once, as one array of
     times, and the six regions are read one ``region_mask`` at a time, so
     every point equals ``evolve`` and the scalar predicates at its time.
+    The triples and points are built by ``channel._build``, with no
+    Python frame per step.
     """
     steps = _int("steps", steps)
     if steps < 2:
@@ -273,9 +276,18 @@ def classify_trajectory(schedule: RateSchedule, steps: int) -> list:
         G1, G2, G3 = _integrals(schedule.segments, times)
         exponents = (-(G2 + G3), -(G1 + G3), -(G1 + G2))
     ts = times.tolist()
+    xs = [e.tolist() for e in exponents]
     # math.exp, as evolve applies it to each step's exponents
-    lams = [_eigenvalues(t, *x) for t, x in zip(ts, zip(*(e.tolist() for e in exponents)))]
-    lam = np.array([(l.l1, l.l2, l.l3) for l in lams])
-    records = [dict(zip(_LABELS, flags)) for flags in
-               zip(*(region_mask(RegionExpr([tag]), lam).tolist() for tag in _TAG_ORDER))]
-    return [TrajectoryPoint(t, l, r) for t, l, r in zip(ts, lams, records)]
+    try:
+        columns = [list(map(math.exp, x)) for x in xs]
+        lam = np.array(columns).T
+        finite = np.isfinite(lam).all()
+    except OverflowError:
+        finite = False
+    if not finite:  # evolve's own checks, step by step, raise the first failing step's error
+        for t, x in zip(ts, zip(*xs)):
+            _eigenvalues(t, *x)
+    records = map(dict, map(zip, repeat(_LABELS), zip(
+        *(region_mask(RegionExpr([tag]), lam).tolist() for tag in _TAG_ORDER))))
+    # finite floats, stored as EigenvalueTriple would store them
+    return _build(TrajectoryPoint, (ts, _build(EigenvalueTriple, columns), records))

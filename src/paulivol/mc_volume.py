@@ -82,6 +82,12 @@ class FisherRaoDomainError(_UnsupportedError):
     """Raised for Fisher-Rao requests outside the channel tetrahedron."""
 
 
+def _check_seed(seed: int) -> None:
+    """The one seed range of the package: an unsigned 64-bit int."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must fit in 64 bits, got {seed}")
+
+
 @dataclass(frozen=True)
 class SamplerConfig:
     """Sampling budget and seeding for the Monte Carlo estimators."""
@@ -101,8 +107,7 @@ class SamplerConfig:
             raise ValueError(f"chunk_size must be <= {MAX_CHUNK_SIZE}, got {self.chunk_size}")
         if self.samples > MAX_SAMPLES:
             raise ValueError(f"samples must be <= {MAX_SAMPLES}, got {self.samples}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
+        _check_seed(self.seed)
 
     def chunks(self) -> Iterator[tuple[int, int]]:
         """Yield (chunk_index, chunk_length) covering the sample budget."""
@@ -136,6 +141,10 @@ class VolumeEstimate:
             raise ValueError(f"samples must be >= 0, got {self.samples}")
         if self.std_error < 0:  # nan: an undefined ratio's value and error
             raise ValueError("std_error must be >= 0")
+        for name in ("value", "std_error"):
+            if math.isinf(getattr(self, name)):
+                raise ValueError(f"{name} must be finite or nan, got {getattr(self, name)!r}")
+        _check_seed(self.seed)
 
 
 def _lambda_columns(p: np.ndarray) -> np.ndarray:
@@ -379,7 +388,9 @@ def sample_region(expr: RegionExpr, cfg: SamplerConfig) -> Iterator[EigenvalueTr
     rejection against the full expression keeps the output uniform.
     Warns once if the observed acceptance rate drops below 1e-4, and
     raises ValueError once 10**4 proposals per requested row are spent.
+    Proposals are finite floats, so each slice's triples are built by
+    ``channel._build``, with no Python frame per row.
     """
-    from .channel import EigenvalueTriple
+    from .channel import EigenvalueTriple, _build
     for rows in _accepted_chunks(expr, cfg):
-        yield from map(EigenvalueTriple, *rows.T.tolist())
+        yield from _build(EigenvalueTriple, rows.T.tolist())

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 import pickle
@@ -14,14 +15,24 @@ from paulivol import (
     ProbabilityVector,
     RateSchedule,
     RateTriple,
+    RegionExpr,
+    SamplerConfig,
     TrajectoryPoint,
     classify_trajectory,
     choi_matrix,
     choi_spectrum,
+    evolve,
+    is_cp,
+    is_cp_divisible,
+    is_ebc,
+    is_p_divisible,
+    is_positive,
+    is_tlg,
     lambda_to_p,
     p_to_lambda,
+    sample_region,
 )
-from paulivol.channel import _ATOL, _beyond_rounding, _choi_entries
+from paulivol.channel import _ATOL, _beyond_rounding, _build, _choi_entries
 
 _SIGMA = [
     np.eye(2, dtype=complex),
@@ -535,3 +546,95 @@ def test_constructors_store_what_object_setattr_stored(cls, data):
             setattr(value, name, 0.0)
         with pytest.raises(dataclasses.FrozenInstanceError):
             delattr(value, name)
+
+
+def _leaf_bits(x):
+    """A field value by its bits: floats by hex (so -0.0 is not 0.0), triples and
+    dicts entry by entry, with the type of each entry."""
+    if type(x) is float:
+        return x.hex()
+    if type(x) is EigenvalueTriple:
+        return ("triple", tuple(map(_leaf_bits, x)))
+    if type(x) is dict:
+        return [(type(k), k, type(v), v) for k, v in x.items()]
+    return (type(x), x)
+
+
+def _assert_built_as_made(built, made):
+    """A row ``_build`` made behaves as the one the class's ``__init__`` made."""
+    cls = type(made)
+    names = [f.name for f in dataclasses.fields(cls)]
+    want = [_leaf_bits(getattr(made, name)) for name in names]
+    assert type(built) is cls
+    assert built == made and not built != made
+    assert _built(hash, built) == _built(hash, made)  # a TrajectoryPoint's dict is unhashable
+    assert repr(built) == repr(made)
+    assert [_leaf_bits(getattr(built, name)) for name in names] == want
+    for twin in (pickle.loads(pickle.dumps(built)), copy.deepcopy(built)):
+        assert type(twin) is cls and twin == made
+        assert [_leaf_bits(getattr(twin, name)) for name in names] == want
+    for name in names + ["other"]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(built, name, 0.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(built, name)
+    assert not hasattr(built, "__dict__")
+
+
+_row_float = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 0.0, 1.0, -1.0, 5e-324, -5e-324, 2.0**-1030, -(2.0**-1023) * 1.5])
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.tuples(_row_float, _row_float, _row_float), max_size=12))
+@example(rows=[])
+@example(rows=[(-0.0, 5e-324, 1.0), (-1.0, -5e-324, 0.0), (1.7976931348623157e308, -0.0, -1.0)])
+def test_build_makes_the_triples_the_constructor_makes(rows):
+    array = np.array(rows, dtype=np.float64).reshape(-1, 3)
+    built = _build(EigenvalueTriple, array.T.tolist())
+    made = [EigenvalueTriple(*row) for row in array.tolist()]
+    assert len(built) == len(made) == len(rows)
+    for b, m in zip(built, made):
+        _assert_built_as_made(b, m)
+        assert all(type(x) is float for x in b)
+
+
+# exponents stay within +-240, so no step overflows
+_trajectory_rate = st.floats(-3.0, 3.0) | st.floats(-10.0, 10.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(segments=st.lists(st.tuples(st.floats(1e-3, 3.0), st.tuples(
+           _trajectory_rate, _trajectory_rate, _trajectory_rate)), min_size=1, max_size=4),
+       steps=st.integers(2, 30))
+def test_trajectory_points_are_the_points_the_constructors_make(segments, steps):
+    schedule = RateSchedule(segments)
+    total = schedule.total_duration
+    points = classify_trajectory(schedule, steps)
+    assert len(points) == steps
+    for i, point in enumerate(points):
+        t = total * i / (steps - 1) if i < steps - 1 else total
+        lam = evolve(schedule, t)
+        regions = {"PT": is_positive(lam), "CPT": is_cp(lam), "EBC": is_ebc(lam),
+                   "TLG": is_tlg(lam), "PDIV": is_p_divisible(lam), "CPDIV": is_cp_divisible(lam)}
+        _assert_built_as_made(point, TrajectoryPoint(t, lam, regions))
+        _assert_built_as_made(point.eigenvalues, lam)
+
+
+def test_rows_read_from_arrays_run_no_constructor_frame(monkeypatch):
+    # Each row of sample_region and classify_trajectory is built by channel._build,
+    # with no Python frame per row: neither __init__ may run.
+    calls = []
+    for cls in (EigenvalueTriple, TrajectoryPoint):
+        def counting(self, *args, _init=cls.__init__):
+            calls.append(type(self))
+            _init(self, *args)
+        monkeypatch.setattr(cls, "__init__", counting)
+    EigenvalueTriple(0.1, 0.2, 0.3)
+    assert calls == [EigenvalueTriple]  # the wrappers count
+    calls.clear()
+    rows = list(sample_region(RegionExpr(["CPT"]), SamplerConfig(10**4, 5)))
+    assert len(rows) == 10**4
+    schedule = RateSchedule([(1.0, (0.5, 0.25, 1.0)), (2.0, (-0.1, 0.3, 0.2))])
+    assert len(classify_trajectory(schedule, 1000)) == 1000
+    assert calls == []

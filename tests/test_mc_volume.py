@@ -153,6 +153,50 @@ def test_volume_estimate_reads_its_value_and_seed():
         VolumeEstimate(0.5, 0.1, 10, "mc-hs", 1.0)
 
 
+@pytest.mark.parametrize(
+    "value, std_error, seed, message",
+    [
+        (math.inf, 0.1, 0, "value must be finite or nan, got inf"),
+        (-math.inf, 0.1, 0, "value must be finite or nan, got -inf"),
+        (np.float64("inf"), math.nan, 0, "value must be finite or nan, got inf"),
+        (0.5, math.inf, 0, "std_error must be finite or nan, got inf"),
+        (0.5, 0.1, -5, "seed must fit in 64 bits, got -5"),
+        (0.5, 0.1, 2**64, f"seed must fit in 64 bits, got {2**64}"),
+        (0.5, 0.1, 2**70, f"seed must fit in 64 bits, got {2**70}"),
+        (0.5, 0.1, np.int64(-1), "seed must fit in 64 bits, got -1"),
+        (math.inf, 0.1, -5, "value must be finite or nan, got inf"),
+    ],
+    ids=["value inf", "value -inf", "value np inf", "error inf", "seed -5", "seed 2**64",
+         "seed 2**70", "seed np -1", "value and seed"],
+)
+def test_volume_estimate_refuses_an_infinite_value_or_error_and_a_seed_out_of_range(
+        value, std_error, seed, message):
+    with pytest.raises(ValueError) as info:
+        VolumeEstimate(value, std_error, 10, "mc-hs", seed)
+    assert str(info.value) == message
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(-2**66, 2**66) | st.sampled_from([0, 2**64 - 1, 2**64, -1]))
+def test_volume_estimate_takes_the_seeds_a_sampler_config_takes(seed):
+    try:
+        SamplerConfig(10, seed)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            VolumeEstimate(0.5, 0.1, 10, "mc-hs", seed)
+        assert str(info.value) == str(exc)
+    else:
+        assert VolumeEstimate(0.5, 0.1, 10, "mc-hs", seed).seed == seed
+
+
+def test_volume_estimate_keeps_nan_and_finite_edges():
+    # nan stays the value and error of an undefined ratio
+    est = VolumeEstimate(math.nan, math.nan, 10, "mc-hs", 2**64 - 1)
+    assert math.isnan(est.value) and math.isnan(est.std_error) and est.seed == 2**64 - 1
+    est = VolumeEstimate(-1.7976931348623157e308, 1.7976931348623157e308, 0, "mc-fr", 0)
+    assert (est.value, est.std_error) == (-1.7976931348623157e308, 1.7976931348623157e308)
+
+
 def test_sampler_config_reads_numpy_integers_as_ints():
     cfg = SamplerConfig(np.int64(10), np.uint64(2**63), np.int32(4))
     assert cfg == SamplerConfig(10, 2**63, 4)
