@@ -326,6 +326,8 @@ def cmd_evolve(args) -> dict:
         doc = json.loads(text)
     except RecursionError:
         raise ValueError("schedule JSON is nested too deeply") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"schedule file is not valid JSON: {exc}") from None
     schedule = schedule_from_json(doc)
     if args.t is not None:
         lam = evolve(schedule, args.t)

@@ -23,7 +23,7 @@ from itertools import repeat
 from typing import Iterable, Mapping
 
 from .channel import EigenvalueTriple, _build, _frozen, _slot_setters
-from .regions import _LABELS, _TAG_ORDER, RegionExpr, _check_finite, _int, _real, region_mask
+from .regions import _check_finite, _columns, _int, _real, _region_record
 
 __all__ = [
     "RateTriple",
@@ -250,15 +250,14 @@ _set_t, _set_eigenvalues, _set_regions = _slot_setters(TrajectoryPoint)
 def classify_trajectory(schedule: RateSchedule, steps: int) -> list:
     """Classify the trajectory at equally spaced times over the schedule.
 
-    Evaluates all six region predicates at ``steps`` times from 0 to
-    the schedule's total duration inclusive; the last time is that
-    duration exactly, which ``total * i / (steps - 1)`` can miss by one
-    ulp either way.
-    All steps run :func:`evolve`'s own integral at once, as one array of
-    times, and the six regions are read one ``region_mask`` at a time, so
-    every point equals ``evolve`` and the scalar predicates at its time.
-    The triples and points are built by ``channel._build``, with no
-    Python frame per step.
+    Evaluates all six region predicates at ``steps`` times from 0 to the
+    schedule's total duration inclusive; the last time is that duration
+    exactly, which ``total * i / (steps - 1)`` can miss by one ulp either
+    way.  All steps run :func:`evolve`'s own integral at once, as one array
+    of times, and the six regions are read as one ``_region_record`` of
+    masks, so every point equals ``evolve`` and the scalar predicates at
+    its time.  The triples and points are built by ``channel._build``,
+    with no Python frame per step.
     """
     steps = _int("steps", steps)
     if steps < 2:
@@ -287,7 +286,9 @@ def classify_trajectory(schedule: RateSchedule, steps: int) -> list:
     if not finite:  # evolve's own checks, step by step, raise the first failing step's error
         for t, x in zip(ts, zip(*xs)):
             _eigenvalues(t, *x)
-    records = map(dict, map(zip, repeat(_LABELS), zip(
-        *(region_mask(RegionExpr([tag]), lam).tolist() for tag in _TAG_ORDER))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        record = _region_record(_columns(lam))
+    rows = zip(*(mask.tolist() for mask in record.values()))
+    records = map(dict, map(zip, repeat(list(record)), rows))
     # finite floats, stored as EigenvalueTriple would store them
     return _build(TrajectoryPoint, (ts, _build(EigenvalueTriple, columns), records))

@@ -14,15 +14,16 @@ One stream: ``_slices`` is the one reader of the stream.  It seeds
 each chunk with ``_chunk_rng`` and draws it with ``_draw`` in
 ``_SLICE_ROWS``-row slices, which numpy fills exactly as it fills the
 whole chunk, so no reader holds a whole chunk and a thread's working
-set stays near 1 MB for any chunk size.  A counting pass counts whole
-chunks on one thread per usable CPU, at most two runs of chunks per
-thread in flight, or on the calling thread when chunks are short; the
-hits are integers summed in chunk order, so the result does not depend
-on the number of threads.  Counting evaluates each base region mask
-once per slice and counts every expression as an AND of those cached
-masks, so any number of conjunctions (all the rows of the reference
-table, say) cost one pass over the stream.  The rejection sampler reads
-the same slices on the calling thread.
+set stays near 1 MB for any chunk size.  A counting pass runs one such
+reader on the calling thread and one on each helper thread, one thread
+per usable CPU (the calling thread alone when chunks are short), and
+each reader takes the next whole chunk of one shared iterator; the hits
+are integers, so their sum does not depend on the number of threads or
+on which thread counted which chunk.  Counting evaluates each base
+region mask once per slice and counts every expression as an AND of
+those cached masks, so any number of conjunctions (all the rows of the
+reference table, say) cost one pass over the stream.  The rejection
+sampler reads the same slices on the calling thread.
 """
 
 from __future__ import annotations
@@ -57,11 +58,11 @@ MAX_CHUNK_SIZE = 2**22
 # Rows any reader draws at a time: a Fisher-Rao slice of (n, 4) normals
 # is 0.5 MB.
 _SLICE_ROWS = 2**14
-# Shortest chunk a counting pass hands to its threads.  Shorter chunks are
-# counted on the calling thread: seeding a chunk and masking a short slice
-# hold the interpreter lock, so threads only contend for it.  On 2 vCPUs two
-# threads overtook the calling thread between 2^11 and 2^12 rows for
-# Fisher-Rao proposals and near 2^13 for cube ones.
+# Shortest chunk a counting pass shares with helper threads.  Shorter chunks
+# are all taken by the calling thread: seeding a chunk and masking a short
+# slice hold the interpreter lock, so threads only contend for it.  On 2
+# vCPUs two threads already won at 2^11 rows for Fisher-Rao proposals, and
+# overtook the calling thread between 6 144 and 2^13 rows for cube ones.
 _THREADED_CHUNK_ROWS = 2**12
 # Largest sample budget a config accepts.  The estimators stream, so this
 # bounds run time (a 10**10 table takes minutes), not memory.
@@ -213,55 +214,51 @@ def _worker_count() -> int:
         return os.cpu_count() or 1
 
 
-def _run_hits(exprs, cfg: SamplerConfig, proposal: str, run) -> list:
-    """Hits of every expression in a run of ``(c, n)`` chunks, slice by slice.
-
-    Per slice each base mask a conjunct needs is evaluated once, and every
-    expression is counted as the AND of those cached masks.
-    """
-    import numpy as np
-    hits = [0] * len(exprs)
-    for lam in _slices(cfg, proposal, run):
-        columns = _columns(lam)
-        masks = {}
-        for i, expr in enumerate(exprs):
-            for tag in expr.conjuncts - masks.keys():
-                masks[tag] = _PREDICATES[tag](columns)
-            hits[i] += int(np.count_nonzero(functools.reduce(
-                operator.and_, (masks[tag] for tag in expr.conjuncts))))
-    return hits
-
-
 def _hit_counts(exprs, cfg: SamplerConfig, proposal: str = "cube") -> list:
     """Hits of every expression on one pass over the seeded stream.
 
-    Chunks shorter than ``_THREADED_CHUNK_ROWS`` are counted here, on the
-    calling thread.  Longer ones are counted on ``_worker_count()`` threads
-    in runs of at least ``_SLICE_ROWS`` rows (one chunk, unless chunks are
-    shorter), at most two runs per thread in flight, and their hits summed
-    here in chunk order.  An error in a chunk is raised here as it was
-    raised there, once the runs still queued are cancelled and the running
-    ones have ended.
+    The calling thread and ``_worker_count() - 1`` helpers (none for chunks
+    shorter than ``_THREADED_CHUNK_ROWS``) each count the next chunk of one
+    shared iterator into their own hits, summed at the end.  Each base mask
+    is evaluated once per slice, and each expression counted as the AND of
+    the cached masks.  An error in a chunk is raised here unchanged once
+    every thread has ended; no thread takes a chunk after it.
     """
-    if cfg.chunk_size < _THREADED_CHUNK_ROWS:
-        return _run_hits(exprs, cfg, proposal, cfg.chunks())
-    from concurrent.futures import ThreadPoolExecutor
-    workers = _worker_count()
+    import threading
+
+    import numpy as np
     chunks = cfg.chunks()
-    per_run = -(-_SLICE_ROWS // cfg.chunk_size)
-    hits = [0] * len(exprs)
-    in_flight = []
-    pool = ThreadPoolExecutor(workers)
-    try:
-        while run := list(itertools.islice(chunks, per_run)):
-            in_flight.append(pool.submit(_run_hits, exprs, cfg, proposal, run))
-            if len(in_flight) == 2 * workers:
-                hits = list(map(operator.add, hits, in_flight.pop(0).result()))
-        for future in in_flight:
-            hits = list(map(operator.add, hits, future.result()))
-    finally:
-        pool.shutdown(cancel_futures=True)
-    return hits
+    lock = threading.Lock()
+    counts, errors = [], []
+
+    def take():  # the next chunk, or None once the stream ends or a thread failed
+        with lock:
+            return None if errors else next(chunks, None)
+
+    def count():
+        counts.append(hits := [0] * len(exprs))
+        try:
+            for lam in _slices(cfg, proposal, iter(take, None)):
+                columns = _columns(lam)
+                masks = {}
+                for i, expr in enumerate(exprs):
+                    for tag in expr.conjuncts - masks.keys():
+                        masks[tag] = _PREDICATES[tag](columns)
+                    hits[i] += int(np.count_nonzero(functools.reduce(
+                        operator.and_, (masks[tag] for tag in expr.conjuncts))))
+        except BaseException as exc:
+            errors.append(exc)
+
+    n = _worker_count() if cfg.chunk_size >= _THREADED_CHUNK_ROWS else 1
+    threads = [threading.Thread(target=count) for _ in range(n - 1)]
+    for thread in threads:
+        thread.start()
+    count()
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+    return list(map(sum, zip(*counts)))
 
 
 def _binomial_error(f: float, n: int, scale: float = 1.0) -> float:

@@ -507,6 +507,19 @@ def test_evolve_rejects_deeply_nested_schedule_with_exit_2(tmp_path):
     assert err == "error: schedule JSON is nested too deeply\n"
 
 
+@pytest.mark.parametrize("text, message", [
+    ("", "Expecting value: line 1 column 1 (char 0)"),
+    ('[{"duration": 1.0,}]', "Expecting property name enclosed in double quotes: line 1"
+                             " column 19 (char 18)"),
+], ids=["empty", "trailing comma"])
+def test_evolve_rejects_a_schedule_that_is_not_json_with_exit_2(tmp_path, text, message):
+    path = tmp_path / "schedule.json"
+    path.write_text(text)
+    code, out, err = _main(["evolve", "--schedule", str(path), "--t", "1.0"])
+    assert (code, out) == (2, "")
+    assert err == f"error: schedule file is not valid JSON: {message}\n"
+
+
 _json_scalars = (
     st.none()
     | st.booleans()

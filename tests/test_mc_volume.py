@@ -1,4 +1,3 @@
-import concurrent.futures
 import itertools
 import math
 import sys
@@ -488,22 +487,39 @@ def test_hit_counts_of_many_slices_and_runs_do_not_depend_on_threads(
         sys.setswitchinterval(interval)
 
 
-@pytest.mark.parametrize("chunk_size, pools", [
+@pytest.mark.parametrize("chunk_size, helpers", [
     (7, 0),
     (_THREADED_CHUNK_ROWS - 1, 0),
-    (_THREADED_CHUNK_ROWS, 1),  # runs of four chunks
+    (_THREADED_CHUNK_ROWS, 1),  # workers - 1
 ])
 def test_chunks_shorter_than_the_cut_are_counted_on_the_calling_thread(
-        monkeypatch, chunk_size, pools):
+        monkeypatch, chunk_size, helpers):
     samples = 5 * _THREADED_CHUNK_ROWS + 3
     want = _reference_hits(_TABLE_EXPRS, samples, chunk_size, 13)
-    made = []
-    pool = concurrent.futures.ThreadPoolExecutor
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
-                        lambda workers: made.append(workers) or pool(workers))
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda thread: started.append(thread) or start(thread))
     monkeypatch.setattr(mc_volume, "_worker_count", lambda: 2)
     assert _hit_counts(_TABLE_EXPRS, SamplerConfig(samples, 13, chunk_size)) == want
-    assert made == [2] * pools
+    assert len(started) == helpers
+
+
+def test_threads_take_each_chunk_once_from_a_slow_iterator(monkeypatch):
+    # a generator that another thread is inside raises ValueError, so the
+    # threads must take chunks one at a time
+    chunks = SamplerConfig.chunks
+
+    def slow(cfg):
+        for chunk in chunks(cfg):
+            time.sleep(0.002)
+            yield chunk
+
+    monkeypatch.setattr(SamplerConfig, "chunks", slow)
+    monkeypatch.setattr(mc_volume, "_worker_count", lambda: 3)
+    samples = 40 * _THREADED_CHUNK_ROWS + 1
+    want = _reference_hits(_TABLE_EXPRS, samples, _THREADED_CHUNK_ROWS, 17)
+    assert _hit_counts(_TABLE_EXPRS, SamplerConfig(samples, 17, _THREADED_CHUNK_ROWS)) == want
 
 
 @settings(max_examples=40, deadline=None)
@@ -532,10 +548,18 @@ def test_slices_of_a_chunk_concatenate_to_one_draw(proposal, seed, c, slices):
     assert np.array_equal(np.concatenate(parts), whole)
 
 
+class _Interrupt(BaseException):
+    """Stands in for KeyboardInterrupt, which pytest would take as the user's."""
+
+
 @pytest.fixture
-def failing_chunk(monkeypatch):
-    """Chunk 3 raises; chunks 4 and 5 keep both threads busy; records each chunk drawn."""
-    error = ValueError("chunk 3 failed")
+def failing_chunk(monkeypatch, request):
+    """Chunk 3 raises; later chunks sleep, keeping a thread busy; records each chunk drawn.
+
+    Chunk 3 raises ``ValueError("chunk 3 failed")``, or ``request.param``
+    called with that message.
+    """
+    error = getattr(request, "param", ValueError)("chunk 3 failed")
     drawn = []
     draw = mc_volume._draw
 
@@ -553,13 +577,13 @@ def failing_chunk(monkeypatch):
     return error, drawn
 
 
+@pytest.mark.parametrize("failing_chunk", [ValueError, _Interrupt], indirect=True)
 def test_error_in_a_chunk_is_raised_unchanged_and_queued_chunks_are_cancelled(failing_chunk):
-    # chunks 3-6 are in flight when chunk 3's error arrives, and 7-49 are not
-    # submitted yet; 6, and 4 or 5 if no thread took them yet, wait behind
-    # the sleeping chunks and must be cancelled
+    # the other thread may have taken chunk 4 before chunk 3's error, and
+    # sleeps in it; no thread may take a chunk after the error
     error, drawn = failing_chunk
     threads = threading.active_count()
-    with pytest.raises(ValueError) as info:
+    with pytest.raises(type(error)) as info:
         hs_volume_mc(RegionExpr.parse("CPT"), _cfg(50 * _SLICE_ROWS, chunk_size=_SLICE_ROWS))
     assert info.value is error
     assert sorted(drawn) == list(range(len(drawn))) and 4 <= len(drawn) <= 6

@@ -8,15 +8,15 @@ rest of what it runs: ``channel`` only where a triple is built, the
 where a schedule file is read).  numpy is imported inside the functions
 that build or read an array, so ``import paulivol``, ``import
 paulivol.cli``, every command that only does exact arithmetic,
-``classify`` and ``evolve --t`` start without it.  The thread pool of the
-Monte Carlo counting passes is imported the same way, so only the steps
-that count loads concurrent.futures.  ``RegionExpr``, ``HalfSpace`` and
-``Polytope`` are frozen values on ``regions._Frozen``, not dataclasses, so
-``import paulivol.cli``, ``--version`` and the exact commands load neither
-``dataclasses`` nor the ``inspect`` it imports; the steps that build a
-triple, a sampler config or a schedule load both.  pytest's own process
-already has numpy and the package loaded, so each step runs in a fresh
-interpreter.
+``classify`` and ``evolve --t`` start without it.  The Monte Carlo
+counting passes run on plain ``threading`` threads, so no step loads
+``concurrent.futures`` or the ``logging`` it imports.  ``RegionExpr``,
+``HalfSpace`` and ``Polytope`` are frozen values on ``regions._Frozen``,
+not dataclasses, so ``import paulivol.cli``, ``--version`` and the exact
+commands load neither ``dataclasses`` nor the ``inspect`` it imports; the
+steps that build a triple, a sampler config or a schedule load both.
+pytest's own process already has numpy and the package loaded, so each
+step runs in a fresh interpreter.
 """
 
 import ast
@@ -35,9 +35,9 @@ SRC = ROOT / "src"
 # paulivol.cli", or a CLI argv split at spaces, in which FILE stands for
 # argv[2].  The script prints the step's exit code, stdout, the paulivol
 # submodules it loaded, which of the json and csv writers it loaded (it
-# imports json itself only after the step), whether numpy and
-# concurrent.futures have been imported, and whether dataclasses and inspect
-# have.
+# imports json itself only after the step), whether numpy has been
+# imported, which of concurrent.futures and logging have, and whether
+# dataclasses and inspect have.
 _SCRIPT = r"""
 import contextlib, io, sys
 
@@ -60,7 +60,7 @@ print(json.dumps({"exit": code, "stdout": out.getvalue(),
                                     if m.startswith("paulivol.")),
                   "writers": writers,
                   "numpy": "numpy" in sys.modules,
-                  "futures": "concurrent.futures" in sys.modules,
+                  "futures": [m for m in ("concurrent.futures", "logging") if m in sys.modules],
                   "dataclasses": ["dataclasses" in sys.modules, "inspect" in sys.modules]}))
 """
 
@@ -71,7 +71,7 @@ _EXACT = sorted(_CLI + ["exact_volume"])
 _DYNAMICS = sorted(_CLI + ["channel", "dynamics"])
 _SAMPLER = sorted(_CLI + ["mc_volume"])
 _TABLE = sorted(_CLI + ["exact_volume", "mc_volume"])
-# the steps that run a counting pass, on the thread pool at the default chunk size
+# the steps that run a counting pass, on helper threads at the default chunk size
 _COUNTING = {"volume --region CPT,TLG --method fr --samples 1000", "table --samples 1000"}
 # the steps that build no dataclass: the CLI itself and the exact commands,
 # whose value types are regions._Frozen
@@ -142,9 +142,10 @@ def test_each_step_loads_only_the_modules_it_runs(report):
         assert (step["exit"], step["modules"], step["writers"], step["numpy"]) == expected, name
 
 
-def test_only_a_counting_pass_loads_the_thread_pool(report):
+def test_no_step_loads_concurrent_futures_or_logging(report):
+    assert _COUNTING <= set(report)
     for name, step in report.items():
-        assert step["futures"] == (name in _COUNTING), name
+        assert step["futures"] == [], name
 
 
 def test_only_a_step_that_builds_a_dataclass_loads_dataclasses_and_inspect(report):
