@@ -4,8 +4,9 @@ Subcommands: ``classify`` a triple, ``volume`` of a region expression
 (exact, Monte Carlo, or Fisher-Rao), the full reference ``table``,
 ``mesh`` export of a polytopal region, ``sample`` from a region, and
 ``evolve`` under a rate schedule.  Each ``cmd_<name>`` computes the
-document ``--format json`` writes; one renderer per format turns that
-document into text, and ``main`` writes it.
+document ``--format json`` writes, with ``sample`` and ``evolve`` rows held
+once as computed; one renderer per format turns it into text blocks of
+``_BLOCK_ROWS`` rows, or one block, and ``main`` writes them as formatted.
 
 The module imports ``regions``, which parses every command's region and
 classifies ``classify``'s triple; each command imports the rest of what it
@@ -27,12 +28,14 @@ stdout then cannot be written, and error lines go nowhere.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import math
 import re
 import sys
 import warnings
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 from . import __version__
@@ -48,12 +51,13 @@ def _report(line: str) -> None:
         print(line, file=sys.stderr)
 
 
-def _write_stdout(text: str) -> None:
+def _write(blocks, path=None) -> None:
     # flushed here, so a full disk or a closed pipe is an OSError for the caller
-    if sys.stdout is None:  # closed before the run (>&-)
+    if path is None and sys.stdout is None:  # closed before the run (>&-)
         raise OSError("stdout is closed")
-    sys.stdout.write(text)
-    sys.stdout.flush()
+    with contextlib.nullcontext(sys.stdout) if path is None else open(path, "w") as out:
+        out.writelines(blocks)
+        out.flush()
 
 
 def _document(command: str, inputs: dict, results: dict) -> dict:
@@ -90,20 +94,27 @@ def _csv_text(header: list, rows: list) -> str:
 
 # The row writers below format each float once with repr, which is the text
 # csv.writer and json.dumps give a finite float; tests/test_cli_writers.py
-# holds them to those writers.
+# holds them to those writers.  Each yields the text of _BLOCK_ROWS rows at a time.
+_BLOCK_ROWS = 2**14
 
 
-def _spliced_json(doc: dict, key: str, row_text) -> str:
-    """``_json_text(doc)``, each row of ``doc["results"][key]`` written by ``row_text``.
+def _blocks(rows):
+    return (rows[i:i + _BLOCK_ROWS] for i in range(0, len(rows), _BLOCK_ROWS))
 
-    ``row_text`` writes one row at json's indent of 6; the rows are not
-    empty.  No other key is ``key`` and a quote in a string is escaped, so
-    the first ``"<key>": []`` of the text is the results' one.
+
+def _spliced_json(doc: dict, key: str, blocks):
+    """``_json_text(doc)`` as its head, one text per block of ``blocks``, and its tail.
+
+    ``blocks`` yields the texts of ``doc["results"][key]``'s rows at json's
+    indent of 6; there is a row.  No other key is ``key`` and a quote in a
+    string is escaped, so ``"<key>": []`` splits the text without the rows.
     """
-    results = doc["results"]
-    text = _json_text({**doc, "results": {**results, key: []}})
-    body = ",\n".join([row_text(row) for row in results[key]])
-    return text.replace(f'"{key}": []', f'"{key}": [\n{body}\n    ]', 1)
+    text = _json_text({**doc, "results": {**doc["results"], key: []}})
+    head, _, tail = text.partition(f'"{key}": []')
+    yield f'{head}"{key}": ['
+    for i, block in enumerate(blocks):
+        yield ("," if i else "") + "\n" + ",\n".join(block)
+    yield "\n    ]" + tail
 
 
 # --- classify ----------------------------------------------------------------
@@ -292,20 +303,19 @@ def cmd_sample(args) -> dict:
     expr = RegionExpr.parse(args.region)
     cfg = _sampler_config(args)
     return _document("sample", {"region": str(expr), **asdict(cfg)},
-                     {"rows": _sample_array(expr, cfg).tolist(), "method": "mc-hs"})
+                     {"rows": _sample_array(expr, cfg), "method": "mc-hs"})
 
 
-def _sample_csv(doc: dict) -> str:
-    return "l1,l2,l3\n" + "".join([f"{a!r},{b!r},{c!r}\n" for a, b, c in doc["results"]["rows"]])
+def _sample_csv(doc: dict):
+    yield "l1,l2,l3\n"
+    for block in _blocks(doc["results"]["rows"]):
+        yield "".join([f"{a!r},{b!r},{c!r}\n" for a, b, c in block.tolist()])
 
 
-def _sample_json(doc: dict) -> str:
-    return _spliced_json(doc, "rows", _triple_json)
-
-
-def _triple_json(row: list) -> str:
-    a, b, c = row
-    return f"      [\n        {a!r},\n        {b!r},\n        {c!r}\n      ]"
+def _sample_json(doc: dict):
+    blocks = ([f"      [\n        {a!r},\n        {b!r},\n        {c!r}\n      ]"
+               for a, b, c in block.tolist()] for block in _blocks(doc["results"]["rows"]))
+    return _spliced_json(doc, "rows", blocks)
 
 
 # --- evolve ------------------------------------------------------------------
@@ -336,43 +346,35 @@ def cmd_evolve(args) -> dict:
         points = classify_trajectory(schedule, args.steps)
     inputs = {"schedule": args.schedule, "t": args.t,
               "steps": None if args.t is not None else args.steps}
-    trajectory = [
-        {"t": pt.t, "eigenvalues": [pt.eigenvalues.l1, pt.eigenvalues.l2, pt.eigenvalues.l3],
-         "regions": pt.regions}
-        for pt in points
-    ]
-    return _document("evolve", inputs, {"trajectory": trajectory})
+    return _document("evolve", inputs, {"trajectory": points})
 
 
-def _trajectory_json(doc: dict) -> str:
-    return _spliced_json(doc, "trajectory", _point_json)
+def _trajectory_json(doc: dict):
+    blocks = (map(_point_json, block) for block in _blocks(doc["results"]["trajectory"]))
+    return _spliced_json(doc, "trajectory", blocks)
 
 
-def _point_json(point: dict) -> str:
-    l1, l2, l3 = point["eigenvalues"]
+def _point_json(point) -> str:
+    lam = point.eigenvalues
     flags = ",\n".join([f'          "{tag}": {_bool_text(flag)}'
-                        for tag, flag in point["regions"].items()])
-    return (f'      {{\n        "t": {point["t"]!r},\n        "eigenvalues": [\n'
-            f"          {l1!r},\n          {l2!r},\n          {l3!r}\n        ],\n"
+                        for tag, flag in point.regions.items()])
+    return (f'      {{\n        "t": {point.t!r},\n        "eigenvalues": [\n'
+            f"          {lam.l1!r},\n          {lam.l2!r},\n          {lam.l3!r}\n        ],\n"
             f'        "regions": {{\n{flags}\n        }}\n      }}')
 
 
-def _trajectory_csv(doc: dict) -> str:
-    lines = [",".join(["t", "l1", "l2", "l3", *_REGION_LABELS]) + "\n"]
-    for point in doc["results"]["trajectory"]:
-        l1, l2, l3 = point["eigenvalues"]
-        flags = ",".join([_bool_text(flag) for flag in point["regions"].values()])
-        lines.append(f"{point['t']!r},{l1!r},{l2!r},{l3!r},{flags}\n")
-    return "".join(lines)
+def _trajectory_csv(doc: dict):
+    yield ",".join(["t", "l1", "l2", "l3", *_REGION_LABELS]) + "\n"
+    for block in _blocks(doc["results"]["trajectory"]):
+        yield "".join([f"{p.t!r},{p.eigenvalues.l1!r},{p.eigenvalues.l2!r},{p.eigenvalues.l3!r},"
+                       f"{','.join(map(_bool_text, p.regions.values()))}\n" for p in block])
 
 
-def _trajectory_text(doc: dict) -> str:
-    lines = []
-    for point in doc["results"]["trajectory"]:
-        l1, l2, l3 = point["eigenvalues"]
-        tags = ",".join(tag for tag, flag in point["regions"].items() if flag)
-        lines.append(f"t={point['t']:g} lambda=({l1:.6g}, {l2:.6g}, {l3:.6g}) in [{tags}]")
-    return "\n".join(lines) + "\n"
+def _trajectory_text(doc: dict):
+    for block in _blocks(doc["results"]["trajectory"]):
+        yield "".join([f"t={p.t:g} lambda={_tuple_text(p.eigenvalues, '.6g')} in"
+                       f" [{','.join(tag for tag, flag in p.regions.items() if flag)}]\n"
+                       for p in block])
 
 
 def _evolve_target(args) -> dict:
@@ -451,7 +453,7 @@ class _Parser(argparse.ArgumentParser):
         if not message or file is not sys.stdout:
             return super()._print_message(message, file)
         try:
-            _write_stdout(message)
+            _write([message])
         except OSError as exc:
             # the text stays in stdout's buffer, and the interpreter's final
             # flush would fail on it again (exit 120): give the stream up
@@ -529,6 +531,8 @@ def main(argv=None) -> int:
                 for message in dict.fromkeys(str(w.message) for w in caught):
                     _report(f"warning: {message}")
         text = args.render[args.format](doc)
+        # a small document is one block; a row renderer's first is made before any write
+        blocks = [text] if isinstance(text, str) else chain([next(text)], text)
     except _UnsupportedError as exc:
         _report(f"error: {exc}")
         return 1
@@ -536,10 +540,7 @@ def main(argv=None) -> int:
         _report(f"error: {exc}")
         return 2
     try:
-        if args.out is not None:
-            Path(args.out).write_text(text)
-        else:
-            _write_stdout(text)
+        _write(blocks, args.out)
     except OSError as exc:
         target = "output" if args.out is None else "output file"
         _report(f"error: cannot write {target}: {exc}")

@@ -223,9 +223,9 @@ def is_semigroup_reachable(l: EigenvalueTriple) -> bool:
     return m2 + m3 >= m1 and m1 + m3 >= m2 and m1 + m2 >= m3
 
 
-# Largest ``steps`` of classify_trajectory.  The CLI holds every point and its
-# text at once and peaks at about 1.8 KB a step for json (1.0 KB for csv),
-# so near 1 GB here; the cap is checked before anything is allocated.
+# Largest ``steps`` of classify_trajectory.  The CLI holds every point once and
+# writes their text in blocks, and peaks at about 0.85 KB a step, so near
+# 430 MB here; the cap is checked before anything is allocated.
 MAX_STEPS = 5 * 10**5
 
 

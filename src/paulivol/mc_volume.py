@@ -67,8 +67,8 @@ _THREADED_CHUNK_ROWS = 2**12
 # Largest sample budget a config accepts.  The estimators stream, so this
 # bounds run time (a 10**10 table takes minutes), not memory.
 MAX_SAMPLES = 10**10
-# Largest ``sample`` request.  It holds every row and its text at once, and
-# peaks at about 0.4 KB a row for csv and 0.5 KB for json, so near 1 GB here.
+# Largest ``sample`` request.  It holds every row once, as float64, and writes
+# their text in blocks: at this cap it peaks at about 135 MB, csv or json.
 MAX_SAMPLE_ROWS = 2 * 10**6
 
 # Total Fisher-Rao volume of the channel tetrahedron; see fr_volume_mc.

@@ -5,8 +5,9 @@
 tests pin that the script and ``-m`` run the same callable, that argparse's
 own exits keep their codes and text, that stdout which cannot be written is
 an ``error:`` line with exit 2 (``--help`` and ``--version`` included), that
-a stream closed before the run keeps the exit codes, and that a run with the
-collector off leaves no more garbage at a large size than at a small one.
+a stream closed before the run keeps the exit codes, that a run with the
+collector off leaves no more garbage at a large size than at a small one,
+and that a SIGINT ends a run by the signal, with no traceback.
 """
 
 import ast
@@ -15,8 +16,10 @@ import gc
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -238,3 +241,41 @@ def test_a_run_with_the_collector_off_leaves_no_garbage_that_grows(command, tmp_
         found.append(json.loads(proc.stdout))
     assert [f["exit"] for f in found] == [0, 0]
     assert found[1]["garbage"] <= found[0]["garbage"] + _SLACK, found
+
+
+# --- an interrupt ---------------------------------------------------------------
+
+# Writes a ready line to stderr, then runs paulivol.__main__.run() on argv[1:];
+# a signal sent after the line lands inside run, not in the interpreter's start-up.
+_READY = ("import sys, paulivol.__main__ as entry;"
+          " print('ready', file=sys.stderr, flush=True); entry.run()")
+_INTERRUPTED = {
+    "table": ["table", "--samples", "1000000000"],
+    "sample": ["sample", "--region", "CPT", "-n", "2000000", "--format", "json"],
+    "evolve": ["evolve", "--schedule", "FILE", "--steps", "500000", "--format", "json"],
+}
+# from the CLI's import, through numpy's, to the counting or sampling pass and the writing
+_DELAYS = [0.0, 0.05, 0.2, 1.0]
+
+
+@pytest.mark.skipif(os.name != "posix", reason="needs POSIX signals")
+@pytest.mark.parametrize("command", list(_INTERRUPTED))
+def test_a_sigint_inside_run_ends_the_process_by_the_signal_without_a_traceback(command,
+                                                                               tmp_path):
+    schedule = tmp_path / "schedule.json"
+    schedule.write_text(json.dumps([{"duration": 3.0, "rates": [0.2, 0.1, 0.3]}]))
+    argv = [str(schedule) if a == "FILE" else a for a in _INTERRUPTED[command]]
+    for delay in _DELAYS:
+        proc = subprocess.Popen([sys.executable, "-c", _READY, *argv], env=_env(),
+                                stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+        try:
+            assert proc.stderr.readline() == "ready\n"
+            time.sleep(delay)
+            proc.send_signal(signal.SIGINT)
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stderr.close()
+        assert (code, err) == (-signal.SIGINT, ""), (delay, err)
