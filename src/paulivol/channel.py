@@ -4,14 +4,14 @@ A Pauli map acts as rho -> sum_a p_a sigma_a rho sigma_a.  It is diagonal
 in the Pauli basis, Lambda[sigma_a] = lambda_a sigma_a with lambda_0 = 1,
 so the triple (lambda_1, lambda_2, lambda_3) fixes the map completely.
 This module converts between the two coordinate systems and builds the
-Choi-Jamiolkowski state of a map and its spectrum.
+Choi-Jamiolkowski state of a map and its spectrum.  Its value types are
+frozen, slotted values on ``regions._Frozen``.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, fields
 from itertools import repeat
 
 from .regions import _Frozen, _check_finite
@@ -41,29 +41,13 @@ def _beyond_rounding(total: float, *terms: float) -> bool:
     return abs(total - 1.0) > sum(2.0**-49 * abs(x) for x in terms)
 
 
-def _frozen(cls):
-    """Make assigning or deleting any attribute of ``cls`` raise FrozenInstanceError.
-
-    ``dataclass(frozen=True, slots=True)`` in Python 3.11 generates methods
-    that still name the class from before the slots rebuild, so for a name
-    that is not a field they raise TypeError from ``super()`` instead.
-    ``regions._Frozen``'s two methods refuse every write, for any class.
-    """
-    cls.__setattr__ = _Frozen.__setattr__
-    cls.__delattr__ = _Frozen.__delattr__
-    return cls
-
-
 def _slot_setters(cls) -> tuple:
     """The ``__set__`` of each field's slot descriptor on ``cls``, in field order.
 
     A frozen class stores its fields through these, which skips the name
-    lookup ``object.__setattr__`` makes on every call.  Take them from the
-    class the decorators return: ``dataclass(slots=True)`` builds a new
-    class, and a descriptor of the one before raises TypeError on its
-    instances.
+    lookup ``object.__setattr__`` makes on every call.
     """
-    return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
+    return tuple(getattr(cls, name).__set__ for name in cls._fields)
 
 
 def _build(cls, columns) -> list:
@@ -81,9 +65,7 @@ def _build(cls, columns) -> list:
     return rows
 
 
-@_frozen
-@dataclass(frozen=True, slots=True)
-class EigenvalueTriple:
+class EigenvalueTriple(_Frozen):
     """Eigenvalues (lambda_1, lambda_2, lambda_3) of a Pauli map.
 
     lambda_0 = 1 is implied by trace preservation and never stored.  No
@@ -91,9 +73,7 @@ class EigenvalueTriple:
     representable and classify as "not positive".
     """
 
-    l1: float
-    l2: float
-    l3: float
+    __slots__ = _fields = ("l1", "l2", "l3")
 
     def __init__(self, l1, l2, l3):
         # a float sum is finite only if every term is (an overflow takes the long way);
@@ -106,17 +86,13 @@ class EigenvalueTriple:
         _set_l3(self, l3)
 
     def __iter__(self):
-        yield self.l1
-        yield self.l2
-        yield self.l3
+        return iter(self._values(self))
 
 
 _set_l1, _set_l2, _set_l3 = _slot_setters(EigenvalueTriple)
 
 
-@_frozen
-@dataclass(frozen=True, slots=True)
-class ProbabilityVector:
+class ProbabilityVector(_Frozen):
     """Pauli weights (p_0, p_1, p_2, p_3) of a map.
 
     The entries sum to 1 (trace preservation) but may be negative: maps
@@ -124,10 +100,7 @@ class ProbabilityVector:
     quasi-probabilities.
     """
 
-    p0: float
-    p1: float
-    p2: float
-    p3: float
+    __slots__ = _fields = ("p0", "p1", "p2", "p3")
 
     def __init__(self, p0, p1, p2, p3):
         # only exact, finite floats skip the named check, as in EigenvalueTriple
@@ -144,18 +117,13 @@ class ProbabilityVector:
             raise ValueError(f"weights must sum to 1 within {_ATOL}, got sum {total!r}")
 
     def __iter__(self):
-        yield self.p0
-        yield self.p1
-        yield self.p2
-        yield self.p3
+        return iter(self._values(self))
 
 
 _set_p0, _set_p1, _set_p2, _set_p3 = _slot_setters(ProbabilityVector)
 
 
-@_frozen
-@dataclass(frozen=True, eq=False, slots=True)
-class ChoiMatrix:
+class ChoiMatrix(_Frozen):
     """4x4 Choi-Jamiolkowski state (1/2) sum_ij |i><j| (x) Lambda[|i><j|].
 
     Built from the eigenvalue triple of a Pauli map: the diagonal holds
@@ -165,7 +133,8 @@ class ChoiMatrix:
     the spectrum in closed form.
     """
 
-    blocks: tuple
+    __slots__ = _fields = ("blocks",)
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(self, l: EigenvalueTriple):
         _set_blocks(self, _choi_entries(l))

@@ -11,8 +11,8 @@ once as computed; one renderer per format turns it into text blocks of
 The module imports ``regions``, which parses every command's region and
 classifies ``classify``'s triple; each command imports the rest of what it
 runs when it runs, down to ``channel``, the ``json`` and ``csv`` writers
-and ``dataclasses.asdict``, so ``--version`` and the exact commands start
-without ``dataclasses`` and the ``inspect`` it imports.  ``main`` is the
+and ``dataclasses.asdict``, so only the Monte Carlo commands load
+``dataclasses`` and the ``inspect`` it imports.  ``main`` is the
 one CLI implementation; ``paulivol.__main__.run`` is the process entry
 that calls it and ends the process without interpreter teardown.  Every
 stream a run writes is flushed or closed before ``main`` returns.

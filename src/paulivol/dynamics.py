@@ -18,12 +18,11 @@ exactly so that targets with some Gamma_a < 0 stay reachable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterable, Mapping
 
-from .channel import EigenvalueTriple, _build, _frozen, _slot_setters
-from .regions import _check_finite, _columns, _int, _real, _region_record
+from .channel import EigenvalueTriple, _build, _slot_setters
+from .regions import _Frozen, _check_finite, _columns, _int, _real, _region_record
 
 __all__ = [
     "RateTriple",
@@ -38,30 +37,24 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RateTriple:
+class RateTriple(_Frozen):
     """Generator rates (g1, g2, g3); negative values are allowed."""
 
-    g1: float
-    g2: float
-    g3: float
+    _fields = ("g1", "g2", "g3")
 
-    def __post_init__(self):
-        _check_finite("rate", ("g1", "g2", "g3"), (self.g1, self.g2, self.g3))
-        for name in ("g1", "g2", "g3"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+    def __init__(self, g1, g2, g3):
+        _check_finite("rate", self._fields, (g1, g2, g3))
+        for name, g in zip(self._fields, (g1, g2, g3)):
+            object.__setattr__(self, name, float(g))
 
     def __iter__(self):
-        yield self.g1
-        yield self.g2
-        yield self.g3
+        return iter(self._values(self))
 
 
-@dataclass(frozen=True)
-class RateSchedule:
+class RateSchedule(_Frozen):
     """Ordered piecewise-constant rate segments (duration, rates)."""
 
-    segments: tuple
+    _fields = ("segments",)
 
     def __init__(self, segments: Iterable[tuple]):
         parsed = []
@@ -229,14 +222,10 @@ def is_semigroup_reachable(l: EigenvalueTriple) -> bool:
 MAX_STEPS = 5 * 10**5
 
 
-@_frozen
-@dataclass(frozen=True, slots=True)
-class TrajectoryPoint:
+class TrajectoryPoint(_Frozen):
     """One classified step of an eigenvalue trajectory."""
 
-    t: float
-    eigenvalues: EigenvalueTriple
-    regions: dict
+    __slots__ = _fields = ("t", "eigenvalues", "regions")
 
     def __init__(self, t, eigenvalues, regions):
         _set_t(self, t)

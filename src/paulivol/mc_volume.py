@@ -68,7 +68,7 @@ _THREADED_CHUNK_ROWS = 2**12
 # bounds run time (a 10**10 table takes minutes), not memory.
 MAX_SAMPLES = 10**10
 # Largest ``sample`` request.  It holds every row once, as float64, and writes
-# their text in blocks: at this cap it peaks at about 135 MB, csv or json.
+# their text in blocks: at this cap it peaks at about 86 MB (csv) or 93 MB (json).
 MAX_SAMPLE_ROWS = 2 * 10**6
 
 # Total Fisher-Rao volume of the channel tetrahedron; see fr_volume_mc.
@@ -373,7 +373,12 @@ def _sample_array(expr: RegionExpr, cfg: SamplerConfig) -> np.ndarray:
         raise ValueError(f"sample holds every row: samples must be <= {MAX_SAMPLE_ROWS},"
                          f" got {cfg.samples}")
     import numpy as np
-    return np.concatenate(list(_accepted_chunks(expr, cfg)))
+    out = np.empty((cfg.samples, 3))
+    start = 0
+    for rows in _accepted_chunks(expr, cfg):
+        out[start:start + len(rows)] = rows
+        start += len(rows)
+    return out
 
 
 def sample_region(expr: RegionExpr, cfg: SamplerConfig) -> Iterator[EigenvalueTriple]:

@@ -23,10 +23,10 @@ The regions nest as closed sets, EBC in CPT in PT and TLG in PDIV; the
 private ``_IMPLIED`` table records these inclusions, so that
 ``_irredundant`` can drop the conjuncts another conjunct already implies
 before exact volumes are enumerated.
-:class:`RegionExpr`, :class:`HalfSpace` and ``exact_volume.Polytope`` are
-frozen values on the private ``_Frozen`` base: the eq, hash, repr and
-write refusal of ``@dataclass(frozen=True)`` without importing
-``dataclasses``, so the exact commands start without it.
+:class:`RegionExpr`, :class:`HalfSpace`, ``exact_volume.Polytope`` and the
+values of ``channel`` and ``dynamics`` are frozen values on ``_Frozen``:
+the eq, hash, repr and write refusal of a frozen dataclass, so that no
+module but ``mc_volume`` loads ``dataclasses`` when it is imported.
 """
 
 from __future__ import annotations
@@ -92,8 +92,10 @@ class _Frozen:
     ...)``.  Assigning or deleting any attribute raises
     ``dataclasses.FrozenInstanceError``, imported only then, so building a
     value loads no ``dataclasses``.  Constructors store fields with
-    ``object.__setattr__``.
+    ``object.__setattr__``, or through the slot descriptors of a slotted subclass.
     """
+
+    __slots__ = ()
 
     def __init_subclass__(cls):
         # ``_values(value)`` is the field tuple, read in one C call; an
@@ -120,6 +122,19 @@ class _Frozen:
     def __delattr__(self, name):
         from dataclasses import FrozenInstanceError
         raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # pickle and copy would restore a slot through the refusing __setattr__
+        names = self.__slots__ or vars(self)
+        return _thaw, (self.__class__, {name: getattr(self, name) for name in names})
+
+
+def _thaw(cls, attributes: dict):
+    """The ``_Frozen`` value of ``cls`` that holds ``attributes``; pickle and copy call it."""
+    value = object.__new__(cls)
+    for name, x in attributes.items():
+        object.__setattr__(value, name, x)
+    return value
 
 
 class RegionExpr(_Frozen):

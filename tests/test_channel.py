@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import functools
 import math
 import pickle
 import weakref
@@ -256,7 +257,7 @@ def test_value_objects_reject_non_numbers_with_type_error(make, message):
 )
 def test_value_objects_are_frozen_dataclasses_of_floats(cls, args, text):
     value = cls(*args)
-    names = [f.name for f in dataclasses.fields(cls)]
+    names = list(cls._fields)
     assert not hasattr(value, "__dict__")
     with pytest.raises(TypeError):
         weakref.ref(value)
@@ -265,12 +266,12 @@ def test_value_objects_are_frozen_dataclasses_of_floats(cls, args, text):
     twin = cls(**{name: float(x) for name, x in zip(names, args)})
     assert value == twin and hash(value) == hash(twin)
     assert value != tuple(value)
-    assert dataclasses.astuple(value) == tuple(float(x) for x in args)
+    assert tuple(value) == tuple(float(x) for x in args)
     assert pickle.loads(pickle.dumps(value)) == value
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(value, names[0], 0.0)
     fields = tuple(value)
-    swapped = dataclasses.replace(value, **{names[1]: fields[2], names[2]: fields[1]})
+    swapped = cls(**{**dict(zip(names, fields)), names[1]: fields[2], names[2]: fields[1]})
     assert tuple(swapped) == (fields[0], fields[2], fields[1], *fields[3:])
 
 
@@ -302,7 +303,7 @@ def _slotted_values():
 @pytest.mark.parametrize("value", _slotted_values(), ids=lambda v: type(v).__name__)
 def test_slotted_values_refuse_every_write_with_frozen_instance_error(value):
     # names that are no field (and the ``entries`` property) included
-    names = [f.name for f in dataclasses.fields(value)] + ["foo", "entries", "__dict__"]
+    names = list(value._fields) + ["foo", "entries", "__dict__"]
     for name in names:
         with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot assign to field '{name}'"):
             setattr(value, name, 0)
@@ -310,8 +311,9 @@ def test_slotted_values_refuse_every_write_with_frozen_instance_error(value):
             delattr(value, name)
     assert type(value).__slots__
     assert not hasattr(value, "__dict__")
-    twin = pickle.loads(pickle.dumps(value))
-    assert dataclasses.astuple(twin) == dataclasses.astuple(value)
+    for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+        assert [getattr(twin, name) for name in twin._fields] == [
+            getattr(value, name) for name in value._fields]
 
 
 def _formula_entries(l1, l2, l3):
@@ -497,7 +499,7 @@ def _behaviour(value):
     cls = type(value)
     twin = pickle.loads(pickle.dumps(value))
     return {
-        "fields": [_bits(getattr(value, f.name)) for f in dataclasses.fields(cls)],
+        "fields": [_bits(getattr(value, name)) for name in cls._fields],
         "repr": repr(value),
         "hash": None if cls.__hash__ is object.__hash__ else _built(hash, value),
         "twin": (type(twin), repr(twin), twin == value, twin != value),
@@ -541,7 +543,7 @@ def test_constructors_store_what_object_setattr_stored(cls, data):
     assert (value == reference) is (cls.__eq__ is not object.__eq__)
     if cls in (EigenvalueTriple, ProbabilityVector):
         assert all(type(x) is float for x in value)
-    for name in [f.name for f in dataclasses.fields(cls)] + ["other"]:
+    for name in list(cls._fields) + ["other"]:
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(value, name, 0.0)
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -563,7 +565,7 @@ def _leaf_bits(x):
 def _assert_built_as_made(built, made):
     """A row ``_build`` made behaves as the one the class's ``__init__`` made."""
     cls = type(made)
-    names = [f.name for f in dataclasses.fields(cls)]
+    names = list(cls._fields)
     want = [_leaf_bits(getattr(made, name)) for name in names]
     assert type(built) is cls
     assert built == made and not built != made
@@ -638,3 +640,155 @@ def test_rows_read_from_arrays_run_no_constructor_frame(monkeypatch):
     schedule = RateSchedule([(1.0, (0.5, 0.25, 1.0)), (2.0, (-0.1, 0.3, 0.2))])
     assert len(classify_trajectory(schedule, 1000)) == 1000
     assert calls == []
+
+
+# The six channel and dynamics value types as they were: frozen dataclasses
+# with the same fields, the four per-row ones slotted, with every write refused
+# as channel._frozen refused it.  The holder's name is the one difference in
+# their repr text.
+def _refuse_writes(cls):
+    def refuse(verb):
+        def method(self, name, *value):
+            raise dataclasses.FrozenInstanceError(f"cannot {verb} field {name!r}")
+        return method
+    cls.__setattr__, cls.__delattr__ = refuse("assign to"), refuse("delete")
+    return cls
+
+
+class _Dataclass:
+    @_refuse_writes
+    @dataclasses.dataclass(frozen=True, slots=True)
+    class EigenvalueTriple:
+        l1: float
+        l2: float
+        l3: float
+
+    @_refuse_writes
+    @dataclasses.dataclass(frozen=True, slots=True)
+    class ProbabilityVector:
+        p0: float
+        p1: float
+        p2: float
+        p3: float
+
+    @_refuse_writes
+    @dataclasses.dataclass(frozen=True, eq=False, slots=True)
+    class ChoiMatrix:
+        blocks: tuple
+
+    @_refuse_writes
+    @dataclasses.dataclass(frozen=True, slots=True)
+    class TrajectoryPoint:
+        t: float
+        eigenvalues: EigenvalueTriple
+        regions: dict
+
+    @dataclasses.dataclass(frozen=True)
+    class RateTriple:
+        g1: float
+        g2: float
+        g3: float
+
+    @dataclasses.dataclass(frozen=True)
+    class RateSchedule:
+        segments: tuple
+
+
+_SLOTTED = (EigenvalueTriple, ProbabilityVector, ChoiMatrix, TrajectoryPoint)
+
+
+def _as_dataclass(x, made):
+    """The reference copy of ``x``: the same attributes, a value of a moved type
+    among them (in a tuple too) copied as well; ``made`` keeps one copy per
+    object, so shared values stay shared.
+    """
+    if type(x) is tuple:
+        return tuple(_as_dataclass(y, made) for y in x)
+    if getattr(_Dataclass, type(x).__name__, None) is None:
+        return x
+    if id(x) not in made:
+        ref = object.__new__(getattr(_Dataclass, type(x).__name__))
+        for name in x.__slots__ or vars(x):
+            object.__setattr__(ref, name, _as_dataclass(getattr(x, name), made))
+        made[id(x)] = ref
+    return made[id(x)]
+
+
+def _leaves(x):
+    """Every field of ``x``, nested values included, floats by their bits."""
+    if type(x) is float:
+        return x.hex()
+    if type(x) is tuple:
+        return [_leaves(y) for y in x]
+    if type(x) is dict:
+        return [(k, _leaves(v)) for k, v in x.items()]
+    if dataclasses.is_dataclass(x):
+        return [_leaves(getattr(x, f.name)) for f in dataclasses.fields(x)]
+    if hasattr(x, "_fields"):
+        return [_leaves(getattr(x, name)) for name in x._fields]
+    return (type(x).__name__, x)
+
+
+def _text(value):
+    return repr(value).replace("_Dataclass.", "")
+
+
+def _round_trip(value, twin):
+    return (type(twin) is type(value), twin is value, twin == value,
+            twin != value, _built(lambda: hash(twin) == hash(value))[0], _text(twin),
+            _leaves(twin) == _leaves(value), sorted(getattr(twin, "__dict__", ())))
+
+
+def _value_behaviour(values):
+    """What eq, hash, repr, pickle, deepcopy, writes and slots make of ``values``."""
+    others = [None, 0, 0.5, (), (0.5, 0.25, 0.0), {}]
+    names = ["l1", "p0", "blocks", "t", "g1", "segments", "total_duration", "entries",
+             "other", "__dict__"]
+    return {
+        "repr": [_text(v) for v in values],
+        "hash": [_built(hash, v) if type(v).__hash__ is not object.__hash__ else "identity"
+                 for v in values],
+        "same hash": [_built(lambda: hash(v) == hash(w))[0] for v in values for w in values],
+        "eq": [(v == w, v != w, v.__eq__(w) is NotImplemented)
+               for v in values for w in values + others],
+        "reflected": [(w == v, w != v) for v in values for w in others],
+        "pickle": [_round_trip(v, pickle.loads(pickle.dumps(v))) for v in values],
+        "deepcopy": [_round_trip(v, copy.deepcopy(v)) for v in values],
+        "writes": [(_built(setattr, v, name, 0)[1], _built(delattr, v, name)[1])
+                   for v in values for name in names],
+        "slots": [(hasattr(v, "__dict__"), _built(weakref.ref, v)[1]) for v in values],
+    }
+
+
+_rate = st.floats(-3.0, 3.0)
+_segments = st.lists(st.tuples(st.floats(1e-3, 3.0), st.tuples(_rate, _rate, _rate)),
+                     min_size=1, max_size=3)
+_eigenvalues = st.tuples(_row_float, _row_float, _row_float)
+_unit = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+# Builders of values; each is built twice, so that equal values are distinct objects.
+_builders = st.one_of(
+    _eigenvalues.map(lambda row: functools.partial(EigenvalueTriple, *row)),
+    _unit.map(lambda row: lambda: lambda_to_p(EigenvalueTriple(*row))),
+    _unit.map(lambda row: lambda: choi_matrix(EigenvalueTriple(*row))),
+    st.tuples(_segments, st.integers(2, 4)).map(
+        lambda args: lambda: classify_trajectory(RateSchedule(args[0]), args[1])[-1]),
+    st.tuples(_rate, _rate, _rate).map(lambda row: functools.partial(RateTriple, *row)),
+    _segments.map(lambda segments: functools.partial(RateSchedule, segments)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(builders=st.lists(_builders, min_size=1, max_size=4))
+def test_value_types_behave_as_the_frozen_dataclasses_they_replace(builders):
+    values = [build() for build in builders] + [build() for build in builders]
+    made = {}
+    references = [_as_dataclass(v, made) for v in values]
+    assert [type(r).__name__ for r in references] == [type(v).__name__ for v in values]
+    assert _value_behaviour(values) == _value_behaviour(references)
+    writes = _value_behaviour(values)["writes"]
+    assert all(outcome[0] is dataclasses.FrozenInstanceError for pair in writes for outcome in pair)
+    for value in values:
+        assert hasattr(value, "__dict__") is (type(value) not in _SLOTTED)
+        for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+            assert type(twin) is type(value) and _leaves(twin) == _leaves(value)
+            assert (twin == value) is (type(value) is not ChoiMatrix)
