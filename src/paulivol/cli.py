@@ -10,9 +10,11 @@ once as computed; one renderer per format turns it into text blocks of
 
 The module imports ``regions``, which parses every command's region and
 classifies ``classify``'s triple; each command imports the rest of what it
-runs when it runs, down to ``channel``, the ``json`` and ``csv`` writers
-and ``dataclasses.asdict``, so only the Monte Carlo commands load
-``dataclasses`` and the ``inspect`` it imports.  ``main`` is the
+runs when it runs, down to ``channel`` and the ``json`` and ``csv`` writers.
+A sampler config enters a document's ``inputs`` as its own fields in order,
+``vars(cfg)``, so only ``mc_volume``'s import, which only the Monte Carlo
+commands make, loads ``dataclasses`` (for its config and estimate) and the
+``inspect`` it imports.  ``main`` is the
 one CLI implementation; ``paulivol.__main__.run`` is the process entry
 that calls it and ends the process without interpreter teardown.  Every
 stream a run writes is flushed or closed before ``main`` returns.
@@ -169,10 +171,9 @@ def cmd_volume(args) -> dict:
     estimator = hs_volume_mc if args.method == "mc" else fr_volume_mc
     cfg = _sampler_config(args)
     est = estimator(expr, cfg)
-    inputs.update(samples=cfg.samples, seed=cfg.seed, chunk_size=cfg.chunk_size)
-    return _document("volume", inputs, {"method": est.method, "value": est.value,
-                                        "std_error": est.std_error, "samples": est.samples,
-                                        "seed": est.seed})
+    return _document("volume", {**inputs, **vars(cfg)},
+                     {"method": est.method, "value": est.value, "std_error": est.std_error,
+                      "samples": est.samples, "seed": est.seed})
 
 
 def _volume_csv(doc: dict) -> str:
@@ -248,9 +249,8 @@ def build_table(cfg: SamplerConfig) -> list:
 
 
 def cmd_table(args) -> dict:
-    from dataclasses import asdict
     cfg = _sampler_config(args)
-    return _document("table", asdict(cfg), {"rows": build_table(cfg), "mc_method": "mc-hs"})
+    return _document("table", {**vars(cfg)}, {"rows": build_table(cfg), "mc_method": "mc-hs"})
 
 
 def _table_json(doc: dict) -> str:
@@ -297,12 +297,10 @@ def cmd_mesh(args) -> dict:
 
 
 def cmd_sample(args) -> dict:
-    from dataclasses import asdict
-
     from .mc_volume import _sample_array
     expr = RegionExpr.parse(args.region)
     cfg = _sampler_config(args)
-    return _document("sample", {"region": str(expr), **asdict(cfg)},
+    return _document("sample", {"region": str(expr), **vars(cfg)},
                      {"rows": _sample_array(expr, cfg), "method": "mc-hs"})
 
 

@@ -1,11 +1,8 @@
-import copy
-import dataclasses
 import functools
 import hashlib
 import itertools
 import json
 import math
-import pickle
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,7 +13,6 @@ from hypothesis import strategies as st
 from paulivol import (
     HalfSpace,
     NonPolytopalRegionError,
-    Polytope,
     RegionExpr,
     RegionId,
     UnboundedPolytopeError,
@@ -774,109 +770,3 @@ def test_cycles_start_at_their_smallest_vertex_and_turn_counterclockwise(system)
         for i, j in zip(rest, rest[1:]):
             edges = _minus(poly.vertices[i], p0), _minus(poly.vertices[j], p0)
             assert _ref_dot(normal, _ref_cross(*edges)) > 0
-
-
-# RegionExpr, HalfSpace and Polytope as they were: frozen dataclasses with the
-# same fields.  The holder's name is the one difference in their repr text.
-class _Dataclass:
-    @dataclasses.dataclass(frozen=True)
-    class RegionExpr:
-        conjuncts: frozenset
-
-    @dataclasses.dataclass(frozen=True)
-    class HalfSpace:
-        a1: Fraction
-        a2: Fraction
-        a3: Fraction
-        b: Fraction
-
-    @dataclasses.dataclass(frozen=True)
-    class Polytope:
-        halfspaces: tuple
-        vertices: tuple
-        facets: tuple
-
-
-def _as_dataclass(value, made):
-    """The reference copy of ``value``: the same attributes, the halfspaces of
-    a polytope copied too; ``made`` keeps one copy per object, so shared
-    half-spaces stay shared.
-    """
-    if id(value) not in made:
-        ref = object.__new__(getattr(_Dataclass, type(value).__name__))
-        for name, x in vars(value).items():
-            if name == "halfspaces":
-                x = tuple(_as_dataclass(hs, made) for hs in x)
-            object.__setattr__(ref, name, x)
-        made[id(value)] = ref
-    return made[id(value)]
-
-
-def _outcome_of(action, *args):
-    try:
-        action(*args)
-    except Exception as exc:
-        return type(exc), str(exc)
-    return None
-
-
-def _text(value):
-    return repr(value).replace("_Dataclass.", "")
-
-
-def _round_trip(value, twin):
-    return (type(twin) is type(value), twin is value, twin == value, twin != value,
-            hash(twin) == hash(value), _text(twin), sorted(vars(twin)))
-
-
-def _value_behaviour(values):
-    """What eq, hash, repr, pickle, deepcopy, writes and a cache make of ``values``."""
-    others = [None, 0, "CPT", (), frozenset(), Fraction(1)]
-    cached = functools.cache(lambda v: v)
-    position = {id(v): i for i, v in enumerate(values)}
-    names = ["conjuncts", "a1", "b", "halfspaces", "facets", "_row", "other", "__dict__"]
-    return {
-        "repr": [_text(v) for v in values],
-        "hash": [hash(v) for v in values],
-        "eq": [(v == w, v != w, v.__eq__(w) is NotImplemented)
-               for v in values for w in values + others],
-        "reflected": [(w == v, w != v) for v in values for w in others],
-        "pickle": [_round_trip(v, pickle.loads(pickle.dumps(v))) for v in values],
-        "deepcopy": [_round_trip(v, copy.deepcopy(v)) for v in values],
-        "writes": [(_outcome_of(setattr, v, name, 0), _outcome_of(delattr, v, name))
-                   for v in values for name in names],
-        "cache": ([position[id(cached(v))] for v in values], cached.cache_info()),
-    }
-
-
-_BOUNDED_TAGS = [tags for r in range(1, 6)
-                 for tags in itertools.combinations(["PT", "CPT", "EBC", "TLG", "PDIV"], r)
-                 if {"PT", "CPT", "EBC"} & set(tags)]
-
-
-@st.composite
-def _region_pieces(draw):
-    """One convex piece of a bounded region conjunction."""
-    return draw(st.sampled_from(halfspace_description(RegionExpr(draw(st.sampled_from(
-        _BOUNDED_TAGS))))))
-
-
-# Builders of values; each is built twice, so that equal values are distinct objects.
-_builders = st.one_of(
-    st.sets(st.sampled_from(list(RegionId)), min_size=1).map(
-        lambda tags: functools.partial(RegionExpr, tags)),
-    _extra.map(lambda row: functools.partial(HalfSpace, *row)),
-    (_region_pieces() | _cube_cuts()).map(lambda system: functools.partial(build_polytope, system)),
-)
-
-
-@settings(max_examples=100, deadline=None)
-@given(builders=st.lists(_builders, min_size=1, max_size=4))
-def test_value_types_behave_as_the_frozen_dataclasses_they_replace(builders):
-    values = [build() for build in builders] + [build() for build in builders]
-    assert {type(v) for v in values} <= {RegionExpr, HalfSpace, Polytope}
-    made = {}
-    references = [_as_dataclass(v, made) for v in values]
-    assert _value_behaviour(values) == _value_behaviour(references)
-    frozen = _value_behaviour(values)["writes"]
-    assert all(outcome[0] is dataclasses.FrozenInstanceError for pair in frozen for outcome in pair)
