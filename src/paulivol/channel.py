@@ -41,26 +41,17 @@ def _beyond_rounding(total: float, *terms: float) -> bool:
     return abs(total - 1.0) > sum(2.0**-49 * abs(x) for x in terms)
 
 
-def _slot_setters(cls) -> tuple:
-    """The ``__set__`` of each field's slot descriptor on ``cls``, in field order.
-
-    A frozen class stores its fields through these, which skips the name
-    lookup ``object.__setattr__`` makes on every call.
-    """
-    return tuple(getattr(cls, name).__set__ for name in cls._fields)
-
-
 def _build(cls, columns) -> list:
     """Rows of ``cls`` from one sequence per field, with no Python frame per row.
 
     Each row is allocated by ``object.__new__`` and each column stored
-    through its field's slot setter, so no ``__init__`` runs and nothing
-    is checked or converted: use it only on columns the ``__init__`` would
-    store as they are, such as finite Python floats of an EigenvalueTriple
-    read from a float64 array the caller has checked.
+    through its field's slot setter in ``cls._setters``, so no ``__init__``
+    runs and nothing is checked or converted: use it only on columns the
+    ``__init__`` would store as they are, such as finite Python floats of an
+    EigenvalueTriple read from a float64 array the caller has checked.
     """
     rows = list(map(object.__new__, repeat(cls, len(columns[0]))))
-    for setter, column in zip(_slot_setters(cls), columns):
+    for setter, column in zip(cls._setters, columns):
         deque(map(setter, rows, column), 0)
     return rows
 
@@ -89,7 +80,7 @@ class EigenvalueTriple(_Frozen):
         return iter(self._values(self))
 
 
-_set_l1, _set_l2, _set_l3 = _slot_setters(EigenvalueTriple)
+_set_l1, _set_l2, _set_l3 = EigenvalueTriple._setters
 
 
 class ProbabilityVector(_Frozen):
@@ -120,7 +111,7 @@ class ProbabilityVector(_Frozen):
         return iter(self._values(self))
 
 
-_set_p0, _set_p1, _set_p2, _set_p3 = _slot_setters(ProbabilityVector)
+_set_p0, _set_p1, _set_p2, _set_p3 = ProbabilityVector._setters
 
 
 class ChoiMatrix(_Frozen):
@@ -159,7 +150,7 @@ class ChoiMatrix(_Frozen):
         return np.array(_block_spectrum(*self.blocks))
 
 
-(_set_blocks,) = _slot_setters(ChoiMatrix)
+(_set_blocks,) = ChoiMatrix._setters
 
 
 def p_to_lambda(p: ProbabilityVector) -> EigenvalueTriple:

@@ -41,8 +41,7 @@ from itertools import chain
 from pathlib import Path
 
 from . import __version__
-from .regions import _LABELS as _REGION_LABELS
-from .regions import RegionExpr, _UnsupportedError, _region_record
+from .regions import _PREDICATES, RegionExpr, _UnsupportedError, _region_record
 
 __all__ = ["main", "build_parser"]
 
@@ -57,7 +56,9 @@ def _write(blocks, path=None) -> None:
     # flushed here, so a full disk or a closed pipe is an OSError for the caller
     if path is None and sys.stdout is None:  # closed before the run (>&-)
         raise OSError("stdout is closed")
-    with contextlib.nullcontext(sys.stdout) if path is None else open(path, "w") as out:
+    # a file is UTF-8 whatever the locale; stdout keeps its own encoding
+    with (contextlib.nullcontext(sys.stdout) if path is None
+          else open(path, "w", encoding="utf-8")) as out:
         out.writelines(blocks)
         out.flush()
 
@@ -327,14 +328,14 @@ def cmd_evolve(args) -> dict:
         raise ValueError("evolve needs either --schedule or --target")
     import json
     try:
-        text = Path(args.schedule).read_text()
+        data = Path(args.schedule).read_bytes()
     except OSError as exc:
         raise ValueError(f"cannot read schedule file: {exc}") from None
     try:
-        doc = json.loads(text)
+        doc = json.loads(data)  # bytes: JSON's own UTF-8/16/32 detection, not the locale's
     except RecursionError:
         raise ValueError("schedule JSON is nested too deeply") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValueError(f"schedule file is not valid JSON: {exc}") from None
     schedule = schedule_from_json(doc)
     if args.t is not None:
@@ -362,7 +363,7 @@ def _point_json(point) -> str:
 
 
 def _trajectory_csv(doc: dict):
-    yield ",".join(["t", "l1", "l2", "l3", *_REGION_LABELS]) + "\n"
+    yield ",".join(["t", "l1", "l2", "l3", *(tag.value for tag in _PREDICATES)]) + "\n"
     for block in _blocks(doc["results"]["trajectory"]):
         yield "".join([f"{p.t!r},{p.eigenvalues.l1!r},{p.eigenvalues.l2!r},{p.eigenvalues.l3!r},"
                        f"{','.join(map(_bool_text, p.regions.values()))}\n" for p in block])
@@ -539,7 +540,7 @@ def main(argv=None) -> int:
         return 2
     try:
         _write(blocks, args.out)
-    except OSError as exc:
+    except (OSError, UnicodeEncodeError) as exc:  # a full disk, or text stdout cannot encode
         target = "output" if args.out is None else "output file"
         _report(f"error: cannot write {target}: {exc}")
         return 2

@@ -21,7 +21,7 @@ import math
 from itertools import repeat
 from typing import Iterable, Mapping
 
-from .channel import EigenvalueTriple, _build, _slot_setters
+from .channel import EigenvalueTriple, _build
 from .regions import _Frozen, _check_finite, _columns, _int, _real, _region_record
 
 __all__ = [
@@ -68,7 +68,8 @@ class RateSchedule(_Frozen):
                 ) from None
             value = _real(f"segment {i} duration", duration)
             if not 0.0 < value < math.inf:
-                raise ValueError(f"segment duration must be positive, got {duration!r}")
+                raise ValueError(
+                    f"segment {i} duration must be positive and finite, got {duration!r}")
             if not isinstance(rates, RateTriple):
                 try:
                     g1, g2, g3 = rates
@@ -76,7 +77,10 @@ class RateSchedule(_Frozen):
                     raise TypeError(
                         f"segment {i} rates must be three numbers, got {rates!r}"
                     ) from None
-                rates = RateTriple(g1, g2, g3)
+                try:
+                    rates = RateTriple(g1, g2, g3)
+                except (TypeError, ValueError) as exc:
+                    raise type(exc)(f"segment {i} {exc}") from None
             parsed.append((value, rates))
         if not parsed:
             raise ValueError("schedule needs at least one segment")
@@ -89,17 +93,12 @@ class RateSchedule(_Frozen):
         object.__setattr__(self, "total_duration", total)
 
 
-def _json_number(value, what: str) -> float:
-    """A JSON number as a float; any other JSON value, a boolean or a string, is a ValueError."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{what} must be a number, got {value!r}")
-    return _real(what, value)
-
-
 def schedule_from_json(obj) -> RateSchedule:
     """Build a schedule from parsed JSON: a list of segment objects.
 
-    Each segment is ``{"duration": number, "rates": [g1, g2, g3]}``.
+    Each segment is ``{"duration": number, "rates": [g1, g2, g3]}``.  Any
+    other JSON value, a boolean or a string, is a ValueError; the numbers
+    are read and checked by :class:`RateSchedule`.
     """
     if not isinstance(obj, list):
         raise ValueError("schedule JSON must be a list of segments")
@@ -112,10 +111,10 @@ def schedule_from_json(obj) -> RateSchedule:
         rates = seg["rates"]
         if not isinstance(rates, list) or len(rates) != 3:
             raise ValueError(f"segment {i} rates must be a list of three numbers")
-        segments.append((
-            _json_number(seg["duration"], f"segment {i} duration"),
-            RateTriple(*(_json_number(g, f"segment {i} rate") for g in rates)),
-        ))
+        for what, value in (("duration", seg["duration"]), *(("rate", g) for g in rates)):
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"segment {i} {what} must be a number, got {value!r}")
+        segments.append((seg["duration"], rates))
     return RateSchedule(segments)
 
 
@@ -233,7 +232,7 @@ class TrajectoryPoint(_Frozen):
         _set_regions(self, regions)
 
 
-_set_t, _set_eigenvalues, _set_regions = _slot_setters(TrajectoryPoint)
+_set_t, _set_eigenvalues, _set_regions = TrajectoryPoint._setters
 
 
 def classify_trajectory(schedule: RateSchedule, steps: int) -> list:

@@ -23,7 +23,8 @@ on which thread counted which chunk.  Counting evaluates each base
 region mask once per slice and counts every expression as an AND of
 those cached masks, so any number of conjunctions (all the rows of the
 reference table, say) cost one pass over the stream.  The rejection
-sampler reads the same slices on the calling thread.
+sampler reads the same slices on the calling thread and masks each with
+``contains`` on its ``_columns``.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .regions import (_PREDICATES, RegionExpr, RegionId, _UnsupportedError, _columns, _int,
-                      _real, region_mask)
+                      _real, contains)
 
 __all__ = [
     "SamplerConfig",
@@ -344,7 +345,8 @@ def _accepted_chunks(expr: RegionExpr, cfg: SamplerConfig) -> Iterator[np.ndarra
     warned = False
     for lam in _slices(cfg, proposal, ((c, cfg.chunk_size) for c in itertools.count())):
         lam = lam[:budget - proposed]
-        rows = lam[region_mask(expr, lam)]
+        # proposals are finite and in [-1, 1]^3: no input check, and no product overflows
+        rows = lam[contains(expr, _columns(lam))]
         proposed += len(lam)
         accepted += len(rows)
         # fewer than 1 / floor proposals cannot show a rate below the floor

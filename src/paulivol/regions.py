@@ -16,7 +16,8 @@ Each region is one predicate of ``l.l1``, ``l.l2``, ``l.l3`` that uses
 only abs, + - *, parenthesized comparisons and &.  On an
 :class:`EigenvalueTriple` it returns a bool; on the column views of an
 (n, 3) array, a boolean mask.  ``contains``, ``region_mask`` and the Monte
-Carlo engine all call it through one table.
+Carlo engine (whose rejection sampler reads ``contains``) all call it through
+one table, ``_PREDICATES``, whose order every list of regions follows.
 Every region except ``CPDIV`` is a finite union of convex polytopes;
 ``halfspace_description`` emits that union for the exact volume engine.
 The regions nest as closed sets, EBC in CPT in PT and TLG in PDIV; the
@@ -78,11 +79,6 @@ class RegionId(str, enum.Enum):
         return self.value
 
 
-# Canonical display order for conjunctions.
-_TAG_ORDER = [RegionId.PT, RegionId.CPT, RegionId.EBC, RegionId.TLG, RegionId.PDIV, RegionId.CPDIV]
-_LABELS = tuple(tag.value for tag in _TAG_ORDER)
-
-
 class _Frozen:
     """A frozen value over the attribute names its subclass lists in ``_fields``.
 
@@ -91,8 +87,10 @@ class _Frozen:
     equal field tuples, the hash of that tuple, and ``Name(field=value,
     ...)``.  Assigning or deleting any attribute raises
     ``dataclasses.FrozenInstanceError``, imported only then, so building a
-    value loads no ``dataclasses``.  Constructors store fields with
-    ``object.__setattr__``, or through the slot descriptors of a slotted subclass.
+    value loads no ``dataclasses``.  A slotted subclass gets ``_setters``,
+    the ``__set__`` of each field's slot descriptor in field order, which
+    stores a field without the name lookup ``object.__setattr__`` makes;
+    constructors of other subclasses store fields with ``object.__setattr__``.
     """
 
     __slots__ = ()
@@ -102,6 +100,8 @@ class _Frozen:
         # attrgetter of one name returns the bare value
         get = operator.attrgetter(*cls._fields)
         cls._values = staticmethod(get if len(cls._fields) > 1 else lambda value: (get(value),))
+        if vars(cls).get("__slots__"):
+            cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -166,25 +166,16 @@ class RegionExpr(_Frozen):
 
     @classmethod
     def parse(cls, text: str) -> "RegionExpr":
-        """Parse a comma-separated tag list such as ``"CPT,EBC"``."""
+        """Parse a comma-separated tag list such as ``"CPT,EBC"``, in any case and padding."""
         if not isinstance(text, str):
             raise TypeError(f"text must be a string of comma-separated tags, got {text!r}")
-        tags = []
-        for part in text.split(","):
-            name = part.strip().upper()
-            if not name:
-                continue
-            try:
-                tags.append(RegionId(name))
-            except ValueError:
-                raise ValueError(f"unknown region tag {part.strip()!r}") from None
-        return cls(tags)
+        return cls(name for part in text.split(",") if (name := part.strip().upper()))
 
     def __contains__(self, tag: RegionId) -> bool:
         return tag in self.conjuncts
 
     def __str__(self) -> str:
-        return ",".join(t.value for t in _TAG_ORDER if t in self.conjuncts)
+        return ",".join(t.value for t in _PREDICATES if t in self.conjuncts)
 
 
 def is_positive(l: EigenvalueTriple) -> bool:
@@ -231,7 +222,7 @@ def is_cp_divisible(l: EigenvalueTriple) -> bool:
     return (prod > 0.0) & (prod <= l.l1 * l.l1) & (prod <= l.l2 * l.l2) & (prod <= l.l3 * l.l3)
 
 
-# The one region table, in display order.  Callers use it, not the global
+# The one region table, in RegionId's order.  Callers use it, not the global
 # names, so a tracer that wraps those names counts only direct calls.
 _PREDICATES = {
     RegionId.PT: is_positive,
@@ -433,8 +424,7 @@ def halfspace_description(expr: RegionExpr) -> list:
             "CPDIV is a non-polytopal region; only Monte Carlo volumes are available"
         )
     pieces = [[]]
-    for tag in _TAG_ORDER:
-        if tag not in expr.conjuncts:
-            continue
-        pieces = [old + new for old in pieces for new in _SYSTEMS[tag]]
+    for tag in _PREDICATES:
+        if tag in expr.conjuncts:
+            pieces = [old + new for old in pieces for new in _SYSTEMS[tag]]
     return [_dedupe(system) for system in pieces]

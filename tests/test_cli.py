@@ -433,7 +433,7 @@ def test_volume_and_table_above_the_sample_cap_exit_2_before_drawing(n, command)
 
 def test_sample_exits_2_when_rejection_gives_up(monkeypatch):
     # no real conjunction rejects every proposal, so a mask stands in for one
-    monkeypatch.setattr(mc_volume, "region_mask", lambda expr, lam: np.zeros(len(lam), bool))
+    monkeypatch.setattr(mc_volume, "contains", lambda expr, l: np.zeros(len(l.l1), bool))
     code, out, err = _main(["sample", "--region", "CPT,EBC", "-n", "2", "--seed", "3"])
     assert (code, out) == (2, "")
     assert err == ("warning: acceptance rate 0/16384 below 0.0001 while sampling CPT,EBC\n"
@@ -497,6 +497,35 @@ def test_evolve_steps_above_the_cap_exit_2_before_allocating(tmp_path_factory, n
         code, out, err = _main(["evolve", "--schedule", str(path), "--steps", str(n),
                                 "--format", fmt])
     assert (code, out, err) == (2, "", f"error: steps must be <= {MAX_STEPS}, got {n}\n")
+
+
+@pytest.mark.parametrize("i", [0, 1])
+@pytest.mark.parametrize("segment, message", [
+    ('{"duration": -1, "rates": [1, 0, 0]}', "duration must be positive and finite, got -1"),
+    ('{"duration": 1e400, "rates": [1, 0, 0]}', "duration must be positive and finite, got inf"),
+    ('{"duration": 1, "rates": [1e400, 0, 0]}', "rate g1 must be finite, got inf"),
+], ids=["negative duration", "infinite duration", "infinite rate"])
+def test_evolve_names_the_segment_of_a_schedule_error(tmp_path, i, segment, message):
+    path = tmp_path / "schedule.json"
+    path.write_text("[" + '{"duration": 1, "rates": [0.5, 0, 0.2]}, ' * i + segment + "]")
+    code, out, err = _main(["evolve", "--schedule", str(path), "--t", "0.5"])
+    assert (code, out, err) == (2, "", f"error: segment {i} {message}\n")
+
+
+def test_evolve_reads_a_schedule_in_any_json_encoding_and_names_bad_bytes(tmp_path):
+    path = tmp_path / "schedule.json"
+    text = '[{"duration": 1, "rates": [0.5, 0, 0.2]}]'
+    path.write_text(text, encoding="utf-8")
+    want = _main(["evolve", "--schedule", str(path), "--t", "0.5"])
+    assert want[0] == 0
+    for encoding in ("utf-8-sig", "utf-16", "utf-32-le"):
+        path.write_bytes(text.encode(encoding))
+        assert _main(["evolve", "--schedule", str(path), "--t", "0.5"]) == want
+    path.write_bytes(text.encode() + b"\xff")
+    code, out, err = _main(["evolve", "--schedule", str(path), "--t", "0.5"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: schedule file is not valid JSON: 'utf-8' codec can't decode")
+    assert err.count("\n") == 1
 
 
 def test_evolve_rejects_deeply_nested_schedule_with_exit_2(tmp_path):

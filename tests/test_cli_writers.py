@@ -29,7 +29,6 @@ from hypothesis import strategies as st
 from paulivol import cli
 from paulivol.channel import EigenvalueTriple
 from paulivol.cli import (
-    _REGION_LABELS,
     _document,
     _json_text,
     _sample_csv,
@@ -39,6 +38,9 @@ from paulivol.cli import (
     build_parser,
 )
 from paulivol.dynamics import TrajectoryPoint
+from paulivol.regions import _PREDICATES
+
+_REGION_LABELS = [tag.value for tag in _PREDICATES]
 
 _floats = st.floats(allow_nan=False, allow_infinity=False)
 _rows = st.lists(st.lists(_floats, min_size=3, max_size=3), min_size=1, max_size=40)

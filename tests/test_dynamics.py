@@ -441,7 +441,7 @@ def test_schedule_from_json_malformed():
         ({"duration": None, "rates": [1, 0, 0]}, "segment 0 duration must be a number"),
         ({"duration": 1, "rates": [[1], 0, 0]}, "segment 0 rate must be a number"),
         ({"duration": 10**400, "rates": [1, 0, 0]}, "segment 0 duration is out of float range"),
-        ({"duration": 1, "rates": [0, 0, -10**400]}, "segment 0 rate is out of float range"),
+        ({"duration": 1, "rates": [0, 0, -10**400]}, "segment 0 rate g3 is out of float range"),
     ],
 )
 def test_schedule_from_json_rejects_non_numbers(segment, message):
@@ -473,6 +473,21 @@ def test_rate_schedule_validation():
         RateSchedule([(math.inf, (1, 1, 1))])
 
 
+@pytest.mark.parametrize("i", [0, 1])
+@pytest.mark.parametrize("duration, rates, message", [
+    (-1, [1, 0, 0], "duration must be positive and finite, got -1"),
+    (math.inf, [1, 0, 0], "duration must be positive and finite, got inf"),
+    (1, [math.inf, 0, 0], "rate g1 must be finite, got inf"),
+], ids=["negative duration", "infinite duration", "infinite rate"])
+def test_schedule_errors_name_their_segment(i, duration, rates, message):
+    segments = [(1.0, [0.5, 0.0, 0.2])] * i + [(duration, rates)]
+    for make in (lambda: RateSchedule(segments),
+                 lambda: schedule_from_json([{"duration": d, "rates": r} for d, r in segments])):
+        with pytest.raises(ValueError) as info:
+            make()
+        assert str(info.value) == f"segment {i} {message}"
+
+
 @pytest.mark.parametrize(
     "make, error, message",
     [
@@ -483,7 +498,7 @@ def test_rate_schedule_validation():
         (lambda: RateSchedule([("x", (1, 1, 1))]), TypeError,
          "segment 0 duration must be a real number, got 'x'"),
         (lambda: RateSchedule([(1.0, (1, None, 1))]), TypeError,
-         "rate g2 must be a real number, got None"),
+         "segment 0 rate g2 must be a real number, got None"),
         (lambda: RateTriple(0, -2**1100, 0), ValueError, "rate g2 is out of float range"),
         (lambda: RateSchedule([(1.0, (1, 1, 1)), (2**1100, (1, 1, 1))]), ValueError,
          "segment 1 duration is out of float range"),

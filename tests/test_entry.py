@@ -163,6 +163,41 @@ def test_a_pipe_closed_early_exits_2_with_one_error_line(argv):
     assert "[Errno 32]" in err
 
 
+# --- text that an encoding cannot hold ------------------------------------------
+
+# volume's text format writes ≈ for an exact volume and ± for a Monte Carlo one
+_NON_ASCII = [["volume", "--region", "CPT"],
+              ["volume", "--region", "CPT", "--method", "mc", "--samples", "1000"]]
+# the C locale with its coercion and UTF-8 mode off, whose encoding is ASCII
+_ASCII_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+
+
+def _run_with(env, *argv):
+    env = {name: value for name, value in _env().items() if name != "PYTHONIOENCODING"} | env
+    return subprocess.run([sys.executable, "-m", "paulivol", *argv], env=env,
+                          capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("argv", _NON_ASCII)
+def test_stdout_that_cannot_encode_the_text_exits_2_with_one_error_line(argv):
+    proc = _run_with({"PYTHONIOENCODING": "ascii"}, *argv)
+    _assert_one_error_line(proc.returncode, proc.stderr)
+    assert "'ascii' codec can't encode character" in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("argv", _NON_ASCII)
+def test_an_out_file_is_utf8_whatever_the_locale(argv, tmp_path):
+    written = []
+    for name, env in (("utf8", {"PYTHONUTF8": "1"}), ("c", _ASCII_LOCALE)):
+        path = tmp_path / name
+        proc = _run_with(env, *argv, "--out", str(path))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+        written.append(path.read_bytes())
+    assert written[0] == written[1]
+    assert ("≈" if len(argv) == 3 else "±") in written[0].decode("utf-8")
+
+
 # --- a stream closed before the run ----------------------------------------------
 
 # Closes the file descriptor argv[1], then runs python -m paulivol argv[2:] in

@@ -384,7 +384,7 @@ def test_rejection_draws_few_rows_in_one_slice(drawn):
 
 def test_rejection_gives_up_after_its_proposal_budget(monkeypatch, drawn):
     # no real conjunction rejects every proposal, so a mask stands in for one
-    monkeypatch.setattr(mc_volume, "region_mask", lambda expr, lam: np.zeros(len(lam), bool))
+    monkeypatch.setattr(mc_volume, "contains", lambda expr, l: np.zeros(len(l.l1), bool))
     cfg = _cfg(3, seed=5, chunk_size=1000)
     with pytest.warns(UserWarning, match="acceptance rate 0/"):
         with pytest.raises(ValueError) as info:

@@ -1,6 +1,8 @@
+import itertools
+
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from paulivol import (
@@ -20,6 +22,8 @@ from paulivol import (
     lambda_to_p,
     region_mask,
 )
+from paulivol import cli
+from paulivol.regions import _region_record
 
 
 def _t(l1, l2, l3):
@@ -325,3 +329,71 @@ def test_halfspace_exact_membership():
     on_facet = slack((1, 0, 0))
     assert min(on_facet) == 0 and on_facet.count(0) == 2
     assert min(slack((1, 1, -1))) < 0
+
+
+# --- the region table -----------------------------------------------------------
+
+_ORDER = list(RegionId)
+_TAG_SETS = [set(tags) for n in range(1, 7) for tags in itertools.combinations(_ORDER, n)]
+
+
+def test_every_tag_set_is_written_in_region_id_order_and_parses_back():
+    assert len(_TAG_SETS) == 63
+    for tags in _TAG_SETS:
+        expr = RegionExpr(tags)
+        assert str(expr).split(",") == [tag.value for tag in _ORDER if tag in tags]
+        assert RegionExpr.parse(str(expr)) == expr
+        assert RegionExpr.parse(str(expr)).conjuncts == tags
+
+
+_PADDING = st.sampled_from(["", " ", "\t", " \n "])
+
+
+@st.composite
+def _spelled(draw, tags):
+    """``tags`` as parse text: shuffled, repeated, in mixed case, padded, with blank parts."""
+    names = [tag.value for tag in tags]
+    names += draw(st.lists(st.sampled_from(names), max_size=4)) + [""] * draw(st.integers(0, 2))
+    parts = []
+    for name in draw(st.permutations(names)):
+        upper = draw(st.lists(st.booleans(), min_size=len(name), max_size=len(name)))
+        cased = "".join(c.upper() if u else c.lower() for c, u in zip(name, upper))
+        parts.append(draw(_PADDING) + cased + draw(_PADDING))
+    return ",".join(parts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), tags=st.sets(st.sampled_from(_ORDER), min_size=1))
+def test_parse_reads_any_case_order_padding_and_repetition(data, tags):
+    text = data.draw(_spelled(tags))
+    expr = RegionExpr.parse(text)
+    assert expr.conjuncts == tags
+    assert str(expr) == str(RegionExpr(tags))
+    assert RegionExpr.parse(str(expr)) == expr
+
+
+@settings(max_examples=200, deadline=None)
+@given(tags=st.lists(st.sampled_from(_ORDER), max_size=6), at=st.integers(0, 6),
+       bad=st.text("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_",
+                   min_size=1, max_size=8),
+       pad=_PADDING)
+@example(tags=[RegionId.CPT], at=1, bad="foo", pad="")
+def test_parse_names_an_unknown_tag_upper_cased(tags, at, bad, pad):
+    assume(bad.upper() not in {tag.value for tag in _ORDER})
+    parts = [tag.value.lower() for tag in tags]
+    parts.insert(at, pad + bad + pad)
+    with pytest.raises(ValueError) as info:
+        RegionExpr.parse(",".join(parts))
+    assert str(info.value) == f"unknown region tag {bad.upper()!r}"
+
+
+def test_region_record_keys_are_the_cells_after_the_triple_in_the_evolve_csv_header(
+        tmp_path, capsys):
+    schedule = tmp_path / "schedule.json"
+    schedule.write_text('[{"duration": 1.0, "rates": [0.5, 0.0, 0.2]}]')
+    argv = ["evolve", "--schedule", str(schedule), "--steps", "2", "--format", "csv"]
+    assert cli.main(argv) == 0
+    header = capsys.readouterr().out.splitlines()[0].split(",")
+    assert header[:4] == ["t", "l1", "l2", "l3"]
+    record = _region_record(EigenvalueTriple(0.5, -0.25, 0.0))
+    assert list(record) == header[4:] == [tag.value for tag in _ORDER]
