@@ -1,29 +1,32 @@
 """``python -m paulivol`` and the ``paulivol`` script: one CLI run per process.
 
-``run`` turns the cyclic garbage collector off before the CLI or numpy is
-imported, runs ``cli.main``, flushes stdout and stderr (a stream closed
-before the run is None, and is skipped), and ends the process with
-``os._exit``, or after a SIGINT by that signal, with no traceback: no module
+``run`` first restores SIGINT's default action, so an interrupt ends the
+process by that signal wherever it lands, with no traceback and no exception
+for numpy or any library to catch; text still in stdout's buffer is lost.  It
+turns the cyclic garbage collector off before the CLI or numpy is imported,
+runs ``cli.main``, flushes stdout and stderr (a stream closed before the run
+is None, and is skipped), and ends the process with ``os._exit``: no module
 teardown, final collection or freeing of the run's rows takes place.  A run
 makes no reference cycles that grow with its size (``tests/test_entry.py``
 checks each command at two sizes), so the collector would only walk live
-objects.  argparse's own exits (``--help``, ``--version``, usage errors) and
-any exception ``main`` does not handle leave the normal way.  ``main`` itself
-neither touches the collector nor exits, so it can be called in process.
+objects.  argparse's own exits and any exception ``main`` does not handle
+leave the normal way.  ``main`` touches neither the signal nor the collector
+and does not exit, so in process a SIGINT stays a ``KeyboardInterrupt``.
 """
 
+import _signal
 import gc
 import os
 import sys
 
 
 def run():
+    # _signal, the builtin that signal wraps, is loaded at start-up, while
+    # importing signal costs about 1 ms of every run
+    _signal.signal(_signal.SIGINT, _signal.SIG_DFL)
     gc.disable()
-    try:
-        from .cli import main
-        code = main()
-    except KeyboardInterrupt:  # ended below by the signal itself, not by a traceback
-        code = None
+    from .cli import main
+    code = main()
     # main has written and flushed stdout, or reported that it could not; a
     # failed write stays buffered, and flushing it again fails the same way
     for stream in (sys.stdout, sys.stderr):
@@ -32,10 +35,6 @@ def run():
                 stream.flush()
         except OSError:
             pass
-    if code is None:
-        import signal
-        signal.signal(signal.SIGINT, signal.SIG_DFL)
-        os.kill(os.getpid(), signal.SIGINT)
     os._exit(code)
 
 

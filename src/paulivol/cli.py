@@ -14,10 +14,10 @@ runs when it runs, down to ``channel`` and the ``json`` and ``csv`` writers.
 A sampler config enters a document's ``inputs`` as its own fields in order,
 ``vars(cfg)``, so only ``mc_volume``'s import, which only the Monte Carlo
 commands make, loads ``dataclasses`` (for its config and estimate) and the
-``inspect`` it imports.  ``main`` is the
-one CLI implementation; ``paulivol.__main__.run`` is the process entry
-that calls it and ends the process without interpreter teardown.  Every
-stream a run writes is flushed or closed before ``main`` returns.
+``inspect`` it imports.  ``main`` is the one CLI implementation, and
+``paulivol.__main__.run`` the process entry: it restores SIGINT's default
+action, calls ``main`` and ends the process without interpreter teardown.
+Every stream a run writes is flushed or closed before ``main`` returns.
 
 Exit codes: 0 on success, 1 for method/region combinations that are
 unsupported (exact or mesh on a non-polytopal or unbounded region,
@@ -324,8 +324,6 @@ def cmd_evolve(args) -> dict:
     from .dynamics import TrajectoryPoint, classify_trajectory, evolve, schedule_from_json
     if args.target is not None:
         return _evolve_target(args)
-    if args.schedule is None:
-        raise ValueError("evolve needs either --schedule or --target")
     import json
     try:
         data = Path(args.schedule).read_bytes()
@@ -335,7 +333,7 @@ def cmd_evolve(args) -> dict:
         doc = json.loads(data)  # bytes: JSON's own UTF-8/16/32 detection, not the locale's
     except RecursionError:
         raise ValueError("schedule JSON is nested too deeply") from None
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # bad JSON, bytes that do not decode, an integer too long
         raise ValueError(f"schedule file is not valid JSON: {exc}") from None
     schedule = schedule_from_json(doc)
     if args.t is not None:
@@ -503,12 +501,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output(p, cmd_sample, json=_sample_json, csv=_sample_csv)
 
     p = sub.add_parser("evolve", help="run a rate schedule or invert a target")
-    p.add_argument("--schedule", type=str, default=None,
-                   help="JSON schedule file: [{\"duration\": d, \"rates\": [g1,g2,g3]}, ...]")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--schedule", type=str, default=None,
+                      help="JSON schedule file: [{\"duration\": d, \"rates\": [g1,g2,g3]}, ...]")
+    mode.add_argument("--target", type=float, nargs=3, default=None, metavar=("L1", "L2", "L3"),
+                      help="find constant rates reaching this triple")
     p.add_argument("--t", type=float, default=None, help="single evaluation time")
     p.add_argument("--steps", type=int, default=11, help="number of classified trajectory steps")
-    p.add_argument("--target", type=float, nargs=3, default=None, metavar=("L1", "L2", "L3"),
-                   help="find constant rates reaching this triple")
     p.add_argument("--t-star", type=float, default=1.0, dest="t_star",
                    help="arrival time for --target")
     _add_output(p, cmd_evolve, json=_evolve_output(_trajectory_json, _json_text),

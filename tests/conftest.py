@@ -1,3 +1,7 @@
+import signal
+
+import pytest
+
 ACCEPTANCE_LINES = []
 
 
@@ -8,3 +12,13 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture(autouse=True)
+def sigint_handler_unchanged():
+    """Fails a test that leaves SIGINT's handler changed, which takes pytest's Ctrl-C."""
+    handler = signal.getsignal(signal.SIGINT)
+    yield
+    if signal.getsignal(signal.SIGINT) != handler:
+        signal.signal(signal.SIGINT, handler)
+        pytest.fail("the test changed SIGINT's handler")

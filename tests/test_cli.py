@@ -540,13 +540,29 @@ def test_evolve_rejects_deeply_nested_schedule_with_exit_2(tmp_path):
     ("", "Expecting value: line 1 column 1 (char 0)"),
     ('[{"duration": 1.0,}]', "Expecting property name enclosed in double quotes: line 1"
                              " column 19 (char 18)"),
-], ids=["empty", "trailing comma"])
+    # json reads a number the int type cannot convert as a plain ValueError
+    ('[{"duration": ' + "1" * 5001 + "}]",
+     "Exceeds the limit (4300 digits) for integer string conversion: value has 5001 digits;"
+     " use sys.set_int_max_str_digits() to increase the limit"),
+], ids=["empty", "trailing comma", "5001-digit integer"])
 def test_evolve_rejects_a_schedule_that_is_not_json_with_exit_2(tmp_path, text, message):
     path = tmp_path / "schedule.json"
     path.write_text(text)
     code, out, err = _main(["evolve", "--schedule", str(path), "--t", "1.0"])
     assert (code, out) == (2, "")
     assert err == f"error: schedule file is not valid JSON: {message}\n"
+
+
+@pytest.mark.parametrize("mode, message", [
+    ([], "one of the arguments --schedule --target is required"),
+    (["--schedule", "s.json", "--target", "0.5", "0.5", "0.5"],
+     "argument --target: not allowed with argument --schedule"),
+], ids=["neither", "both"])
+def test_evolve_takes_exactly_one_of_schedule_and_target(mode, message):
+    code, out, err = _main(["evolve", *mode, "--t", "1.0"])
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: paulivol evolve ") and "(--schedule SCHEDULE | --target" in err
+    assert err.endswith(f"paulivol evolve: error: {message}\n"), err
 
 
 _json_scalars = (

@@ -1,13 +1,15 @@
 """The process entry: ``python -m paulivol`` and the ``paulivol`` script.
 
-``paulivol.__main__.run`` turns the cyclic collector off, runs
-``cli.main``, flushes stdout and stderr and ends with ``os._exit``.  These
-tests pin that the script and ``-m`` run the same callable, that argparse's
-own exits keep their codes and text, that stdout which cannot be written is
-an ``error:`` line with exit 2 (``--help`` and ``--version`` included), that
-a stream closed before the run keeps the exit codes, that a run with the
-collector off leaves no more garbage at a large size than at a small one,
-and that a SIGINT ends a run by the signal, with no traceback.
+``paulivol.__main__.run`` restores SIGINT's default action, turns the
+cyclic collector off, runs ``cli.main``, flushes stdout and stderr and ends
+with ``os._exit``.  These tests pin that the script and ``-m`` run the same
+callable, that argparse's own exits keep their codes and text, that stdout
+which cannot be written is an ``error:`` line with exit 2 (``--help`` and
+``--version`` included), that a stream closed before the run keeps the exit
+codes, that a run with the collector off leaves no more garbage at a large
+size than at a small one, and that a SIGINT ends a run by the signal, with no
+traceback, whether sent from outside at four delays or by the run itself at
+four named points, numpy's import among them.
 """
 
 import ast
@@ -20,6 +22,7 @@ import signal
 import subprocess
 import sys
 import time
+import types
 from pathlib import Path
 
 import pytest
@@ -84,8 +87,16 @@ def test_argparse_exits_keep_their_codes_and_text(argv, code, monkeypatch):
         assert proc.stdout == "paulivol 0.1.0\n"
 
 
+def _record_signal_calls(monkeypatch, calls):
+    # run's signal call, recorded rather than made: made, it would take pytest's Ctrl-C
+    monkeypatch.setattr(entry, "_signal", types.SimpleNamespace(
+        SIGINT=signal.SIGINT, SIG_DFL=signal.SIG_DFL,
+        signal=lambda signum, handler: calls.append(("signal", signum, handler))))
+
+
 def test_run_flushes_and_exits_with_the_code_main_returns(monkeypatch):
     calls = []
+    _record_signal_calls(monkeypatch, calls)
 
     def main():
         calls.append(("collector on", gc.isenabled()))
@@ -104,11 +115,16 @@ def test_run_flushes_and_exits_with_the_code_main_returns(monkeypatch):
         entry.run()
     finally:
         gc.enable()
-    assert calls == [("collector on", False), ("flush", "partial"), ("flush", ""), ("exit", 3)]
+    assert calls == [("signal", signal.SIGINT, signal.SIG_DFL), ("collector on", False),
+                     ("flush", "partial"), ("flush", ""), ("exit", 3)]
 
 
 def test_run_lets_an_exception_from_main_leave_the_normal_way(monkeypatch):
+    calls = []
+    _record_signal_calls(monkeypatch, calls)
+
     def main():
+        calls.append(("collector on", gc.isenabled()))
         raise SystemExit(0)  # as argparse's --help and --version do
 
     monkeypatch.setattr(cli, "main", main)
@@ -118,6 +134,7 @@ def test_run_lets_an_exception_from_main_leave_the_normal_way(monkeypatch):
             entry.run()
     finally:
         gc.enable()
+    assert calls == [("signal", signal.SIGINT, signal.SIG_DFL), ("collector on", False)]
 
 
 # --- stdout that cannot be written ---------------------------------------------
@@ -314,3 +331,67 @@ def test_a_sigint_inside_run_ends_the_process_by_the_signal_without_a_traceback(
             proc.wait()
             proc.stderr.close()
         assert (code, err) == (-signal.SIGINT, ""), (delay, err)
+
+
+# Runs paulivol.__main__.run() on argv[2:], and sends itself SIGINT at the
+# point argv[1] names: as the CLI imports argparse, as numpy imports datetime
+# (numpy's init turns an exception raised there into an ImportError), as a
+# counting pass or sample draws its third slice, or once the first output
+# block is written.
+_AT_POINT = r"""
+import itertools, os, signal, sys
+import paulivol.__main__ as entry
+point = sys.argv.pop(1)
+
+def interrupt():
+    os.kill(os.getpid(), signal.SIGINT)
+
+class Finder:  # interrupts the import it names, and finds nothing itself
+    def find_spec(self, name, path=None, target=None):
+        if (point, name) == ("argparse", "argparse") or (
+                (point, name) == ("numpy", "datetime") and "numpy" in sys.modules):
+            interrupt()
+
+sys.meta_path.insert(0, Finder())
+if point == "third slice":
+    import paulivol.mc_volume as mc
+    draw, drawn = mc._draw, itertools.count(1)
+    def third(*args):
+        if next(drawn) == 3:
+            interrupt()
+        return draw(*args)
+    mc._draw = third
+if point == "first block":
+    import paulivol.cli as cli
+    write = cli._write
+    def first(blocks):
+        blocks = iter(blocks)
+        yield next(blocks)
+        interrupt()
+        yield from blocks
+    cli._write = lambda blocks, path=None: write(first(blocks), path)
+entry.run()
+"""
+_AT_POINTS = {
+    "table": (["table", "--samples", "200000"],
+              ["argparse", "numpy", "third slice", "first block"]),
+    "sample": (["sample", "--region", "CPT", "-n", "50000", "--format", "json"],
+               ["argparse", "numpy", "third slice", "first block"]),
+    "evolve": (["evolve", "--schedule", "FILE", "--steps", "50000", "--format", "json"],
+               ["argparse", "numpy", "first block"]),
+}
+
+
+@pytest.mark.skipif(os.name != "posix", reason="needs POSIX signals")
+@pytest.mark.parametrize("command, point", [(command, point)
+                                            for command, (_, points) in _AT_POINTS.items()
+                                            for point in points])
+def test_a_sigint_at_a_named_point_ends_the_process_by_the_signal_without_a_traceback(
+        command, point, tmp_path):
+    schedule = tmp_path / "schedule.json"
+    schedule.write_text(json.dumps([{"duration": 3.0, "rates": [0.2, 0.1, 0.3]}]))
+    argv = [str(schedule) if a == "FILE" else a for a in _AT_POINTS[command][0]]
+    proc = subprocess.run([sys.executable, "-c", _AT_POINT, point, *argv], env=_env(),
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+                          timeout=120)
+    assert (proc.returncode, proc.stderr) == (-signal.SIGINT, "")
