@@ -1,12 +1,13 @@
 """Command-line interface.
 
 Subcommands: ``classify`` a triple, ``volume`` of a region expression
-(exact, Monte Carlo, or Fisher-Rao), the full reference ``table``,
-``mesh`` export of a polytopal region, ``sample`` from a region, and
-``evolve`` under a rate schedule.  Each ``cmd_<name>`` computes the
-document ``--format json`` writes, with ``sample`` and ``evolve`` rows held
-once as computed; one renderer per format turns it into text blocks of
-``_BLOCK_ROWS`` rows, or one block, and ``main`` writes them as formatted.
+(exact, Monte Carlo, or Fisher-Rao), the full reference ``table``, ``mesh``
+export of a polytopal region, ``sample`` from a region, and ``evolve`` under
+a rate schedule.  An option not given is None, and its reader fills the
+default; a mode refuses an option it does not read, before any work.  Each
+``cmd_<name>`` computes the document ``--format json`` writes, holding the
+``sample`` and ``evolve`` rows once; a renderer per format turns it into text
+blocks of ``_BLOCK_ROWS`` rows, or one, and ``main`` writes them as made.
 
 The module imports ``regions``, which parses every command's region and
 classifies ``classify``'s triple; each command imports the rest of what it
@@ -23,8 +24,9 @@ Exit codes: 0 on success, 1 for method/region combinations that are
 unsupported (exact or mesh on a non-polytopal or unbounded region,
 Fisher-Rao outside the channel tetrahedron), 2 for malformed input or
 output that cannot be written (an ``--out`` file or stdout, ``--help``
-and ``--version`` included).  A stream closed before the run is None:
-stdout then cannot be written, and error lines go nowhere.
+and ``--version`` included).  A stream closed before the run is None, as is
+stderr once a write to it fails: stdout then cannot be written, and error
+lines go nowhere.
 """
 
 from __future__ import annotations
@@ -49,7 +51,10 @@ __all__ = ["main", "build_parser"]
 def _report(line: str) -> None:
     # a closed stderr (2>&-) is None, and print(file=None) would write to stdout
     if sys.stderr is not None:
-        print(line, file=sys.stderr)
+        try:
+            print(line, file=sys.stderr)
+        except OSError:  # given up, as stdout is, so no later flush fails on the line
+            sys.stderr = None
 
 
 def _write(blocks, path=None) -> None:
@@ -153,17 +158,24 @@ def _classify_text(doc: dict) -> str:
 # --- volume ------------------------------------------------------------------
 
 
-def _sampler_config(args) -> SamplerConfig:
-    from .mc_volume import SamplerConfig
-    # --chunk-size has no parser default, so building the parser loads no sampler
-    chunk = {} if args.chunk_size is None else {"chunk_size": args.chunk_size}
-    return SamplerConfig(samples=args.samples, seed=args.seed, **chunk)
+def _refuse(args, dests, readers: str) -> None:
+    for dest in dests:  # an option the mode does not read is malformed input
+        if getattr(args, dest) is not None:
+            raise ValueError(f"--{dest.replace('_', '-')} is read only by {readers}")
+
+
+def _sampler_config(args, samples: int = 1_000_000) -> SamplerConfig:
+    from .mc_volume import DEFAULT_CHUNK_SIZE, SamplerConfig
+    defaults = {"samples": samples, "seed": 0, "chunk_size": DEFAULT_CHUNK_SIZE}
+    return SamplerConfig(**{name: default if getattr(args, name) is None else getattr(args, name)
+                            for name, default in defaults.items()})
 
 
 def cmd_volume(args) -> dict:
     expr = RegionExpr.parse(args.region)
     inputs = {"region": str(expr), "method": args.method}
     if args.method == "exact":
+        _refuse(args, ("samples", "seed", "chunk_size"), "volume --method mc and fr")
         from .exact_volume import region_volume
         value = region_volume(expr)
         return _document("volume", inputs,
@@ -300,7 +312,7 @@ def cmd_mesh(args) -> dict:
 def cmd_sample(args) -> dict:
     from .mc_volume import _sample_array
     expr = RegionExpr.parse(args.region)
-    cfg = _sampler_config(args)
+    cfg = _sampler_config(args, samples=10)
     return _document("sample", {"region": str(expr), **vars(cfg)},
                      {"rows": _sample_array(expr, cfg), "method": "mc-hs"})
 
@@ -323,7 +335,9 @@ def _sample_json(doc: dict):
 def cmd_evolve(args) -> dict:
     from .dynamics import TrajectoryPoint, classify_trajectory, evolve, schedule_from_json
     if args.target is not None:
+        _refuse(args, ("t", "steps"), "evolve --schedule")
         return _evolve_target(args)
+    _refuse(args, ("t_star",), "evolve --target")
     import json
     try:
         data = Path(args.schedule).read_bytes()
@@ -338,11 +352,11 @@ def cmd_evolve(args) -> dict:
     schedule = schedule_from_json(doc)
     if args.t is not None:
         lam = evolve(schedule, args.t)
-        points = [TrajectoryPoint(args.t, lam, _region_record(lam))]
+        steps, points = None, [TrajectoryPoint(args.t, lam, _region_record(lam))]
     else:
-        points = classify_trajectory(schedule, args.steps)
-    inputs = {"schedule": args.schedule, "t": args.t,
-              "steps": None if args.t is not None else args.steps}
+        steps = 11 if args.steps is None else args.steps
+        points = classify_trajectory(schedule, steps)
+    inputs = {"schedule": args.schedule, "t": args.t, "steps": steps}
     return _document("evolve", inputs, {"trajectory": points})
 
 
@@ -378,12 +392,13 @@ def _evolve_target(args) -> dict:
     from .channel import EigenvalueTriple
     from .dynamics import RateSchedule, evolve, is_semigroup_reachable, rates_for_target
     target = EigenvalueTriple(*args.target)
-    rates = rates_for_target(target, args.t_star)
-    reached = evolve(RateSchedule([(args.t_star, rates)]), args.t_star)
+    t_star = 1.0 if args.t_star is None else args.t_star
+    rates = rates_for_target(target, t_star)
+    reached = evolve(RateSchedule([(t_star, rates)]), t_star)
     results = {"rates": list(rates), "reached": list(reached),
                "max_error": max(abs(a - b) for a, b in zip(reached, target)),
                "semigroup_reachable": is_semigroup_reachable(target)}
-    return _document("evolve", {"target": list(target), "t_star": args.t_star}, results)
+    return _document("evolve", {"target": list(target), "t_star": t_star}, results)
 
 
 def _target_csv(doc: dict) -> str:
@@ -411,10 +426,10 @@ def _evolve_output(trajectory, target):
 # --- parser ------------------------------------------------------------------
 
 
-def _add_sampler_flags(sub):
-    sub.add_argument("--samples", type=int, default=1_000_000, help="Monte Carlo sample budget")
-    sub.add_argument("--seed", type=int, default=0, help="PRNG seed")
-    sub.add_argument("--chunk-size", type=int, dest="chunk_size", help="samples per PRNG chunk")
+def _add_sampler_flags(sub, *aliases):
+    sub.add_argument(*aliases, "--samples", type=int, help="number of samples to draw")
+    sub.add_argument("--seed", type=int, help="PRNG seed")
+    sub.add_argument("--chunk-size", type=int, dest="chunk_size", help="draws per PRNG chunk")
 
 
 def _add_output(sub, handler, **renderers):
@@ -459,9 +474,8 @@ class _Parser(argparse.ArgumentParser):
             sys.exit(2)
 
     def error(self, message):
-        if sys.stderr is None:
-            sys.exit(2)
-        super().error(message)
+        _report(f"{self.format_usage()}{self.prog}: error: {message}")
+        sys.exit(2)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -494,10 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="draw uniform samples from a region")
     p.add_argument("--region", required=True, help="comma-separated region tags")
-    p.add_argument("-n", "--samples", type=int, default=10, dest="samples",
-                   help="number of samples to draw")
-    p.add_argument("--seed", type=int, default=0, help="PRNG seed")
-    p.add_argument("--chunk-size", type=int, dest="chunk_size", help="proposals per PRNG chunk")
+    _add_sampler_flags(p, "-n")
     _add_output(p, cmd_sample, json=_sample_json, csv=_sample_csv)
 
     p = sub.add_parser("evolve", help="run a rate schedule or invert a target")
@@ -506,10 +517,11 @@ def build_parser() -> argparse.ArgumentParser:
                       help="JSON schedule file: [{\"duration\": d, \"rates\": [g1,g2,g3]}, ...]")
     mode.add_argument("--target", type=float, nargs=3, default=None, metavar=("L1", "L2", "L3"),
                       help="find constant rates reaching this triple")
-    p.add_argument("--t", type=float, default=None, help="single evaluation time")
-    p.add_argument("--steps", type=int, default=11, help="number of classified trajectory steps")
-    p.add_argument("--t-star", type=float, default=1.0, dest="t_star",
-                   help="arrival time for --target")
+    # no defaults: a member is given when its value `is not` the default, as 11 is 11
+    when = p.add_mutually_exclusive_group()
+    when.add_argument("--t", type=float, help="single evaluation time")
+    when.add_argument("--steps", type=int, help="number of classified trajectory steps")
+    p.add_argument("--t-star", type=float, dest="t_star", help="arrival time for --target")
     _add_output(p, cmd_evolve, json=_evolve_output(_trajectory_json, _json_text),
                 csv=_evolve_output(_trajectory_csv, _target_csv),
                 text=_evolve_output(_trajectory_text, _target_text))

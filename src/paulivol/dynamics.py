@@ -18,7 +18,6 @@ exactly so that targets with some Gamma_a < 0 stay reachable.
 from __future__ import annotations
 
 import math
-from itertools import repeat
 from typing import Iterable, Mapping
 
 from .channel import EigenvalueTriple, _build
@@ -216,13 +215,14 @@ def is_semigroup_reachable(l: EigenvalueTriple) -> bool:
 
 
 # Largest ``steps`` of classify_trajectory.  The CLI holds every point once and
-# writes their text in blocks, and peaks at about 0.85 KB a step, so near
-# 430 MB here; the cap is checked before anything is allocated.
+# writes their text in blocks, and peaks at about 0.58 KB a step, so near
+# 290 MB here (os.wait4); the cap is checked before anything is allocated.
 MAX_STEPS = 5 * 10**5
 
 
 class TrajectoryPoint(_Frozen):
-    """One classified step of an eigenvalue trajectory."""
+    """One classified step of an eigenvalue trajectory, whose points share one
+    ``regions`` dict per distinct membership: at most 64, and a write shows in each."""
 
     __slots__ = _fields = ("t", "eigenvalues", "regions")
 
@@ -276,7 +276,10 @@ def classify_trajectory(schedule: RateSchedule, steps: int) -> list:
             _eigenvalues(t, *x)
     with np.errstate(over="ignore", invalid="ignore"):
         record = _region_record(_columns(lam))
-    rows = zip(*(mask.tolist() for mask in record.values()))
-    records = map(dict, map(zip, repeat(list(record)), rows))
+    masks = np.stack(list(record.values()))  # one dict per distinct membership code
+    codes = np.packbits(masks, axis=0, bitorder="little")[0]
+    _codes, first, index = np.unique(codes, return_index=True, return_inverse=True)
+    shared = [dict(zip(record, masks[:, i].tolist())) for i in first.tolist()]
+    records = map(shared.__getitem__, index.tolist())
     # finite floats, stored as EigenvalueTriple would store them
     return _build(TrajectoryPoint, (ts, _build(EigenvalueTriple, columns), records))

@@ -228,7 +228,7 @@ def _run_cli(*args):
     )
 
 
-def test_criterion_7_cli_golden():
+def test_criterion_7_cli_golden(tmp_path):
     problems = []
     proc = _run_cli("table", "--samples", "100000", "--seed", "42", "--format", "csv")
     if proc.returncode != 0:
@@ -244,6 +244,8 @@ def test_criterion_7_cli_golden():
         if dev > (5 * stderr if stderr else 0.0):
             problems.append(f"{row[0]} MC column at {dev:.3g}")
 
+    schedule = str(tmp_path / "schedule.json")
+    Path(schedule).write_text('[{"duration": 1, "rates": [0.5, 0.2, 0.1]}]')
     matrix = [
         (("volume", "--region", "CPT"), 0),
         (("volume", "--region", "CPT,CPDIV"), 1),
@@ -255,6 +257,12 @@ def test_criterion_7_cli_golden():
         (("volume", "--region", "CPT", "--method", "bogus"), 2),
         (("evolve", "--t", "1.0"), 2),
         (("evolve", "--schedule", "/nonexistent/s.json", "--t", "1.0"), 2),
+        # an option the mode does not read is refused, not ignored
+        (("volume", "--region", "CPT", "--samples", "-5"), 2),
+        (("volume", "--region", "CPT", "--seed", "-1", "--chunk-size", "0"), 2),
+        (("evolve", "--schedule", schedule, "--t", "0.5", "--steps", "-3"), 2),
+        (("evolve", "--target", "0.5", "0.5", "0.5", "--steps", "7", "--t", "2"), 2),
+        (("evolve", "--schedule", schedule, "--t-star", "2", "--steps", "3"), 2),
     ]
     for args, want in matrix:
         code = _run_cli(*args).returncode

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from paulivol import FR_TOTAL, RegionExpr, contains, EigenvalueTriple
 from paulivol import mc_volume
-from paulivol.cli import main
+from paulivol.cli import build_parser, main
 from paulivol.dynamics import MAX_STEPS
 from paulivol.mc_volume import MAX_SAMPLE_ROWS, MAX_SAMPLES
 
@@ -565,6 +565,125 @@ def test_evolve_takes_exactly_one_of_schedule_and_target(mode, message):
     assert err.endswith(f"paulivol evolve: error: {message}\n"), err
 
 
+# --- every option a mode is given is read, or refused ---------------------------
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["volume", "--region", "CPT", "--samples", "-5"],
+     "error: --samples is read only by volume --method mc and fr"),
+    (["volume", "--region", "CPT", "--seed", "-1", "--chunk-size", "0"],
+     "error: --seed is read only by volume --method mc and fr"),
+    (["evolve", "--schedule", "GOOD", "--t", "0.5", "--steps", "-3"],
+     "paulivol evolve: error: argument --steps: not allowed with argument --t"),
+    (["evolve", "--target", "0.5", "0.5", "0.5", "--steps", "7", "--t", "2"],
+     "paulivol evolve: error: argument --t: not allowed with argument --steps"),
+    (["evolve", "--schedule", "GOOD", "--t-star", "2", "--steps", "3"],
+     "error: --t-star is read only by evolve --target"),
+    # the refusal comes before the schedule file is read
+    (["evolve", "--schedule", "MISSING", "--t-star", "2"],
+     "error: --t-star is read only by evolve --target"),
+    (["evolve", "--target", "0.5", "0.5", "0.5", "--t", "2"],
+     "error: --t is read only by evolve --schedule"),
+])
+def test_an_option_the_mode_does_not_read_exits_2_with_one_error_line(tmp_path, argv, message):
+    files = {"GOOD": _write_schedule(tmp_path, [{"duration": 1, "rates": [0.5, 0.2, 0.1]}]),
+             "MISSING": str(tmp_path / "missing.json")}
+    code, out, err = _main([files.get(token, token) for token in argv])
+    assert (code, out) == (2, "")
+    assert [line for line in err.splitlines() if "error:" in line] == [message]
+    assert err.endswith(message + "\n")
+
+
+def test_t_with_steps_11_is_refused_though_11_was_the_steps_default(tmp_path):
+    # argparse takes a group member as given when its value `is not` its default,
+    # and a --steps default of 11 would be the very int that `--steps 11` reads
+    path = _write_schedule(tmp_path, [{"duration": 1, "rates": [0.5, 0.2, 0.1]}])
+    code, out, err = _main(["evolve", "--schedule", path, "--t", "1", "--steps", "11"])
+    assert (code, out) == (2, "")
+    assert err.endswith("paulivol evolve: error: argument --steps: not allowed with argument --t\n")
+
+
+# Each mode of each subcommand, as an argv it reads in full.  GOOD and OTHER
+# name schedule files, OUT-1 and OUT-2 output files.
+_MODES = [
+    ["classify", "0.5", "0.25", "0.125"],
+    ["volume", "--region", "CPT"],
+    ["volume", "--region", "CPT", "--method", "mc", "--samples", "300"],
+    ["volume", "--region", "CPT", "--method", "fr", "--samples", "300"],
+    ["table", "--samples", "300"],
+    ["mesh", "--region", "CPT"],
+    ["sample", "--region", "CPT"],
+    ["evolve", "--schedule", "GOOD"],
+    ["evolve", "--schedule", "GOOD", "--t", "0.5"],
+    ["evolve", "--target", "0.5", "0.25", "0.125"],
+]
+
+
+def _one(*values):
+    return st.sampled_from(values).map(lambda value: [value])
+
+
+# Values of each option that a mode reading it accepts; none exits 1.
+_VALUES = {
+    "--format": _one("json", "csv", "text"),
+    "--out": _one("OUT-1", "OUT-2"),
+    "--region": _one("CPT", "CPT,EBC", "CPT,TLG", "CPT,TLG,EBC", "CPT,PDIV"),
+    "--method": _one("exact", "mc", "fr"),
+    "--samples": st.integers(1, 300).map(lambda n: [str(n)]),
+    "--seed": st.integers(0, 2**64 - 1).map(lambda n: [str(n)]),
+    "--chunk-size": st.integers(1, 4096).map(lambda n: [str(n)]),
+    "--schedule": _one("GOOD", "OTHER"),
+    "--target": st.lists(st.floats(0.05, 1.0), min_size=3, max_size=3).map(
+        lambda triple: list(map(repr, triple))),
+    "--t": st.floats(0.0, 1.5).map(lambda t: [repr(t)]),
+    "--steps": st.integers(2, 40).map(lambda n: [str(n)]),
+    "--t-star": st.floats(0.1, 10.0).map(lambda t: [repr(t)]),
+}
+
+
+def _accepted(command):
+    """Each option the subcommand's parser accepts, by its long name."""
+    commands = next(action for action in build_parser()._actions if action.dest == "command")
+    return [action.option_strings[-1] for action in commands.choices[command]._actions
+            if action.option_strings and action.dest != "help"]
+
+
+def _without(argv, option):
+    """``argv`` less ``option`` and the values that follow it."""
+    if option not in argv:
+        return argv
+    i = argv.index(option)
+    end = next((j for j in range(i + 1, len(argv)) if argv[j].startswith("--")), len(argv))
+    return argv[:i] + argv[end:]
+
+
+@pytest.mark.parametrize("mode, option",
+                         [(mode, option) for mode in _MODES for option in _accepted(mode[0])],
+                         ids=lambda x: x if isinstance(x, str) else " ".join(x))
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_two_values_of_an_option_differ_in_output_or_one_exits_2(tmp_path_factory, mode,
+                                                                    option, data):
+    # JSON, unless --format is the option, records every input a run reads
+    base = tmp_path_factory.getbasetemp()
+    files = {name: base / f"modes-{name.lower()}" for name in ("GOOD", "OTHER", "OUT-1", "OUT-2")}
+    files["GOOD"].write_text('[{"duration": 1, "rates": [0.5, 0.2, 0.1]},'
+                             ' {"duration": 0.5, "rates": [-0.2, 0.3, 0]}]')
+    files["OTHER"].write_text('[{"duration": 1.5, "rates": [0.1, 0.2, 0.5]}]')
+    fmt = [] if option == "--format" else ["--format", "json"]
+    runs = []
+    for value in data.draw(st.lists(_VALUES[option], min_size=2, max_size=2, unique_by=tuple)):
+        argv = [*_without(mode, option), option, *value, *fmt]
+        code, out, err = _main([str(files[token]) if token in files else token for token in argv])
+        written = {name: files[name].read_bytes() for name in ("OUT-1", "OUT-2")
+                   if files[name].exists()}
+        for name in written:
+            files[name].unlink()
+        assert code in (0, 2), (argv, err)
+        runs.append((code, out, written))
+    assert 2 in (runs[0][0], runs[1][0]) or runs[0][1:] != runs[1][1:]
+
+
 _json_scalars = (
     st.none()
     | st.booleans()
@@ -658,19 +777,26 @@ _region = _mostly(_tokens("PT", "CPT", "EBC", "TLG", "PDIV", "CPDIV", "EBC,TLG",
                           "PT,CPT,EBC,TLG,PDIV", "TLG,CPDIV"), "ebc", "CPT,,EBC", "XYZ", "")
 _sampler = {"--seed": _mostly(_tokens("0", "7"), "-1", "x"),
             "--chunk-size": _mostly(_tokens("1", "7", "4096"), "0", "-3", "x")}
-# Each subcommand's options and their values.  --region is always given, as
-# is --samples: its default of 10**6 would make one example take 0.1 s.
+# Each subcommand's options and their values, drawn in this order.  --region
+# is always given, and so is --samples wherever it is drawn: its default of
+# 10**6 would make one example take 0.1 s.
 _OPTIONS = {
     "classify": {},
-    "volume": {"--samples": _counts(300), "--region": _region,
-               "--method": _mostly(_tokens("exact", "mc", "fr"), "qmc"), **_sampler},
+    "volume": {"--region": _region, "--method": _mostly(_tokens("exact", "mc", "fr"), "qmc"),
+               "--samples": _counts(300), **_sampler},
     "table": {"--samples": _counts(300), **_sampler},
     "mesh": {"--region": _region},
     "sample": {"--region": _region, "-n": _counts(12), **_sampler},
-    "evolve": {"--schedule": _tokens("GOOD", "GOOD", "BAD", "MISSING"), "--t": _positive,
-               "--steps": _counts(40), "--t-star": _positive,
-               "--target": st.lists(_positive, min_size=3, max_size=3).map(lambda v: sum(v, []))},
+    "evolve": {"--schedule": _tokens("GOOD", "GOOD", "BAD", "MISSING"),
+               "--target": st.lists(_positive, min_size=3, max_size=3).map(lambda v: sum(v, [])),
+               "--t": _positive, "--steps": _counts(40), "--t-star": _positive},
 }
+# An option that only some modes read is drawn only after a token of one of
+# them, since the other modes refuse it: exact volume would refuse every
+# sampler option, and the fuzz would lose its successful exact runs.
+_READ_AFTER = {("volume", option): ("mc", "fr") for option in ("--samples", *_sampler)}
+_READ_AFTER.update({("evolve", "--t"): ("--schedule",), ("evolve", "--steps"): ("--schedule",),
+                    ("evolve", "--t-star"): ("--target",)})
 _STDERR_LINE = re.compile(r"(?:error: |warning: |usage: |paulivol(?: \w+)?: error: | )")
 _VALIDATORS = {
     name: jsonschema.validators.validator_for(schema)(schema)
@@ -692,6 +818,9 @@ def _argvs(draw):
     if command == "classify":
         argv += sum(draw(st.lists(_number, min_size=3, max_size=3)), [])
     for option, values in _OPTIONS[command].items():
+        after = _READ_AFTER.get((command, option))
+        if after and not set(after) & set(argv):
+            continue
         if option in ("--samples", "--region") or draw(st.booleans()):
             argv += [option, *draw(values)]
     formats = ("json", "json", "csv", "text", "xml")

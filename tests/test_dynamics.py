@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from paulivol import (
@@ -27,6 +27,7 @@ from paulivol import (
     schedule_from_json,
 )
 from paulivol.dynamics import _integrals
+from paulivol.regions import _region_record
 
 
 def _depolarizing(g, duration):
@@ -355,6 +356,21 @@ def test_classify_trajectory_matches_scalar_reference(segments, steps):
         assert [x.hex() for x in point.eigenvalues] == [x.hex() for x in lam]
         assert list(point.regions.items()) == list(regions.items())
         assert all(type(key) is str and type(flag) is bool for key, flag in point.regions.items())
+
+
+@settings(max_examples=100, deadline=None)
+@given(segments=_segments, steps=st.integers(2, 500))
+@example(segments=[(1.0, (0.0, 0.0, 3.0)), (1.0, (-3.0, 0.0, 0.0))], steps=200)
+def test_trajectory_points_share_one_regions_dict_per_membership(segments, steps):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        points, error = _outcome(classify_trajectory, RateSchedule(segments), steps)
+    assume(error is None)  # eigenvalues past float range
+    shared = {id(p.regions): p.regions for p in points}
+    assert len(shared) <= 64
+    assert len(shared) == len({tuple(regions.values()) for regions in shared.values()})
+    for point in points:
+        assert point.regions == _region_record(point.eigenvalues)
 
 
 def test_trajectory_last_time_is_clamped_to_the_schedule_end():

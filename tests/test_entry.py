@@ -5,9 +5,9 @@ cyclic collector off, runs ``cli.main``, flushes stdout and stderr and ends
 with ``os._exit``.  These tests pin that the script and ``-m`` run the same
 callable, that argparse's own exits keep their codes and text, that stdout
 which cannot be written is an ``error:`` line with exit 2 (``--help`` and
-``--version`` included), that a stream closed before the run keeps the exit
-codes, that a run with the collector off leaves no more garbage at a large
-size than at a small one, and that a SIGINT ends a run by the signal, with no
+``--version`` included), that a stream closed before the run, or a stderr
+that cannot be written, keeps the exit codes, that a run with the collector
+off leaves no more garbage at a large size than at a small one, and that a SIGINT ends a run by the signal, with no
 traceback, whether sent from outside at four delays or by the run itself at
 four named points, numpy's import among them.
 """
@@ -231,18 +231,39 @@ def _closed(fd, *argv):
     return proc.returncode, proc.stdout if fd == 2 else proc.stderr
 
 
+def _full_stderr(*argv):
+    """(exit code, stdout) of a run whose stderr writes fail (2>/dev/full), the
+    same whether stderr is line-buffered or writes through."""
+    runs = set()
+    for unbuffered in (False, True):
+        env = _env()
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "paulivol", *argv], env=env,
+                                  stdout=subprocess.PIPE, stderr=full, text=True)
+        runs.add((proc.returncode, proc.stdout))
+    assert len(runs) == 1, runs
+    return runs.pop()
+
+
 @pytest.mark.parametrize("argv, code", [
     (["volume", "--region", "FOO"], 2),
     (["volume", "--region", "TLG"], 1),
     (["classify"], 2),  # argparse's usage error
     (["classify", "0.5", "0.5", "0.5"], 0),
+    (["table", "--samples", "1", "--format", "csv"], 0),  # two warnings
+    (["volume", "--region", "CPT", "--out", "."], 2),  # an --out that cannot be written
 ])
 def test_a_closed_stderr_keeps_the_exit_code_and_writes_no_error_to_stdout(argv, code,
                                                                            monkeypatch):
     # an error line has nowhere to go; stdout holds only what a run with stderr has there
-    closed = _closed(2, *argv)
-    assert closed == _in_process(argv, monkeypatch)[:2]
-    assert closed[0] == code
+    want = _in_process(argv, monkeypatch)[:2]
+    assert want[0] == code
+    assert _closed(2, *argv) == want
+    if os.path.exists("/dev/full"):  # a stderr that cannot be written, 2>/dev/full
+        assert _full_stderr(*argv) == want
 
 
 @pytest.mark.parametrize("argv", _OUTPUTS + _ARGPARSE_OUTPUTS)
